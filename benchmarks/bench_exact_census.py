@@ -264,9 +264,7 @@ def test_unit_n8_census_cross_validated(benchmark):
     in_window = sum(1 for r in eq_ranks if lo <= r < hi)
     assert in_window > 0
     t0 = time.perf_counter()
-    part = _census_shard(
-        (budgets, "max", lo, hi, False, False, 6_000_000, None, None)
-    )
+    part = _census_shard((budgets, "max", lo, hi, False, False, 6_000_000))
     unpruned_s = time.perf_counter() - t0
     assert part["count"] == window
     assert part["eq_count"] == in_window

@@ -4,30 +4,22 @@ Subcommands
 -----------
 ``list``
     Show every registered experiment id with its description.
-``run <id> [<id> ...] [--workers N] [--symmetry/--no-symmetry] [--extended] [--weighted] [--pool/--no-pool] [--checkpoint-dir DIR] [--resume]``
+``run <id> [<id> ...] [--workers N] [--symmetry/--no-symmetry] [--weighted] [--checkpoint-dir DIR] [--resume] [--sample N]``
     Regenerate specific Table 1 cells / figures and print the reports.
     ``--workers`` shards supporting experiments (e.g. the exact census)
     across processes; ``--symmetry`` toggles census orbit pruning;
-    ``--extended`` is deprecated and has no effect (the formerly
-    extended census instances — unit n=6, mixed n=5 — are part of the
-    default battery now; passing it warns); ``--weighted`` appends the
-    Section 6
-    weighted weak-equilibrium census battery; ``--pool/--no-pool``
-    forces shared-memory shard warm starts on or off (default: pooled
-    exactly when sharded; bit-identical either way);
-    ``--checkpoint-dir DIR`` journals census shard progress through the
-    fault-tolerant work-stealing runtime and ``--resume`` continues an
-    interrupted run from those journals; ``--pool-dir DIR`` persists
-    warm-start matrices to an on-disk mmap store so reruns — even in
-    fresh processes — attach instead of rebuilding; ``--sample N``
-    (with ``--seed S`` and ``--confidence C``) appends a Monte Carlo
-    sampled census per census instance — equilibrium-count and PoA
-    estimates with Wilson / bootstrap confidence intervals.
+    ``--weighted`` appends the Section 6 weighted weak-equilibrium
+    census battery; ``--checkpoint-dir DIR`` journals census shard
+    progress through the fault-tolerant work-stealing runtime and
+    ``--resume`` continues an interrupted run from those journals;
+    ``--sample N`` (with ``--seed S`` and ``--confidence C``) appends a
+    Monte Carlo sampled census per census instance — equilibrium-count
+    and PoA estimates with Wilson / bootstrap confidence intervals.
     Flags are forwarded only to experiments whose signature takes them.
 ``all``
     Regenerate everything (the full paper reproduction).
 ``pool gc --dir DIR [--budget BYTES]``
-    Maintain a ``--pool-dir`` store: reap temp files of dead writers,
+    Maintain a ``serve --pool-dir`` store: reap temp files of dead writers,
     quarantine corrupt matrix files, rebuild the LRU index, and enforce
     the byte budget.
 ``export <spec> --json out.json [--dot out.dot]``
@@ -52,7 +44,6 @@ import argparse
 import sys
 import time
 import traceback
-import warnings
 
 from .errors import ExperimentError
 from .experiments.runner import REGISTRY, list_experiments, run_experiment
@@ -116,25 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="census orbit pruning (bit-identical results either way)",
     )
     run_p.add_argument(
-        "--extended",
-        action="store_true",
-        default=None,
-        help="deprecated, no effect: the formerly extended census "
-        "instances (unit n=6, mixed n=5) run in the default battery; "
-        "passing this flag emits a DeprecationWarning",
-    )
-    run_p.add_argument(
         "--weighted",
         action="store_true",
         default=None,
         help="census: append the Section 6 weighted weak-equilibrium battery",
-    )
-    run_p.add_argument(
-        "--pool",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="shared-memory warm starts for census shards (default: on "
-        "exactly when sharded; bit-identical results either way)",
     )
     run_p.add_argument(
         "--checkpoint-dir",
@@ -151,15 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="census: continue an interrupted --checkpoint-dir run from "
         "its journals (bit-identical to an uninterrupted run)",
-    )
-    run_p.add_argument(
-        "--pool-dir",
-        dest="pool_dir",
-        default=None,
-        metavar="DIR",
-        help="census: persist warm-start matrices to an on-disk mmap "
-        "store under DIR; reruns (even fresh processes) attach from "
-        "disk instead of rebuilding (bit-identical results)",
     )
     run_p.add_argument(
         "--sample",
@@ -200,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="pool_dir",
         required=True,
         metavar="DIR",
-        help="the pool store directory (as passed to run --pool-dir)",
+        help="the pool store directory (as passed to serve --pool-dir)",
     )
     gc_p.add_argument(
         "--budget",
@@ -302,14 +269,6 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"{key:18s} {desc}")
         return 0
     if args.command == "run":
-        if args.extended:
-            warnings.warn(
-                "--extended is deprecated and has no effect: the formerly "
-                "extended census instances (unit n=6, mixed n=5) are part of "
-                "the default battery; drop the flag",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if args.resume and not args.checkpoint_dir:
             print("!! --resume requires --checkpoint-dir", file=sys.stderr)
             return 2
@@ -318,12 +277,9 @@ def main(argv: "list[str] | None" = None) -> int:
                 i,
                 workers=args.workers,
                 symmetry=args.symmetry,
-                extended=args.extended,
                 weighted=args.weighted,
-                pool=args.pool,
                 checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
-                pool_dir=args.pool_dir,
                 samples=args.samples,
                 seed=args.seed,
                 confidence=args.confidence,

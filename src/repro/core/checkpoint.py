@@ -40,9 +40,8 @@ Resume semantics
 ----------------
 A record with ``next_rank = r`` asserts "ranks ``[lo, r)`` of this
 shard are fully aggregated into these counters". Resuming rebuilds the
-walk state at rank ``r - 1`` (one O(n) Gray unranking; the matrix pool
-republishes that profile's all-pairs matrix so the engine warm-starts
-by attaching, never rebuilding), restores the counters and orbit probe
+walk state at rank ``r - 1`` (one O(n) Gray unranking plus one
+all-pairs build of that profile), restores the counters and orbit probe
 keys verbatim, and continues the swap stream over ``[r, hi)`` — no rank
 is ever double-counted, so the merged census is bit-identical to an
 uninterrupted run. ``done = True`` marks a finished shard whose final

@@ -129,20 +129,14 @@ class DistanceCache:
         single-verdict regime — :meth:`query` / :meth:`query_punctured`
         then cost one bounded bidirectional search instead of a full
         build), ``None`` keeps the engines' default full
-        materialisation. Adopted ``base_engine``/``player_engines`` are
-        used as constructed either way.
+        materialisation. An adopted ``base_engine`` is used as
+        constructed either way.
     base_engine:
         Optional pre-warmed ``U(G)`` engine adopted instead of building
         one on first access — e.g. a copy-on-write engine attached from
-        a :class:`~repro.core.matrix_pool.MatrixPool` segment. The
-        caller asserts it describes ``graph``'s *current* CSR; the
-        golden suites pin that contract.
-    player_engines:
-        Optional pre-warmed per-player ``U(G - u)`` engines (mapping
-        ``u -> engine``), adopted under the same contract as
-        ``base_engine`` — e.g. copy-on-write engines attached from a
-        pool's per-player snapshot bundle. Adopted engines replace the
-        initial all-pairs BFS of their player's first access.
+        a :class:`~repro.core.pool_store.PoolStore` file by the query
+        server. The caller asserts it describes ``graph``'s *current*
+        CSR; the golden suites pin that contract.
 
     Step forwarding
     ---------------
@@ -169,7 +163,6 @@ class DistanceCache:
         dirty_fraction: "float | str | None" = None,
         rows: "str | None" = None,
         base_engine: "DistanceEngine | None" = None,
-        player_engines: "dict[int, DistanceEngine] | None" = None,
     ) -> None:
         self._graph = graph
         self._max_players_requested = max_player_engines
@@ -192,35 +185,20 @@ class DistanceCache:
         self.evictions = 0
         self.env_hits = 0
         self.step_forwards = 0
-        if base_engine is not None or player_engines:
-            # Adopted engines describe the graph's *current* substrate:
-            # seed the sync state so their first access replays nothing.
-            self._csr = graph.undirected_csr()
-            self._seen_revision = graph.revision
-            self._steps.advance(None)
         if base_engine is not None:
             if base_engine.n != graph.n:
                 raise GraphError(
                     f"base engine is over {base_engine.n} vertices, "
                     f"graph has {graph.n}"
                 )
+            # The adopted engine describes the graph's *current*
+            # substrate: seed the sync state so its first access
+            # replays nothing.
+            self._csr = graph.undirected_csr()
+            self._seen_revision = graph.revision
+            self._steps.advance(None)
             self._base = base_engine
             self._base_token = self._steps.token
-        if player_engines:
-            for u, engine in player_engines.items():
-                if not 0 <= int(u) < graph.n:
-                    raise VertexError(int(u), graph.n)
-                if engine.n != graph.n:
-                    raise GraphError(
-                        f"player engine for {u} is over {engine.n} vertices, "
-                        f"graph has {graph.n}"
-                    )
-                self._players[int(u)] = engine
-                self._player_tokens[int(u)] = self._steps.token
-            while len(self._players) > self._max_players:
-                evicted, _ = self._players.popitem(last=False)
-                self._player_tokens.pop(evicted, None)
-                self.evictions += 1
 
     def _resolve_max_players(self, n: int) -> int:
         """Engine-count cap for instance size ``n`` (at least one).
@@ -608,11 +586,6 @@ class WeightedDistanceCache:
         Forwarded to every engine the cache builds: ``"lazy"`` for
         row-on-demand matrices (the cold single-verdict regime),
         ``None`` for the engines' default full materialisation.
-    base_engine:
-        Optional pre-warmed weighted ``U(G)`` engine adopted instead of
-        building one on first access (a pool-attached copy-on-write
-        engine). Must describe ``graph``'s current substrate under the
-        current weights.
     """
 
     def __init__(
@@ -624,7 +597,6 @@ class WeightedDistanceCache:
         max_weight: "int | None" = None,
         dirty_fraction: "float | None" = None,
         rows: "str | None" = None,
-        base_engine: "WeightedDistanceEngine | None" = None,
     ) -> None:
         self._graph = graph
         self._edge_weights = edge_weights
@@ -662,17 +634,6 @@ class WeightedDistanceCache:
         self._lock = threading.RLock()
         self.evictions = 0
         self.step_forwards = 0
-        if base_engine is not None:
-            if base_engine.n != graph.n:
-                raise GraphError(
-                    f"base engine is over {base_engine.n} vertices, "
-                    f"graph has {graph.n}"
-                )
-            self._base = base_engine
-            self._wcsr = base_engine.wcsr
-            self._seen_key = self._key()
-            self._steps.advance(None)
-            self._base_token = self._steps.token
 
     def _resolve_max_players(self, n: int) -> int:
         if self._max_players_requested is not None:

@@ -104,7 +104,6 @@ __all__ = [
     "weighted_census_scan",
     "SampledCensusReport",
     "sampled_census_scan",
-    "last_census_pool_stats",
     "last_census_runtime_stats",
 ]
 
@@ -735,126 +734,14 @@ def _expand_orbit(
 # ----------------------------------------------------------------------
 # Incremental census kernel
 # ----------------------------------------------------------------------
-def _attach_unit_snapshot(handle, graph: OwnedDigraph) -> "object | None":
-    """Pool-attached ``U(G)`` engine for a shard's start graph, or ``None``.
-
-    The parent published the all-pairs matrix of exactly this start
-    profile; attaching adopts it zero-copy (copy-on-write), replacing
-    the shard's initial all-pairs rebuild. Any failure — segment
-    evicted, owner gone — degrades silently to the cold path.
-    """
-    if handle is None:
-        return None
-    from ..errors import GraphError, PoolError
-    from ..graphs.engine import DistanceEngine as _Engine
-
-    try:
-        views = handle.attach()
-        return _Engine.from_snapshot(
-            graph.undirected_csr(),
-            views["D"],
-            inf=int(views["inf"][0]),
-            dirty_fraction="adaptive",
-        )
-    except (PoolError, KeyError, GraphError):
-        return None
-
-
 #: Gray swaps per vectorised orbit-key block of the symmetry census.
 _ORBIT_BLOCK: int = 2048
-
-#: Process-local cache of per-directory :class:`PoolStore` objects used
-#: by shard workers to persist checkpoint-rank matrices.
-_WORKER_STORES: "dict[str, object]" = {}
-
-
-def _checkpoint_store(store_dir: str):
-    store = _WORKER_STORES.get(store_dir)
-    if store is None:
-        from .pool_store import PoolStore
-
-        store = PoolStore(store_dir)
-        _WORKER_STORES[store_dir] = store
-    return store
-
-
-def _persist_checkpoint_matrix(
-    store_dir: "str | None", graph: OwnedDigraph, engine, *, weighted: bool
-) -> None:
-    """Best-effort publish of the current ``U(G)`` matrix to the disk tier.
-
-    Called at shard checkpoint boundaries when the scan runs with
-    ``pool_dir=``: the engine's matrix (synced to exactly this graph
-    state) lands in the store under the graph's content digest, so a
-    fresh process resuming at this cursor re-attaches from disk instead
-    of rebuilding the resume-rank matrix. Persistence is strictly
-    additive — a store failure never fails the scan, but it is *not*
-    silent: the failure is counted in the store's
-    ``stats["store_errors"]`` and surfaced as a ``RuntimeWarning``
-    (matching :class:`~repro.core.matrix_pool.MatrixPool`'s write-
-    through contract), so a dead ``pool_dir`` doesn't quietly disable
-    checkpoint-matrix persistence.
-    """
-    if store_dir is None or engine is None:
-        return
-    import warnings
-
-    from ..errors import PoolError
-    from .pool_store import census_graph_digest
-
-    digest = census_graph_digest(graph, weighted=weighted)
-    try:
-        store = _checkpoint_store(store_dir)
-    except (PoolError, OSError) as exc:
-        warnings.warn(
-            f"checkpoint matrix store {store_dir!r} is unusable: {exc!r}; "
-            f"resume will rebuild instead of attaching",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return
-    try:
-        store.publish(
-            digest,
-            {
-                "D": engine.matrix,
-                "inf": np.asarray([engine.inf], dtype=np.int64),
-            },
-        )
-    except (PoolError, OSError) as exc:
-        store.stats["store_errors"] += 1
-        warnings.warn(
-            f"could not persist checkpoint matrix {digest!r} to "
-            f"{store_dir!r}: {exc!r}; resume will rebuild instead of "
-            f"attaching",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-
-def _resume_handle(handle, cursor: int):
-    """Unwrap a rank-tagged pool handle; stale tags degrade to cold.
-
-    Fresh shards carry a plain handle published at rank ``lo``; the
-    runtime's resume hook republishes at the resume cursor and tags the
-    handle ``(cursor, handle)`` so a shard can never silently adopt a
-    matrix snapshot of the wrong rank.
-    """
-    if isinstance(handle, tuple):
-        tag, handle = handle
-        if tag != cursor:
-            return None
-    return handle
-
 
 def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous Gray-rank range of the census (worker function).
 
     Owns a private mutable graph, engine pool and orbit keys; returns
-    order-independently mergeable partial aggregates. When the payload
-    carries a warm-start :class:`~repro.core.matrix_pool.SegmentHandle`,
-    the shard attaches the parent's snapshot of its start rank instead
-    of rebuilding the base matrix from scratch.
+    order-independently mergeable partial aggregates.
 
     With symmetry pruning the shard is a **canonical-rep-only walk**:
     the Gray swap stream advances digits at amortised O(1) per rank,
@@ -880,8 +767,6 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         symmetry,
         collect,
         max_profiles,
-        store_dir,
-        handle,
     ) = payload
     game = BoundedBudgetGame(list(budgets))
     version = Version.coerce(version_value)
@@ -893,7 +778,6 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         resume_rec = None  # vacuous progress: run the shard fresh
     count = 0
     eq_count = 0
-    warm = 0
     opt: "int | None" = None
     best_eq: "int | None" = None
     worst_eq: "int | None" = None
@@ -903,7 +787,6 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         c = resume_rec.counters
         count = int(c["count"] or 0)
         eq_count = int(c["eq_count"] or 0)
-        warm = int(c.get("warm") or 0)
         opt = c["opt"]
         best_eq = c["best_eq"]
         worst_eq = c["worst_eq"]
@@ -918,7 +801,6 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
             "opt": opt,
             "best_eq": best_eq,
             "worst_eq": worst_eq,
-            "warm": warm,
         }
 
     def part() -> "dict[str, object]":
@@ -929,10 +811,6 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     def save(next_rank: int, *, done: bool = False) -> None:
         if ctx is None:
             return
-        if not done and cache is not None:
-            _persist_checkpoint_matrix(
-                store_dir, graph, cache.base(), weighted=False
-            )
         ctx.checkpoint(
             lo=lo,
             hi=hi,
@@ -954,9 +832,7 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     graph = OwnedDigraph.from_strategies(
         [combos[u][digits[u]] for u in range(n)], n
     )
-    base_engine = _attach_unit_snapshot(_resume_handle(handle, cursor), graph)
-    warm += int(base_engine is not None)
-    cache = DistanceCache(graph, dirty_fraction="adaptive", base_engine=base_engine)
+    cache = DistanceCache(graph, dirty_fraction="adaptive")
     if orbit is not None:
         if resume_rec is not None and resume_rec.orbit_vals is not None:
             orbit.restore_state(
@@ -1130,35 +1006,6 @@ class CensusResult:
         ]
 
 
-#: Observability side-channel of the last pooled census run:
-#: ``{"shards": int, "warm_attached": int, "disk_attached": int,
-#: "parent_builds": int}``. ``disk_attached`` counts shard start-rank
-#: matrices promoted from the mmap tier (zero builds) and
-#: ``parent_builds`` the matrices the parent actually had to compute.
-#: Kept out of the reports so pooled and unpooled results stay
-#: bit-identical. Every key is zeroed at scan entry
-#: (:func:`_reset_census_stats`), so an unpooled scan — or one that
-#: raises — reports zeros rather than the previous run's numbers; read
-#: through :func:`last_census_pool_stats` for a consistent snapshot.
-LAST_CENSUS_POOL_STATS: "dict[str, int]" = {
-    "shards": 0,
-    "warm_attached": 0,
-    "disk_attached": 0,
-    "parent_builds": 0,
-}
-
-
-def _export_pool_disk_stats(matrix_pool) -> None:
-    """Mirror a pool's two-level counters into the side-channel."""
-    if matrix_pool is not None:
-        LAST_CENSUS_POOL_STATS["disk_attached"] = matrix_pool.stats["disk_hits"]
-        LAST_CENSUS_POOL_STATS["parent_builds"] = (
-            matrix_pool.stats["published"] - matrix_pool.stats["promotions"]
-        )
-    else:
-        LAST_CENSUS_POOL_STATS["disk_attached"] = 0
-        LAST_CENSUS_POOL_STATS["parent_builds"] = 0
-
 #: Observability side-channel of the last *checkpointed* census run:
 #: the runtime's supervision stats (workers spawned, crashes, stalls,
 #: retries, quarantines, shards resumed/skipped) plus coverage
@@ -1171,29 +1018,14 @@ LAST_CENSUS_RUNTIME_STATS: "dict[str, object]" = {}
 
 
 def _reset_census_stats() -> None:
-    """Zero both observability side-channels at scan entry.
+    """Clear the runtime side-channel at scan entry.
 
-    ``shards``/``warm_attached`` used to be rewritten only on the
-    pooled path and nothing reset either dict when a scan ran unpooled
-    or raised — a later reader (the serve layer's ``stats`` op, a
-    benchmark) saw the *previous* run's numbers. Resetting up front
-    makes every scan's side-channel self-describing: zeros / empty
-    until this run publishes its own counters.
+    Without the reset a scan that ran unchecked or raised would leave
+    the *previous* run's supervision numbers for a later reader (a
+    benchmark, a test) to find; cleared up front, the side-channel is
+    empty until this run publishes its own stats.
     """
-    for key in LAST_CENSUS_POOL_STATS:
-        LAST_CENSUS_POOL_STATS[key] = 0
     LAST_CENSUS_RUNTIME_STATS.clear()
-
-
-def last_census_pool_stats() -> "dict[str, int]":
-    """Per-run snapshot of the pool side-channel (always all keys).
-
-    A copy — safe to hold across a later scan — with zeros when the
-    last scan was unpooled (or raised before sharding). This is the
-    accessor the serve layer reads; prefer it to poking
-    :data:`LAST_CENSUS_POOL_STATS` directly.
-    """
-    return dict(LAST_CENSUS_POOL_STATS)
 
 
 def last_census_runtime_stats() -> "dict[str, object]":
@@ -1203,79 +1035,6 @@ def last_census_runtime_stats() -> "dict[str, object]":
     checkpointed work-stealing runtime (or raised before reaching it).
     """
     return dict(LAST_CENSUS_RUNTIME_STATS)
-
-
-def _warm_start_shards(
-    game: BoundedBudgetGame,
-    shards: "list[tuple[int, int]]",
-    *,
-    weighted: bool,
-    slack: int = 0,
-    store=None,
-):
-    """Publish each shard's start-rank engine state into a fresh pool.
-
-    The parent walks the Gray code to every shard's start rank (one
-    O(n) unranking each), computes the all-pairs matrix of that start
-    profile once, and publishes it as a shared-memory segment; shards
-    attach zero-copy instead of rebuilding. Returns ``(pool, handles)``
-    — the caller owns the pool and must close it after the shards
-    finish (segments stay readable for attached workers even after the
-    unlink, per POSIX semantics). ``slack`` widens the pool's segment
-    cap beyond one-per-shard — the checkpointed runtime republishes a
-    resume-rank matrix per retry and must not evict live shard
-    segments. Scan start is also when orphaned segments of previously
-    killed owner processes are swept from the system.
-
-    ``store`` (a :class:`~repro.core.pool_store.PoolStore`) makes the
-    pool two-level: a shard whose start-rank matrix is already on disk
-    — published by an earlier run or a dead process — is *promoted*
-    into shared memory with zero builds, and every matrix built here is
-    written through so the next fresh process attaches instead.
-    """
-    from ..graphs.engine import DistanceEngine
-    from ..graphs.weighted_engine import WeightedDistanceEngine, weighted_csr_from_csr
-    from .matrix_pool import MatrixPool, sweep_orphan_segments
-
-    sweep_orphan_segments()
-    n = game.n
-    combos, radices, rests = _profile_tables(game)
-    pool = MatrixPool(
-        max_segments=max(1, len(shards)) + max(0, int(slack)), store=store
-    )
-    handles = []
-    for lo, hi in shards:
-        digits = _gray_digits(lo, radices, rests)
-        graph = OwnedDigraph.from_strategies(
-            [combos[u][digits[u]] for u in range(n)], n
-        )
-        key = ("census-shard", lo, hi, weighted)
-        digest = None
-        if store is not None:
-            from .pool_store import census_graph_digest
-
-            digest = census_graph_digest(graph, weighted=weighted)
-            handle = pool.fetch(key, digest=digest)
-            if handle is not None:
-                handles.append(handle)
-                continue
-        if weighted:
-            engine = WeightedDistanceEngine(
-                weighted_csr_from_csr(graph.undirected_csr())
-            )
-        else:
-            engine = DistanceEngine(graph.undirected_csr())
-        handles.append(
-            pool.publish(
-                key,
-                {
-                    "D": engine.matrix,
-                    "inf": np.asarray([engine.inf], dtype=np.int64),
-                },
-                digest=digest,
-            )
-        )
-    return pool, handles
 
 
 def _merge_unit_parts(
@@ -1340,7 +1099,6 @@ def _part_from_record(record, keys: "tuple[str, ...]") -> "dict[str, object]":
     part: "dict[str, object]" = {k: record.counters.get(k) for k in keys}
     part["count"] = int(part["count"] or 0)
     part["eq_count"] = int(part["eq_count"] or 0)
-    part["warm"] = int(record.counters.get("warm") or 0)
     part["eq_profiles"] = (
         list(record.eq_profiles) if record.eq_profiles is not None else None
     )
@@ -1353,81 +1111,6 @@ def _unit_part_from_record(record) -> "dict[str, object]":
 
 def _weighted_part_from_record(record) -> "dict[str, object]":
     return _part_from_record(record, _WEIGHTED_COUNTER_KEYS)
-
-
-def _make_resume_payload(game: BoundedBudgetGame, matrix_pool, *, weighted: bool):
-    """Parent-side hook refreshing a reclaimed shard's warm-start handle.
-
-    A shard resuming at checkpoint cursor ``next_rank - 1`` must not
-    attach the matrix published for its *start* rank — that snapshot
-    describes a different profile. The hook walks the Gray code to the
-    cursor (one O(n) unranking), publishes that profile's all-pairs
-    matrix into the live pool, and swaps a rank-tagged handle into the
-    payload so the retry re-attaches instead of rebuilding. Any pool
-    failure degrades to a cold (handle-free) retry.
-
-    With a disk-tier pool (``store=`` / ``pool_dir=``) the hook goes
-    through :meth:`MatrixPool.fetch` first: shards persist their
-    checkpoint-rank matrices under content digests, so a resume — in
-    this process or a completely fresh one — re-attaches the
-    resume-rank matrix from the mmap tier instead of rebuilding it.
-    """
-    from ..errors import PoolError
-
-    n = game.n
-    combos, radices, rests = _profile_tables(game)
-    has_store = matrix_pool.store is not None
-
-    def hook(payload: tuple, record) -> tuple:
-        cursor = record.next_rank - 1
-        if cursor < record.lo:
-            return payload[:-1] + (None,)
-        digits = _gray_digits(cursor, radices, rests)
-        graph = OwnedDigraph.from_strategies(
-            [combos[u][digits[u]] for u in range(n)], n
-        )
-        key = (
-            "census-shard-resume",
-            record.shard_id,
-            cursor,
-            weighted,
-            record.attempt,
-        )
-        digest = None
-        try:
-            if has_store:
-                from .pool_store import census_graph_digest
-
-                digest = census_graph_digest(graph, weighted=weighted)
-                handle = matrix_pool.fetch(key, digest=digest)
-                if handle is not None:
-                    return payload[:-1] + ((cursor, handle),)
-            if weighted:
-                from ..graphs.weighted_engine import (
-                    WeightedDistanceEngine,
-                    weighted_csr_from_csr,
-                )
-
-                engine = WeightedDistanceEngine(
-                    weighted_csr_from_csr(graph.undirected_csr())
-                )
-            else:
-                from ..graphs.engine import DistanceEngine
-
-                engine = DistanceEngine(graph.undirected_csr())
-            handle = matrix_pool.publish(
-                key,
-                {
-                    "D": engine.matrix,
-                    "inf": np.asarray([engine.inf], dtype=np.int64),
-                },
-                digest=digest,
-            )
-        except PoolError:
-            return payload[:-1] + (None,)
-        return payload[:-1] + ((cursor, handle),)
-
-    return hook
 
 
 def _resolve_runtime_shards(
@@ -1499,66 +1182,36 @@ def _resolve_runtime_shards(
 
 
 def _run_census_shards(
-    game: BoundedBudgetGame,
     shard_fn,
     payload_for,
     record_to_part,
     shards: "tuple[tuple[int, int], ...]",
     *,
-    weighted: bool,
     workers: int,
-    use_pool: bool,
     checkpoint_dir,
     resume: bool,
     fault_plan,
     runtime_opts: "dict | None",
-    store=None,
 ):
-    """Shared checkpointed-execution core of both census kinds.
+    """Shared checkpointed-execution core of every census kind.
 
-    Warm-starts the shard pool, runs the work-stealing supervised
-    runtime, converts outcomes into mergeable parts (quarantined shards
-    contribute the partial counters of their last good record), and
-    publishes the run's supervision stats. Returns
-    ``(parts, missing, runtime_stats)``.
+    Runs the work-stealing supervised runtime, converts outcomes into
+    mergeable parts (quarantined shards contribute the partial counters
+    of their last good record), and publishes the run's supervision
+    stats. Returns ``(parts, missing, covered)``.
     """
     from ..parallel.runtime import run_shards
 
-    matrix_pool = None
-    handles: "list" = [None] * len(shards)
-    resume_hook = None
-    if use_pool and shards:
-        matrix_pool, handles = _warm_start_shards(
-            game,
-            list(shards),
-            weighted=weighted,
-            slack=4 * len(shards) + 4,
-            store=store,
-        )
-        resume_hook = _make_resume_payload(game, matrix_pool, weighted=weighted)
-    else:
-        from .matrix_pool import sweep_orphan_segments
-
-        sweep_orphan_segments()
-    payloads = [
-        payload_for(lo, hi, handle) for (lo, hi), handle in zip(shards, handles)
-    ]
-    opts = dict(runtime_opts or {})
-    try:
-        rt = run_shards(
-            shard_fn,
-            payloads,
-            checkpoint_dir=checkpoint_dir,
-            workers=workers,
-            resume=resume,
-            fault_plan=fault_plan,
-            resume_payload=resume_hook,
-            result_from_record=record_to_part,
-            **opts,
-        )
-    finally:
-        if matrix_pool is not None:
-            matrix_pool.close()
+    rt = run_shards(
+        shard_fn,
+        [payload_for(lo, hi) for lo, hi in shards],
+        checkpoint_dir=checkpoint_dir,
+        workers=workers,
+        resume=resume,
+        fault_plan=fault_plan,
+        result_from_record=record_to_part,
+        **dict(runtime_opts or {}),
+    )
     parts: "list[dict]" = []
     missing: "list[tuple[int, int, int]]" = []
     for outcome in rt.outcomes:
@@ -1570,14 +1223,6 @@ def _run_census_shards(
             missing.append((outcome.shard_id, outcome.last_record.next_rank, hi))
         else:
             missing.append((outcome.shard_id, lo, hi))
-    # Pop "warm" unconditionally so parts stay merge-clean, but only record
-    # pool stats for runs that actually attached a pool: unpooled scans must
-    # leave the reset zeros in place (stale-stats regression).
-    warm = sum(p.pop("warm", 0) for p in parts)
-    if matrix_pool is not None:
-        LAST_CENSUS_POOL_STATS["shards"] = len(shards)
-        LAST_CENSUS_POOL_STATS["warm_attached"] = warm
-        _export_pool_disk_stats(matrix_pool)
     covered = sum(p["count"] for p in parts)
     stats: "dict[str, object]" = dict(rt.stats)
     stats["shards"] = len(shards)
@@ -1596,13 +1241,11 @@ def census_scan(
     symmetry: bool = False,
     workers: int = 1,
     collect_equilibria: bool = False,
-    pool: "bool | None" = None,
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
     fault_plan=None,
     shard_count: "int | None" = None,
     runtime_opts: "dict | None" = None,
-    pool_dir: "str | None" = None,
 ) -> CensusResult:
     """Full equilibrium census via the incremental Gray-order kernel.
 
@@ -1610,12 +1253,9 @@ def census_scan(
     representatives with ``symmetry=True``) computes the optimal
     diameter, the equilibrium count, and the best/worst equilibrium
     diameters; ``workers > 1`` splits the rank space into contiguous
-    shards executed through :func:`repro.parallel.executor.parallel_map`.
-    ``pool`` controls shard **warm starts** through a shared-memory
-    :class:`~repro.core.matrix_pool.MatrixPool` (the parent snapshots
-    each shard's start-rank matrix once; shards attach instead of
-    rebuilding): ``None`` enables it exactly when the scan is sharded.
-    The result is bit-identical for every combination of knobs.
+    shards executed through :func:`repro.parallel.executor.parallel_map`;
+    every shard builds its start matrix from scratch. The result is
+    bit-identical for every combination of knobs.
 
     ``checkpoint_dir`` switches execution to the fault-tolerant
     work-stealing runtime (:func:`repro.parallel.runtime.run_shards`):
@@ -1626,13 +1266,6 @@ def census_scan(
     supervisor's tuning knobs. Checkpointed results are bit-identical
     to the static path; only a run that quarantines poison shards
     degrades — explicitly, via :attr:`CensusResult.incomplete`.
-
-    ``pool_dir`` adds the persistent mmap tier
-    (:class:`~repro.core.pool_store.PoolStore`): shard start-rank (and,
-    on checkpointed runs, checkpoint-rank) matrices are written through
-    to disk under content digests, so a fresh process pointed at the
-    same directory attaches them with zero rebuilds. Results stay
-    bit-identical; the tier only changes where warm matrices come from.
     """
     from ..parallel.executor import contiguous_shards, parallel_map
 
@@ -1652,11 +1285,17 @@ def census_scan(
         )
     total = profile_space_size(game)
     budgets = tuple(int(b) for b in game.budgets)
-    store = None
-    if pool_dir is not None:
-        from .pool_store import PoolStore
 
-        store = PoolStore(pool_dir)
+    def payload_for(lo: int, hi: int) -> tuple:
+        return (
+            budgets,
+            version.value,
+            lo,
+            hi,
+            symmetry,
+            collect_equilibria,
+            max_profiles,
+        )
 
     if checkpoint_dir is not None:
         shards_t = _resolve_runtime_shards(
@@ -1671,39 +1310,16 @@ def census_scan(
             symmetry=symmetry,
             collect=collect_equilibria,
         )
-        use_pool = (
-            pool
-            if pool is not None
-            else (len(shards_t) > 1 or store is not None)
-        )
-
-        def payload_for(lo: int, hi: int, handle) -> tuple:
-            return (
-                budgets,
-                version.value,
-                lo,
-                hi,
-                symmetry,
-                collect_equilibria,
-                max_profiles,
-                pool_dir,
-                handle,
-            )
-
         parts, missing, covered = _run_census_shards(
-            game,
             _census_shard,
             payload_for,
             _unit_part_from_record,
             shards_t,
-            weighted=False,
             workers=workers,
-            use_pool=use_pool,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             fault_plan=fault_plan,
             runtime_opts=runtime_opts,
-            store=store,
         )
         report, equilibria = _merge_unit_parts(
             parts,
@@ -1722,39 +1338,8 @@ def census_scan(
         )
 
     shards = contiguous_shards(total, workers)
-    use_pool = pool if pool is not None else (len(shards) > 1 or store is not None)
-    matrix_pool = None
-    handles: "list" = [None] * len(shards)
-    if use_pool and shards:
-        matrix_pool, handles = _warm_start_shards(
-            game, shards, weighted=False, store=store
-        )
-    try:
-        payloads = [
-            (
-                budgets,
-                version.value,
-                lo,
-                hi,
-                symmetry,
-                collect_equilibria,
-                max_profiles,
-                pool_dir,
-                handle,
-            )
-            for (lo, hi), handle in zip(shards, handles)
-        ]
-        parts = parallel_map(_census_shard, payloads, processes=workers)
-    finally:
-        if matrix_pool is not None:
-            matrix_pool.close()
-    # Pop "warm" unconditionally (shards always report it) but only record
-    # pool stats when a pool was attached, so unpooled scans report zeros.
-    warm = sum(p.pop("warm", 0) for p in parts)
-    if matrix_pool is not None:
-        LAST_CENSUS_POOL_STATS["shards"] = len(shards)
-        LAST_CENSUS_POOL_STATS["warm_attached"] = warm
-        _export_pool_disk_stats(matrix_pool)
+    payloads = [payload_for(lo, hi) for lo, hi in shards]
+    parts = parallel_map(_census_shard, payloads, processes=workers)
     report, equilibria = _merge_unit_parts(
         parts, version=version, total=total, collect=collect_equilibria
     )
@@ -1769,7 +1354,6 @@ def enumerate_equilibria(
     incremental: bool = True,
     symmetry: bool = False,
     workers: int = 1,
-    pool: "bool | None" = None,
 ) -> list[OwnedDigraph]:
     """All pure Nash equilibria of a tiny game, by exhaustive check.
 
@@ -1797,7 +1381,6 @@ def enumerate_equilibria(
         symmetry=symmetry,
         workers=workers,
         collect_equilibria=True,
-        pool=pool,
     )
     return result.equilibrium_graphs()
 
@@ -1873,27 +1456,6 @@ class WeightedCensusReport:
         return Fraction(self.best_equilibrium_diameter, self.opt_diameter)
 
 
-def _attach_weighted_snapshot(handle, graph: OwnedDigraph) -> "object | None":
-    """Pool-attached weighted ``U(G)`` engine for a shard start, or ``None``."""
-    if handle is None:
-        return None
-    from ..errors import GraphError, PoolError
-    from ..graphs.weighted_engine import (
-        WeightedDistanceEngine,
-        weighted_csr_from_csr,
-    )
-
-    try:
-        views = handle.attach()
-        return WeightedDistanceEngine.from_snapshot(
-            weighted_csr_from_csr(graph.undirected_csr()),
-            views["D"],
-            inf=int(views["inf"][0]),
-        )
-    except (PoolError, KeyError, GraphError):
-        return None
-
-
 def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous Gray-rank range of the weighted census.
 
@@ -1904,7 +1466,7 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
 
     ``ctx`` enables checkpointing and mid-range resume exactly as in
     :func:`_census_shard`: the walk restarts at ``next_rank - 1`` (one
-    unranking seeds the graph and its pool-attached engine), the
+    unranking seeds the graph and its engine), the
     already-counted cursor rank is skipped, and counters continue
     verbatim — the merge is bit-identical to an uninterrupted run.
     """
@@ -1913,7 +1475,7 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     from ..analysis.weighted import WeightedRealization, is_weighted_weak_equilibrium
     from .distance_cache import WeightedDistanceCache
 
-    budgets, weights, lo, hi, collect, max_profiles, store_dir, handle = payload
+    budgets, weights, lo, hi, collect, max_profiles = payload
     game = BoundedBudgetGame(list(budgets))
     w = np.asarray(weights, dtype=np.int64)
     resume_rec = ctx.resume_state if ctx is not None else None
@@ -1921,7 +1483,6 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         resume_rec = None  # vacuous progress: run the shard fresh
     count = 0
     eq_count = 0
-    warm = 0
     opt_d: "int | None" = None
     opt_c: "int | None" = None
     best_d = worst_d = best_c = worst_c = None
@@ -1931,7 +1492,6 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         c = resume_rec.counters
         count = int(c["count"] or 0)
         eq_count = int(c["eq_count"] or 0)
-        warm = int(c.get("warm") or 0)
         opt_d, opt_c = c["opt_d"], c["opt_c"]
         best_d, worst_d = c["best_d"], c["worst_d"]
         best_c, worst_c = c["best_c"], c["worst_c"]
@@ -1949,7 +1509,6 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
             "worst_d": worst_d,
             "best_c": best_c,
             "worst_c": worst_c,
-            "warm": warm,
         }
 
     def part() -> "dict[str, object]":
@@ -1960,10 +1519,6 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     def save(next_rank: int, *, done: bool = False) -> None:
         if ctx is None:
             return
-        if not done and cache is not None:
-            _persist_checkpoint_matrix(
-                store_dir, graph, cache.base(), weighted=True
-            )
         ctx.checkpoint(
             lo=lo,
             hi=hi,
@@ -1987,11 +1542,7 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         game, start=cursor, stop=hi, max_profiles=max_profiles
     ):
         if cache is None:
-            base_engine = _attach_weighted_snapshot(
-                _resume_handle(handle, cursor), graph
-            )
-            warm += int(base_engine is not None)
-            cache = WeightedDistanceCache(graph, base_engine=base_engine)
+            cache = WeightedDistanceCache(graph)
             wr = WeightedRealization(graph=graph, weights=w)
             active = wr.active
         if resume_rec is not None and rank == cursor:
@@ -2072,13 +1623,11 @@ def weighted_census_scan(
     workers: int = 1,
     incremental: bool = True,
     collect_equilibria: bool = False,
-    pool: "bool | None" = None,
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
     fault_plan=None,
     shard_count: "int | None" = None,
     runtime_opts: "dict | None" = None,
-    pool_dir: "str | None" = None,
 ) -> "tuple[WeightedCensusReport, tuple | None]":
     """Full weighted weak-equilibrium census via the Gray-order kernel.
 
@@ -2106,8 +1655,6 @@ def weighted_census_scan(
     exactly as in :func:`census_scan` (incremental path only). The
     2-tuple return shape is preserved; a degraded run's incompleteness
     manifest is published through :data:`LAST_CENSUS_RUNTIME_STATS`.
-    ``pool_dir`` adds the persistent mmap warm-start tier, also exactly
-    as in :func:`census_scan` (incremental path only).
     """
     from ..analysis.weighted import WeightedRealization, is_weighted_weak_equilibrium
 
@@ -2133,21 +1680,18 @@ def weighted_census_scan(
         raise GameError(
             "the checkpointed runtime requires the incremental census kernel"
         )
-    if pool_dir is not None and not incremental:
-        raise GameError(
-            "pool_dir requires the incremental weighted census kernel"
-        )
     weights_t = tuple(int(x) for x in w)
     if incremental:
         from ..parallel.executor import contiguous_shards, parallel_map
 
         total = profile_space_size(game)
         budgets = tuple(int(b) for b in game.budgets)
-        store = None
-        if pool_dir is not None:
-            from .pool_store import PoolStore
 
-            store = PoolStore(pool_dir)
+        def payload_for(lo: int, hi: int) -> tuple:
+            return (
+                budgets, weights_t, lo, hi, collect_equilibria, max_profiles
+            )
+
         if checkpoint_dir is not None:
             shards_t = _resolve_runtime_shards(
                 checkpoint_dir,
@@ -2160,38 +1704,16 @@ def weighted_census_scan(
                 weights=weights_t,
                 collect=collect_equilibria,
             )
-            use_pool = (
-                pool
-                if pool is not None
-                else (len(shards_t) > 1 or store is not None)
-            )
-
-            def payload_for(lo: int, hi: int, handle) -> tuple:
-                return (
-                    budgets,
-                    weights_t,
-                    lo,
-                    hi,
-                    collect_equilibria,
-                    max_profiles,
-                    pool_dir,
-                    handle,
-                )
-
             parts, missing, covered = _run_census_shards(
-                game,
                 _weighted_census_shard,
                 payload_for,
                 _weighted_part_from_record,
                 shards_t,
-                weighted=True,
                 workers=workers,
-                use_pool=use_pool,
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
                 fault_plan=fault_plan,
                 runtime_opts=runtime_opts,
-                store=store,
             )
             return _merge_weighted_parts(
                 parts,
@@ -2201,41 +1723,10 @@ def weighted_census_scan(
                 expect_full=not missing,
             )
         shards = contiguous_shards(total, workers)
-        use_pool = (
-            pool if pool is not None else (len(shards) > 1 or store is not None)
+        payloads = [payload_for(lo, hi) for lo, hi in shards]
+        parts = parallel_map(
+            _weighted_census_shard, payloads, processes=workers
         )
-        matrix_pool = None
-        handles: "list" = [None] * len(shards)
-        if use_pool and shards:
-            matrix_pool, handles = _warm_start_shards(
-                game, shards, weighted=True, store=store
-            )
-        try:
-            payloads = [
-                (
-                    budgets,
-                    weights_t,
-                    lo,
-                    hi,
-                    collect_equilibria,
-                    max_profiles,
-                    pool_dir,
-                    handle,
-                )
-                for (lo, hi), handle in zip(shards, handles)
-            ]
-            parts = parallel_map(
-                _weighted_census_shard, payloads, processes=workers
-            )
-        finally:
-            if matrix_pool is not None:
-                matrix_pool.close()
-        # Same gating as the unit path: unpooled scans keep the reset zeros.
-        warm = sum(p.pop("warm", 0) for p in parts)
-        if matrix_pool is not None:
-            LAST_CENSUS_POOL_STATS["shards"] = len(shards)
-            LAST_CENSUS_POOL_STATS["warm_attached"] = warm
-            _export_pool_disk_stats(matrix_pool)
         return _merge_weighted_parts(
             parts, weights_t=weights_t, total=total, collect=collect_equilibria
         )
@@ -2332,11 +1823,9 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous range of *sample indices* (worker function).
 
     Bounds are indices into the run's deterministic rank draw, **not**
-    Gray ranks — which is why the sampled checkpointed path never
-    engages the rank-tagged matrix-pool machinery (a numeric tag match
-    there would attach the wrong profile's matrix). Each sample is one
-    O(n) unranking plus a strategy diff against the previous sample's
-    graph, repaired by the engine delta machinery; verdicts accumulate
+    Gray ranks. Each sample is one O(n) unranking plus a strategy diff
+    against the previous sample's graph, repaired by the engine delta
+    machinery; verdicts accumulate
     into a ``(diameter, is_eq)`` histogram that the merge turns into
     density / PoA estimates. The ``"orbit"`` method canonicalises every
     sample through the stabilizer chain first and memoises verdicts per
@@ -2350,7 +1839,6 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         samples,
         seed,
         method,
-        handle,
     ) = payload
     game = BoundedBudgetGame(list(budgets))
     version = Version.coerce(version_value)
@@ -2362,25 +1850,19 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         resume_rec = None  # vacuous progress: run the shard fresh
     count = 0
     eq_count = 0
-    warm = 0
     hist: "dict[str, int]" = {}
     start = lo
     if resume_rec is not None:
         c = resume_rec.counters
         count = int(c["count"] or 0)
         eq_count = int(c["eq_count"] or 0)
-        warm = int(c.get("warm") or 0)
         for k, v in c.items():
             if k.startswith("d:"):
                 hist[k] = int(v or 0)
         start = resume_rec.next_rank
 
     def counters() -> "dict[str, int | None]":
-        out: "dict[str, int | None]" = {
-            "count": count,
-            "eq_count": eq_count,
-            "warm": warm,
-        }
+        out: "dict[str, int | None]" = {"count": count, "eq_count": eq_count}
         out.update(hist)
         return out
 
@@ -2403,21 +1885,12 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     graph = OwnedDigraph.from_strategies(
         [combos[u][digits[u]] for u in range(n)], n
     )
-    # The warm-start handle (static path only) was published for the
-    # graph at ranks[lo]; attach only when that is the graph we built.
-    base_engine = _attach_unit_snapshot(handle, graph) if start == lo else None
-    warm += int(base_engine is not None)
-    if base_engine is not None:
-        cache = DistanceCache(
-            graph, dirty_fraction="adaptive", base_engine=base_engine
-        )
-    else:
-        # Cold starts recycle retired matrix buffers process-locally:
-        # serial batteries re-scan same-sized games back to back, and
-        # the shared cache's rebind path skips their reallocations.
-        from ..parallel.sweep import shared_distance_cache
+    # Recycle retired matrix buffers process-locally: serial batteries
+    # re-scan same-sized games back to back, and the shared cache's
+    # rebind path skips their reallocations.
+    from ..parallel.sweep import shared_distance_cache
 
-        cache = shared_distance_cache(graph, dirty_fraction="adaptive")
+    cache = shared_distance_cache(graph, dirty_fraction="adaptive")
     gdigits = list(digits)
 
     chain = None
@@ -2480,7 +1953,6 @@ def _sampled_part_from_record(record) -> "dict[str, object]":
     }
     part.setdefault("count", 0)
     part.setdefault("eq_count", 0)
-    part["warm"] = int(record.counters.get("warm") or 0)
     return part
 
 
@@ -2677,13 +2149,11 @@ def sampled_census_scan(
     method: str = "uniform",
     confidence: float = 0.95,
     workers: int = 1,
-    pool: "bool | None" = None,
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
     fault_plan=None,
     shard_count: "int | None" = None,
     runtime_opts: "dict | None" = None,
-    pool_dir: "str | None" = None,
 ) -> SampledCensusReport:
     """Monte Carlo census: equilibrium density and PoA with intervals.
 
@@ -2701,10 +2171,7 @@ def sampled_census_scan(
     ``checkpoint_dir`` / ``resume`` / ``fault_plan`` / ``runtime_opts``
     run the scan on the fault-tolerant checkpointed runtime exactly as
     in :func:`census_scan` (manifests additionally pin ``seed`` and
-    ``method``); the sampled path never attaches the rank-tagged matrix
-    pool there, because its shard bounds are sample indices, not Gray
-    ranks. The static path warm-starts shards from their first sampled
-    rank's matrix (``pool`` / ``pool_dir`` as in :func:`census_scan`).
+    ``method``).
 
     See :class:`SampledCensusReport` for the estimator and confidence
     interval methodology.
@@ -2740,8 +2207,8 @@ def sampled_census_scan(
         )
     budgets = tuple(int(b) for b in game.budgets)
 
-    def payload_for(lo: int, hi: int, handle) -> tuple:
-        return (budgets, version.value, lo, hi, samples, seed, method, handle)
+    def payload_for(lo: int, hi: int) -> tuple:
+        return (budgets, version.value, lo, hi, samples, seed, method)
 
     if checkpoint_dir is not None:
         shards_t = _resolve_runtime_shards(
@@ -2756,70 +2223,24 @@ def sampled_census_scan(
             seed=seed,
             sample_method=method,
         )
-        parts, missing, covered = _run_census_shards(
-            game,
+        parts, _, _ = _run_census_shards(
             _sampled_census_shard,
             payload_for,
             _sampled_part_from_record,
             shards_t,
-            weighted=False,
             workers=workers,
-            # Sampled shard bounds are sample indices, not Gray ranks:
-            # the pool's rank-tagged warm-start/resume machinery would
-            # numerically "match" them and attach the wrong profile's
-            # matrix, so it must never engage on this path.
-            use_pool=False,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             fault_plan=fault_plan,
             runtime_opts=runtime_opts,
-            store=None,
         )
-        count, eq_count, hist = _merge_sampled_parts(parts)
-        return _sampled_report(
-            version=version,
-            method=method,
-            seed=seed,
-            samples=samples,
-            confidence=confidence,
-            total=total,
-            count=count,
-            eq_count=eq_count,
-            hist=hist,
+    else:
+        shards = contiguous_shards(samples, workers)
+        payloads = [payload_for(lo, hi) for lo, hi in shards]
+        parts = parallel_map(
+            _sampled_census_shard, payloads, processes=workers
         )
 
-    store = None
-    if pool_dir is not None:
-        from .pool_store import PoolStore
-
-        store = PoolStore(pool_dir)
-    shards = contiguous_shards(samples, workers)
-    use_pool = pool if pool is not None else (len(shards) > 1 or store is not None)
-    matrix_pool = None
-    handles: "list" = [None] * len(shards)
-    if use_pool and shards:
-        # Pseudo rank-ranges: each shard's warm start is the matrix of
-        # its *first sampled rank* (contiguous_shards never emits empty
-        # shards, so ranks[lo] always exists).
-        ranks = _sampled_ranks(total, samples, seed, method)
-        pseudo = [(ranks[lo], ranks[hi - 1] + 1) for lo, hi in shards]
-        matrix_pool, handles = _warm_start_shards(
-            game, pseudo, weighted=False, store=store
-        )
-    try:
-        payloads = [
-            payload_for(lo, hi, handle)
-            for (lo, hi), handle in zip(shards, handles)
-        ]
-        parts = parallel_map(_sampled_census_shard, payloads, processes=workers)
-    finally:
-        if matrix_pool is not None:
-            matrix_pool.close()
-    warm = sum(p.pop("warm", 0) for p in parts)
-    if matrix_pool is not None:
-        LAST_CENSUS_POOL_STATS["shards"] = len(shards)
-        LAST_CENSUS_POOL_STATS["warm_attached"] = warm
-        _export_pool_disk_stats(matrix_pool)
     count, eq_count, hist = _merge_sampled_parts(parts)
     return _sampled_report(
         version=version,
@@ -2842,16 +2263,14 @@ def exact_prices(
     incremental: bool = True,
     symmetry: bool = False,
     workers: int = 1,
-    pool: "bool | None" = None,
 ) -> ExactPriceReport:
     """Exact PoA / PoS of a tiny game by full enumeration.
 
     One pass over the profile space computes the optimal diameter and
     the best/worst equilibrium diameters simultaneously. The default
     incremental path (Gray-order walk + engine delta repair, optionally
-    with ``symmetry`` orbit pruning and ``workers`` shards, warm-started
-    from a shared-memory pool per ``pool``) returns a report
-    bit-identical to the ``incremental=False`` rebuild-per-profile
+    with ``symmetry`` orbit pruning and ``workers`` shards) returns a
+    report bit-identical to the ``incremental=False`` rebuild-per-profile
     reference implementation.
     """
     version = Version.coerce(version)
@@ -2862,7 +2281,6 @@ def exact_prices(
             max_profiles=max_profiles,
             symmetry=symmetry,
             workers=workers,
-            pool=pool,
         ).report
     if symmetry or workers != 1:
         raise GameError("symmetry/workers require the incremental census kernel")

@@ -1,13 +1,10 @@
-"""Persistent on-disk mmap tier of the matrix pool.
+"""Persistent on-disk store of all-pairs distance matrices.
 
-Shared-memory segments (:mod:`repro.core.matrix_pool`) die with their
-owning process, so every fresh process used to pay the full all-pairs
-build again before it could warm-start anything. :class:`PoolStore` is
-the tier below: a directory of mmap'd matrix files that survive
-restarts, so cold-start cost amortises across runs. A
-:class:`~repro.core.matrix_pool.MatrixPool` constructed with
-``store=`` becomes a two-level cache — shm hit, else mmap hit
-(promoted back into shm), else build and publish to both tiers.
+:class:`PoolStore` is a directory of mmap'd matrix files that survive
+process restarts. The query server (``repro-bbncg serve --pool-dir``)
+publishes each served instance's ``U(G)`` matrix here and attaches it
+on the next cold start instead of rebuilding it, so the all-pairs build
+is paid once per graph, not once per process.
 
 File format and integrity contract
 ----------------------------------
@@ -42,9 +39,9 @@ Bounded: an ``INDEX.json`` manifest tracks per-file sizes and a logical
 LRU clock; publishes beyond ``byte_budget`` evict the least recently
 used files. The index is advisory — files are self-describing, so
 :meth:`PoolStore.gc` can rebuild it from a directory scan — and
-concurrent publishers (census workers persisting checkpoint-rank
-matrices) may lose an LRU touch in a read-modify-write race without
-ever corrupting an entry.
+concurrent publishers (several server processes sharing one directory)
+may lose an LRU touch in a read-modify-write race without ever
+corrupting an entry.
 """
 
 from __future__ import annotations
@@ -141,18 +138,20 @@ def store_digest(*parts) -> str:
     return h.hexdigest()
 
 
-def census_graph_digest(graph, *, weighted: bool = False) -> str:
-    """Digest of a census graph *state*: arcs + engine kind.
+def census_graph_digest(graph) -> str:
+    """Digest of a graph *state*: its directed arc set.
 
     Content-addressed — two processes (or two runs, days apart) that
     materialise the same profile compute the same digest, which is what
-    lets a fresh process find the shard matrices a dead one published.
-    The published matrices describe the undirected closure, but the
-    digest hashes the directed arc set: a coarser key would also be
-    correct, this one is simply canonical for a profile.
+    lets a fresh server find the matrices a dead one published. The
+    published matrices describe the undirected closure, but the digest
+    hashes the directed arc set: a coarser key would also be correct,
+    this one is simply canonical for a profile. The ``False`` part is
+    the unit-lengths tag of the original key layout, kept so digests —
+    and stores published under them — stay valid.
     """
     arcs = sorted((int(a), int(b)) for a, b in graph.arcs())
-    return store_digest("census", bool(weighted), int(graph.n), tuple(arcs))
+    return store_digest("census", False, int(graph.n), tuple(arcs))
 
 
 def _encode_bundle(digest: str, arrays: "Mapping[str, np.ndarray]") -> bytes:
@@ -263,11 +262,9 @@ def attach_store_file(
 class StoreHandle:
     """Picklable pointer to one published store file.
 
-    The disk-tier twin of :class:`~repro.core.matrix_pool.SegmentHandle`
-    — same duck type (``attach()`` returning a field-name → read-only
-    array mapping), so census shard payloads can carry either. Unlike a
-    segment handle it is valid across process generations: any process
-    that can read ``path`` can attach, integrity-checked on every call.
+    ``attach()`` returns a field-name → read-only array mapping. The
+    handle is valid across process generations: any process that can
+    read ``path`` can attach, integrity-checked on every call.
     """
 
     path: str
@@ -291,10 +288,9 @@ class PoolStore:
         Total payload bytes kept; publishing beyond it evicts the least
         recently used files (per the ``INDEX.json`` LRU clock).
 
-    Unlike :class:`~repro.core.matrix_pool.MatrixPool` there is no
-    owner: any process may publish (atomically) or attach (verified),
-    and entries persist until evicted by budget, :meth:`evict`, or
-    :meth:`gc`.
+    There is no owner: any process may publish (atomically) or attach
+    (verified), and entries persist until evicted by budget,
+    :meth:`evict`, or :meth:`gc`.
     """
 
     def __init__(

@@ -94,7 +94,7 @@ class ExperimentError(ReproError):
 
 
 class PoolError(ReproError):
-    """Raised for invalid shared-memory matrix-pool operations."""
+    """Raised for invalid on-disk matrix pool store operations."""
 
 
 class CheckpointError(ReproError):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro.analysis.structure import check_unit_structure
 
-from ..errors import ExperimentError
 from ..core.enumeration import (
     census_scan,
     profile_space_size,
@@ -38,7 +37,6 @@ from .table1 import ExperimentReport
 __all__ = [
     "exact_census_experiment",
     "DEFAULT_INSTANCES",
-    "EXTENDED_INSTANCES",
     "GOLDEN_INSTANCES",
     "WEIGHTED_INSTANCES",
 ]
@@ -59,18 +57,12 @@ GOLDEN_INSTANCES: tuple[tuple[str, tuple[int, ...]], ...] = (
 #: The default ``EXACT-tiny`` battery: the golden instances plus the
 #: games the incremental kernel unlocked — unit ``n = 6`` (15625
 #: profiles, infeasible on the rebuild-per-profile path, ~0.2 s with
-#: symmetry pruning and warm-started shards) and a richer mixed-budget
-#: game. Promoted from the former ``--extended`` opt-in once shard warm
-#: starts landed and the CI census-lane budget was re-measured (~2 s
-#: for the whole battery).
+#: symmetry pruning) and a richer mixed-budget game (~2 s for the whole
+#: battery).
 DEFAULT_INSTANCES: tuple[tuple[str, tuple[int, ...]], ...] = GOLDEN_INSTANCES + (
     ("unit n=6", (1, 1, 1, 1, 1, 1)),
     ("mixed n=5", (2, 2, 1, 1, 0)),
 )
-
-#: Backwards-compatible alias: the extended battery *is* the default
-#: battery now (``--extended`` keeps working as a no-op).
-EXTENDED_INSTANCES: tuple[tuple[str, tuple[int, ...]], ...] = DEFAULT_INSTANCES
 
 #: Section 6 battery: ``(label, budgets, vertex weights)`` triples for
 #: the weighted weak-equilibrium census. Spans a heavy hub, a weighted
@@ -96,12 +88,9 @@ def exact_census_experiment(
     max_profiles: int = 600_000,
     workers: int = 1,
     symmetry: bool = True,
-    extended: bool = False,
     weighted: bool = False,
-    pool: "bool | None" = None,
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
-    pool_dir: "str | None" = None,
     samples: "int | None" = None,
     seed: int = 0,
     sample_method: str = "stratified",
@@ -114,14 +103,8 @@ def exact_census_experiment(
     4 structure theorems on *every* equilibrium. ``workers`` shards the
     profile rank space across processes; ``symmetry`` prunes to orbit
     representatives — neither knob changes a single reported number.
-    The default battery includes the formerly ``--extended`` games
-    (unit n=6, mixed n=5); ``extended=True`` (CLI: ``--extended``) is
-    kept as a backwards-compatible no-op selecting the same battery.
     ``weighted=True`` (CLI: ``--weighted``) appends the Section 6
     weighted weak-equilibrium census over :data:`WEIGHTED_INSTANCES`.
-    ``pool`` (CLI: ``--pool/--no-pool``) forces shared-memory shard
-    warm starts on or off; the default (``None``) pools exactly when
-    the scan is sharded, and no setting changes a reported number.
 
     ``checkpoint_dir`` (CLI: ``--checkpoint-dir``) runs every scan on
     the fault-tolerant checkpointed runtime, journaling each
@@ -130,12 +113,6 @@ def exact_census_experiment(
     ``--resume``): finished scans replay from their ``done`` records,
     the interrupted one continues mid-shard, and the reported numbers
     are bit-identical to an uninterrupted run.
-
-    ``pool_dir`` (CLI: ``--pool-dir``) adds the persistent mmap matrix
-    tier: all scans share one content-addressed store directory (keys
-    digest graph content, so scans can never collide), and a rerun of
-    the battery — even in a fresh process — attaches its shard warm
-    starts from disk instead of rebuilding them.
 
     ``samples`` (CLI: ``--sample N``) appends a **Monte Carlo sampled
     census** row per (instance, version): ``N`` profiles drawn per
@@ -160,13 +137,6 @@ def exact_census_experiment(
             "resume": resume and os.path.exists(os.path.join(subdir, MANIFEST_NAME)),
         }
 
-    if extended:
-        if tuple(instances) != DEFAULT_INSTANCES:
-            raise ExperimentError(
-                "pass either a custom `instances` battery or `extended=True`, "
-                "not both"
-            )
-        instances = EXTENDED_INSTANCES
     report = ExperimentReport(
         experiment_id="EXACT-tiny",
         title="Exact equilibrium census of tiny games (full enumeration)",
@@ -184,8 +154,6 @@ def exact_census_experiment(
                 workers=workers,
                 symmetry=symmetry,
                 collect_equilibria=True,
-                pool=pool,
-                pool_dir=pool_dir,
                 **_scan_kwargs(label, version),
             )
             census = result.report
@@ -228,8 +196,6 @@ def exact_census_experiment(
                     method=sample_method,
                     confidence=confidence,
                     workers=workers,
-                    pool=pool,
-                    pool_dir=pool_dir,
                     **_scan_kwargs(label, f"{version}-sampled"),
                 )
                 lo_ci, hi_ci = sampled.eq_count_ci
@@ -263,8 +229,6 @@ def exact_census_experiment(
                 w,
                 max_profiles=max_profiles,
                 workers=workers,
-                pool=pool,
-                pool_dir=pool_dir,
                 **_scan_kwargs(label, "weak"),
             )
             report.rows.append(

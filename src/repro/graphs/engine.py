@@ -617,13 +617,13 @@ class DistanceEngine:
         """Engine adopting a precomputed distance matrix — no initial BFS.
 
         ``matrix`` must be the exact all-pairs matrix of ``csr`` under
-        the engine's ``inf``/dtype conventions (e.g. a view attached
-        from a :class:`~repro.core.matrix_pool.MatrixPool` segment, or
-        another engine's matrix). With ``copy=False`` the engine aliases
-        the buffer **copy-on-write**: reads are zero-copy, and the first
-        mutation (any delta repair or rebuild) copies into a private
-        buffer first, so the adopted segment is never written — the
-        guard that lets many workers attach one shared segment safely.
+        the engine's ``inf``/dtype conventions (e.g. a read-only view
+        attached from a :class:`~repro.core.pool_store.PoolStore` file,
+        or another engine's matrix). With ``copy=False`` the engine
+        aliases the buffer **copy-on-write**: reads are zero-copy, and
+        the first mutation (any delta repair or rebuild) copies into a
+        private buffer first, so the adopted buffer is never written —
+        the guard that lets a read-only mmap view back a live engine.
         """
         engine = cls.__new__(cls)
         engine._configure(csr, inf, dirty_fraction)
@@ -655,7 +655,7 @@ class DistanceEngine:
         """Detach from an adopted buffer before the first in-place write.
 
         ``preserve=False`` skips copying the content for full overwrites
-        (a rebuild); either way the adopted segment is left untouched.
+        (a rebuild); either way the adopted buffer is left untouched.
         """
         if self._cow:
             self._D = np.array(self._D) if preserve else np.empty_like(self._D)

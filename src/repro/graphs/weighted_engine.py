@@ -355,7 +355,6 @@ class WeightedDistanceEngine:
         "_max_weight",
         "_dtype",
         "_D",
-        "_cow",
         "_epoch",
         "_dirty_fraction",
         "_lazy",
@@ -374,7 +373,6 @@ class WeightedDistanceEngine:
     ) -> None:
         self._configure(wcsr, inf, max_weight, dirty_fraction)
         self._D = np.empty((self._n, self._n), dtype=self._dtype)
-        self._cow = False
         self._epoch = 0
         self.stats = self._fresh_stats()
         if rows not in ("full", "lazy"):
@@ -395,7 +393,6 @@ class WeightedDistanceEngine:
             "pendant_fixes": 0,
             "region_repairs": 0,
             "region_vertices": 0,
-            "cow_copies": 0,
             "lazy_rows": 0,
             "lazy_invalidations": 0,
             "promotions": 0,
@@ -437,59 +434,6 @@ class WeightedDistanceEngine:
         # Lazy row-on-demand state; __init__(rows="lazy") flips these.
         self._lazy = False
         self._hot: "np.ndarray | None" = None
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        wcsr: WeightedCSR,
-        matrix: np.ndarray,
-        *,
-        inf: "int | None" = None,
-        max_weight: "int | None" = None,
-        dirty_fraction: float = DEFAULT_DIRTY_FRACTION,
-        copy: bool = False,
-    ) -> "WeightedDistanceEngine":
-        """Engine adopting a precomputed distance matrix — no initial SSSP.
-
-        The weighted sibling of
-        :meth:`DistanceEngine.from_snapshot
-        <repro.graphs.engine.DistanceEngine.from_snapshot>`: with
-        ``copy=False`` the matrix buffer is aliased copy-on-write, so an
-        adopted shared-memory segment is never written — the first
-        mutating repair copies into a private buffer.
-        """
-        engine = cls.__new__(cls)
-        engine._configure(wcsr, inf, max_weight, dirty_fraction)
-        matrix = np.asarray(matrix)
-        if matrix.shape != (engine._n, engine._n):
-            raise GraphError(
-                f"snapshot matrix shape {matrix.shape} != "
-                f"{(engine._n, engine._n)}"
-            )
-        if matrix.dtype != engine._dtype:
-            raise GraphError(
-                f"snapshot matrix dtype {matrix.dtype} != expected "
-                f"{np.dtype(engine._dtype).name} (inf={engine._inf})"
-            )
-        if not matrix.flags.c_contiguous:
-            raise GraphError("snapshot matrix must be C-contiguous")
-        engine._D = matrix.copy() if copy else matrix
-        engine._cow = not copy
-        engine._epoch = 0
-        engine.stats = cls._fresh_stats()
-        return engine
-
-    @property
-    def copy_on_write(self) -> bool:
-        """Whether the matrix still aliases an adopted (shared) buffer."""
-        return self._cow
-
-    def _prepare_write(self, preserve: bool = True) -> None:
-        """Detach from an adopted buffer before the first in-place write."""
-        if self._cow:
-            self._D = np.array(self._D) if preserve else np.empty_like(self._D)
-            self._cow = False
-            self.stats["cow_copies"] += 1
 
     # ------------------------------------------------------------------
     # Read API (mirrors DistanceEngine)
@@ -816,7 +760,6 @@ class WeightedDistanceEngine:
             self._wcsr = new_wcsr
         self._lazy = False
         self._hot = None
-        self._prepare_write(preserve=False)
         all_rows = np.arange(self._n, dtype=np.int64)
         self._sssp_rows(self._wcsr, all_rows, self._D, all_rows)
         self._epoch += 1
@@ -830,7 +773,6 @@ class WeightedDistanceEngine:
         so deleting its last edge changes only its own row and column:
         both become unreachable, except the zero diagonal.
         """
-        self._prepare_write()
         for y in endpoints:
             self._D[:, y] = self._inf
             self._D[y, :] = self._inf
@@ -980,7 +922,6 @@ class WeightedDistanceEngine:
             cap,
         )
         if positions is not None:
-            self._prepare_write()
             _region_relax(
                 self._D,
                 self._inf,
@@ -995,7 +936,6 @@ class WeightedDistanceEngine:
         rows_spent += dirty_rows.size
         if rows_spent > row_budget:
             return None
-        self._prepare_write()
         self._sssp_rows(after_wcsr, dirty_rows, self._D, dirty_rows)
         return rows_spent
 
@@ -1103,7 +1043,6 @@ class WeightedDistanceEngine:
             return "delta"
         if self._dirty_fraction > 0.0 and self._dirty_fraction * self._n >= 1.0:
             pivot = min(x, y)
-            self._prepare_write()
             self._wcsr = new_wcsr
             rows = np.asarray([pivot], dtype=np.int64)
             self._sssp_rows(new_wcsr, rows, self._D, rows)
@@ -1296,7 +1235,6 @@ class WeightedDistanceEngine:
             # (pendant -> affected region -> dirty rows); matrix and
             # working substrate advance together so every step's filter
             # runs against exact distances.
-            self._prepare_write()
             work = self._wcsr
             spent = float(rows_spent)
             for eid, w_edge in zip(removed_ids, removed_w):
@@ -1326,7 +1264,6 @@ class WeightedDistanceEngine:
             if rows_spent > row_budget:
                 self.rebuild(new_wcsr)
                 return "rebuild"
-            self._prepare_write()
             self._sssp_rows(new_wcsr, recompute, self._D, recompute)
             exempt = recompute
         else:
@@ -1334,7 +1271,6 @@ class WeightedDistanceEngine:
 
         self._wcsr = new_wcsr
         if pivots.size:
-            self._prepare_write()
             if exempt is pivots:
                 self._sssp_rows(new_wcsr, pivots, self._D, pivots)
             _minplus_through_pivots(self._D, pivots, exempt)

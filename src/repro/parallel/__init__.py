@@ -9,11 +9,8 @@ from .sweep import (
     aggregate_max,
     aggregate_mean,
     clear_distance_caches,
-    install_pool_handles,
     run_sweep,
     shared_distance_cache,
-    sweep_pool_key,
-    warm_distance_pool,
 )
 
 __all__ = [
@@ -31,11 +28,8 @@ __all__ = [
     "contiguous_shards",
     "cpu_workers",
     "fork_available",
-    "install_pool_handles",
     "parallel_map",
     "run_shards",
     "run_sweep",
     "shared_distance_cache",
-    "sweep_pool_key",
-    "warm_distance_pool",
 ]

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..errors import ReproError
 
@@ -28,9 +27,9 @@ __all__ = ["parallel_map", "cpu_workers", "contiguous_shards", "fork_available"]
 def fork_available() -> bool:
     """Whether worker processes are forked (inheriting parent memory).
 
-    Forked workers inherit the parent's shared-memory attachments and
-    module globals (pool handle registries) for free; spawned workers
-    need them re-installed via ``parallel_map``'s ``initializer``.
+    Forked workers inherit the parent's module globals and imported
+    modules for free; spawned workers start from a fresh interpreter
+    and re-import everything a task needs.
     """
     return hasattr(os, "fork")
 
@@ -74,8 +73,6 @@ def parallel_map(
     *,
     processes: "int | None" = 1,
     chunksize: "int | None" = None,
-    initializer: "Callable[..., None] | None" = None,
-    initargs: "tuple" = (),
 ) -> list[Any]:
     """Apply ``fn`` to every task, optionally across processes.
 
@@ -92,11 +89,6 @@ def parallel_map(
     chunksize:
         Tasks per work unit handed to each worker; defaults to an even
         split into ~4 waves per worker.
-    initializer / initargs:
-        Per-worker setup hook (e.g. installing shared-memory pool
-        handles in spawned workers). Run once in-process before the
-        serial path too, so serial and parallel execution stay
-        indistinguishable.
 
     Notes
     -----
@@ -109,13 +101,9 @@ def parallel_map(
         return []
     nproc = cpu_workers(processes) if processes != 1 else 1
     if nproc == 1 or len(tasks) == 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(t) for t in tasks]
     if chunksize is None:
         chunksize = max(1, len(tasks) // (nproc * 4))
     ctx = mp.get_context("fork" if fork_available() else "spawn")
-    with ctx.Pool(
-        processes=nproc, initializer=initializer, initargs=initargs
-    ) as pool:
+    with ctx.Pool(processes=nproc) as pool:
         return pool.map(fn, tasks, chunksize=chunksize)

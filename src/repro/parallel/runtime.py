@@ -20,10 +20,8 @@ run alive through worker deaths:
   journal is compacted (torn/corrupt tail dropped atomically), its last
   good record becomes the resume state, and the shard re-enters the
   queue after ``backoff_base * 2**(attempt-1)`` seconds (capped). The
-  optional ``resume_payload`` hook lets the caller refresh the payload
-  for the restart — the census uses it to republish the resume-rank
-  matrix into the shared-memory pool so retries re-attach instead of
-  rebuilding.
+  restart runs the shard's original payload; the resume record alone
+  tells it where to continue.
 * **Poison-shard quarantine.** A shard that keeps dying past
   ``max_retries`` is quarantined instead of wedging the run: its last
   checkpoint still contributes partial aggregates, and the
@@ -272,7 +270,6 @@ _PENDING, _RUNNING, _DONE, _QUARANTINED = "pending", "running", "done", "quarant
 class _ShardState:
     shard_id: int
     payload: Any
-    current_payload: Any
     status: str = _PENDING
     attempts: int = 0
     resumed: bool = False
@@ -338,7 +335,6 @@ def run_shards(
     backoff_base: float = 0.05,
     backoff_cap: float = 2.0,
     fault_plan: "FaultPlan | None" = None,
-    resume_payload: "Callable[[Any, ShardCheckpoint], Any] | None" = None,
     result_from_record: "Callable[[ShardCheckpoint], dict] | None" = None,
     timeout: "float | None" = None,
 ) -> RuntimeReport:
@@ -384,7 +380,7 @@ def run_shards(
     }
 
     shards: "list[_ShardState]" = [
-        _ShardState(shard_id=i, payload=p, current_payload=p)
+        _ShardState(shard_id=i, payload=p)
         for i, p in enumerate(payloads)
     ]
     for s in shards:
@@ -408,8 +404,6 @@ def run_shards(
         else:
             s.resume_record = record
             s.resumed = True
-            if resume_payload is not None:
-                s.current_payload = resume_payload(s.payload, record)
             stats["shards_resumed"] += 1
 
     ctx_mp = mp.get_context("fork" if fork_available() else "spawn")
@@ -463,13 +457,6 @@ def run_shards(
         stats["retries"] += 1
         if record is not None:
             s.resumed = True
-            s.current_payload = (
-                resume_payload(s.payload, record)
-                if resume_payload is not None
-                else s.payload
-            )
-        else:
-            s.current_payload = s.payload
         s.status = _PENDING
         backoff = min(backoff_cap, backoff_base * (2.0 ** (s.attempts - 1)))
         s.ready_at = time.monotonic() + backoff
@@ -529,7 +516,7 @@ def run_shards(
                 info["last_hb"] = now
                 s.status = _RUNNING
                 info["q"].put(
-                    (s.shard_id, s.current_payload, s.resume_record, s.attempts)
+                    (s.shard_id, s.payload, s.resume_record, s.attempts)
                 )
             # Drain events.
             try:

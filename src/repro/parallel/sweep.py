@@ -8,32 +8,26 @@ shares.
 
 Workers that run best-response dynamics should fetch their distance
 substrate via :func:`shared_distance_cache` instead of letting each
-task build its own. Three reuse layers compose, cheapest first:
+task build its own. Two reuse layers compose, cheapest first:
 
 * **Live entries** — one :class:`DistanceCache` per graph *instance*
   (keyed by the process-unique
   :attr:`~repro.graphs.digraph.OwnedDigraph.instance_id`, so two
   same-size instances can never alias each other's engines — the
   keyed-by-size aliasing bug this replaces);
-* **Shared-memory attach** — when the sweep parent published the
-  graph's ``U(G)`` matrix into a
-  :class:`~repro.core.matrix_pool.MatrixPool`
-  (``run_sweep(warm_graphs=...)``), the worker attaches a zero-copy
-  copy-on-write view instead of running the initial all-pairs BFS;
 * **Retired buffers** — engines of evicted entries are recycled by
-  rebinding, so matrices are reused across tasks of the same size even
-  without a pool hit.
+  rebinding, so matrices are reused across tasks of the same size.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from ..core.distance_cache import DistanceCache
-from ..errors import PoolError, ReproError
+from ..errors import ReproError
 from ..graphs.digraph import OwnedDigraph
 from ..rng import derive_seed
 from .executor import parallel_map
@@ -46,9 +40,6 @@ __all__ = [
     "aggregate_mean",
     "shared_distance_cache",
     "clear_distance_caches",
-    "sweep_pool_key",
-    "warm_distance_pool",
-    "install_pool_handles",
 ]
 
 #: Process-local pool of live distance caches, keyed by
@@ -73,142 +64,6 @@ _MAX_LIVE_CACHES: int = 2
 #: Retired recycling buckets kept per process.
 _MAX_RETIRED: int = 4
 
-#: Shared-memory warm-start handles published by the sweep parent,
-#: keyed by :func:`sweep_pool_key`. Forked workers inherit this dict;
-#: spawned workers get it re-installed via the pool initializer.
-_POOL_HANDLES: "dict[tuple, Any]" = {}
-
-
-def sweep_pool_key(graph: OwnedDigraph) -> tuple:
-    """Content key of a sweep prototype graph: ``(n, profile key)``.
-
-    Content-addressed (not instance-addressed) because sweep workers
-    rebuild their task graphs from seeds — two processes must find the
-    same segment for independently built but identical realizations.
-    """
-    return ("sweep", graph.n, graph.profile_key())
-
-
-def install_pool_handles(handles: "dict[tuple, Any]") -> None:
-    """Replace this process's warm-start handle registry.
-
-    Module-level so it can serve as a ``parallel_map`` initializer for
-    spawned workers; forked workers inherit the registry for free.
-    """
-    _POOL_HANDLES.clear()
-    _POOL_HANDLES.update(handles)
-
-
-def warm_distance_pool(
-    graphs: "Sequence[OwnedDigraph]",
-    *,
-    players: "Sequence[int] | str | None" = None,
-    store=None,
-    **engine_kwargs,
-):
-    """Publish ``U(G)`` matrices of prototype graphs for worker attach.
-
-    The parent computes each all-pairs matrix once, publishes it into a
-    fresh :class:`~repro.core.matrix_pool.MatrixPool`, and installs the
-    handles process-locally (forked workers inherit them). Returns the
-    pool — the caller owns it and must :meth:`~repro.core.matrix_pool.
-    MatrixPool.close` it when the sweep is done.
-
-    ``players`` extends each prototype's bundle with per-player
-    ``U(G - u)`` snapshots (``"all"`` for every player, or an iterable
-    of vertex ids): the dominant warm-start win for best-response
-    workloads, where every evaluated player otherwise pays a fresh
-    punctured all-pairs BFS on first touch. Workers adopt them through
-    :class:`~repro.core.distance_cache.DistanceCache`'s
-    ``player_engines=`` path, copy-on-write like the base matrix.
-
-    ``store`` (a :class:`~repro.core.pool_store.PoolStore`) makes the
-    pool two-level: a prototype whose bundle is already on disk —
-    published by an earlier sweep, even in a dead process — is promoted
-    into shared memory with zero builds, and every bundle built here is
-    written through for the next run. The disk key digests the graph
-    content plus the warmed player set, so a sweep asking for a
-    different ``players`` shape never attaches a partial bundle.
-    """
-    import numpy as np
-
-    from ..core.matrix_pool import MatrixPool, sweep_orphan_segments
-    from ..graphs.engine import DistanceEngine
-
-    sweep_orphan_segments()
-    pool = MatrixPool(max_segments=max(1, len(graphs)), store=store)
-    handles: "dict[tuple, Any]" = {}
-    if players is None:
-        players_tag = None
-    elif players == "all":
-        players_tag = "all"
-    else:
-        players_tag = tuple(sorted(int(u) for u in players))
-    for graph in graphs:
-        key = sweep_pool_key(graph)
-        digest = None
-        if store is not None:
-            from ..core.pool_store import store_digest
-
-            digest = store_digest(
-                "sweep", graph.n, graph.profile_key(), players_tag
-            )
-            handle = pool.fetch(key, digest=digest)
-            if handle is not None:
-                handles[key] = handle
-                continue
-        engine = DistanceEngine(graph.undirected_csr(), **engine_kwargs)
-        arrays: "dict[str, Any]" = {
-            "D": engine.matrix,
-            "inf": np.asarray([engine.inf], dtype=np.int64),
-        }
-        if players is not None:
-            warm_players = range(graph.n) if players == "all" else players
-            for u in warm_players:
-                player_engine = DistanceEngine(
-                    graph.undirected_csr_without(int(u)), **engine_kwargs
-                )
-                arrays[f"P{int(u)}"] = player_engine.matrix
-        handles[key] = pool.publish(key, arrays, digest=digest)
-    install_pool_handles(handles)
-    return pool
-
-
-def _attach_pooled_engines(graph: OwnedDigraph, kwargs: "dict[str, Any]"):
-    """Copy-on-write engines from a published bundle.
-
-    Returns ``(base_engine, player_engines)`` — ``(None, None)`` on a
-    pool miss. The bundle's ``D`` field becomes the ``U(G)`` engine;
-    every ``P<u>`` field becomes a per-player ``U(G - u)`` engine, all
-    aliasing the shared segment copy-on-write.
-    """
-    handle = _POOL_HANDLES.get(sweep_pool_key(graph))
-    if handle is None:
-        return None, None
-    from ..graphs.engine import DistanceEngine
-
-    engine_kwargs = {}
-    if kwargs.get("dirty_fraction") is not None:
-        engine_kwargs["dirty_fraction"] = kwargs["dirty_fraction"]
-    try:
-        views = handle.attach()
-        inf = int(views["inf"][0])
-        base = DistanceEngine.from_snapshot(
-            graph.undirected_csr(), views["D"], inf=inf, **engine_kwargs
-        )
-        players: "dict[int, Any]" = {}
-        for field_name, view in views.items():
-            if not field_name.startswith("P"):
-                continue
-            u = int(field_name[1:])
-            players[u] = DistanceEngine.from_snapshot(
-                graph.undirected_csr_without(u), view, inf=inf, **engine_kwargs
-            )
-        return base, players or None
-    except (PoolError, KeyError, ReproError):
-        return None, None  # segment evicted / owner gone: cold-start instead
-
-
 def shared_distance_cache(graph: OwnedDigraph, **kwargs) -> DistanceCache:
     """Process-local :class:`DistanceCache` for exactly this ``graph``.
 
@@ -217,9 +72,8 @@ def shared_distance_cache(graph: OwnedDigraph, **kwargs) -> DistanceCache:
     bound to this graph object until evicted and can never silently
     alias another same-size instance (revision sync remains the cache's
     own job, which is why the revision is not part of the key). Misses
-    try, in order: a shared-memory warm-start segment published by the
-    sweep parent (zero-copy attach), a retired same-shape cache
-    (buffer-reusing rebind), a fresh build. Least-recently-used entries
+    try, in order: a retired same-shape cache (buffer-reusing rebind),
+    a fresh build. Least-recently-used entries
     retire beyond ``_MAX_LIVE_CACHES``, trimmed to their base engine so
     parked buffers stay cheap.
     """
@@ -234,10 +88,7 @@ def shared_distance_cache(graph: OwnedDigraph, **kwargs) -> DistanceCache:
             cache = retired
             cache.rebind(graph)
         else:
-            base, players = _attach_pooled_engines(graph, kwargs)
-            cache = DistanceCache(
-                graph, base_engine=base, player_engines=players, **kwargs
-            )
+            cache = DistanceCache(graph, **kwargs)
         _PROCESS_CACHES[iid] = (cache, key)
     _PROCESS_CACHES.move_to_end(iid)
     while len(_PROCESS_CACHES) > _MAX_LIVE_CACHES:
@@ -315,57 +166,15 @@ def run_sweep(
     spec: SweepSpec,
     *,
     processes: "int | None" = 1,
-    warm_graphs: "Sequence[OwnedDigraph] | None" = None,
-    warm_players: "Sequence[int] | str | None" = None,
-    pool_dir: "str | None" = None,
 ) -> list[dict[str, Any]]:
     """Execute a sweep and return one record per grid point.
 
     ``worker`` must be a module-level function mapping a
     :class:`SweepTask` to a dict; the task's parameters are merged into
     the record so downstream aggregation has full context.
-
-    ``warm_graphs`` are prototype realizations whose ``U(G)`` matrices
-    the parent publishes into a shared-memory pool before fan-out; any
-    worker whose task graph matches one (same ``n``, same profile)
-    attaches the precomputed matrix through
-    :func:`shared_distance_cache` instead of rebuilding it.
-    ``warm_players`` (``"all"`` or vertex ids) additionally bundles the
-    per-player ``U(G - u)`` matrices, so workers skip the punctured
-    first-touch BFS per evaluated player too. Results are bit-identical
-    with or without warming — the pool only replaces initial builds,
-    never the answers.
-
-    ``pool_dir`` persists the warm bundles to a
-    :class:`~repro.core.pool_store.PoolStore` directory and attaches
-    matching bundles published by earlier runs, so repeated sweeps over
-    the same prototypes skip the parent's all-pairs builds entirely.
     """
     tasks = spec.tasks()
-    pool = None
-    initializer = None
-    initargs: tuple = ()
-    if warm_graphs:
-        store = None
-        if pool_dir is not None:
-            from ..core.pool_store import PoolStore
-
-            store = PoolStore(pool_dir)
-        pool = warm_distance_pool(warm_graphs, players=warm_players, store=store)
-        initializer = install_pool_handles
-        initargs = (dict(_POOL_HANDLES),)
-    try:
-        results = parallel_map(
-            worker,
-            tasks,
-            processes=processes,
-            initializer=initializer,
-            initargs=initargs,
-        )
-    finally:
-        if pool is not None:
-            pool.close()
-            install_pool_handles({})
+    results = parallel_map(worker, tasks, processes=processes)
     records = []
     for task, result in zip(tasks, results):
         record = dict(task.params)

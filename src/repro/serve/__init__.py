@@ -25,7 +25,8 @@ stdio (``--stdio``).  One request object per line::
 
 Failures carry ``"ok": false`` and an ``error`` object with a stable
 ``code`` (``bad-json`` / ``bad-request`` / ``unknown-op`` /
-``unknown-instance`` / ``query-error`` / ``internal-error``).
+``unknown-instance`` / ``query-error`` / ``internal-error``, or
+``too-large`` for a TCP line over 64 KiB, which is skipped).
 Exact fractions (PoA bounds) are encoded as ``"p/q"`` strings.
 
 Micro-batching window

@@ -3,11 +3,12 @@
 Each served instance owns one realization graph plus the caches every
 query rides on: a unit :class:`~repro.core.DistanceCache` (built
 eagerly) and a weighted realization / cache pair (built on first
-weighted query).  When a pool-store directory is supplied, the unit
-cache cold-starts by attaching the persisted distance matrix under
-the graph's census digest — zero parent rebuilds — exactly like a
-census ``--pool-dir`` resume; otherwise it starts in lazy-rows mode
-and settles rows on demand.
+weighted query).  When a pool-store directory is supplied and holds a
+matrix published (:meth:`~repro.core.pool_store.PoolStore.publish`)
+under the graph's :func:`~repro.core.pool_store.census_graph_digest`,
+the unit cache cold-starts by attaching it copy-on-write — zero
+rebuilds; otherwise it starts in lazy-rows mode and settles rows on
+demand.
 """
 
 from __future__ import annotations

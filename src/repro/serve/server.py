@@ -4,7 +4,9 @@ Each connection reads NDJSON lines and spawns one task per request, so
 a single client that writes several lines before reading responses
 still gets its same-instance queries coalesced by the dispatcher.
 Responses are written under a per-connection lock and matched by
-``id`` (they may arrive out of order).
+``id`` (they may arrive out of order). A TCP request line longer than
+:data:`MAX_LINE_BYTES` is answered with one ``too-large`` error and
+skipped through its newline; the connection keeps serving.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import asyncio
 import contextlib
 import sys
 
-from ..core.enumeration import last_census_pool_stats, last_census_runtime_stats
 from ..errors import ExperimentError, PoolError
 from .dispatcher import MicroBatchDispatcher
 from .protocol import (
@@ -28,7 +29,24 @@ from .protocol import (
 )
 from .registry import InstanceRegistry
 
-__all__ = ["QueryServer", "run_cli"]
+__all__ = ["QueryServer", "run_cli", "MAX_LINE_BYTES"]
+
+#: Longest accepted TCP request line in bytes, newline excluded:
+#: asyncio's default stream limit (64 KiB), passed explicitly to the
+#: listener.
+MAX_LINE_BYTES: int = 2**16
+
+
+async def _skip_line(reader) -> bool:
+    """Discard input through the next newline; ``False`` on EOF first."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return False
 
 
 class QueryServer:
@@ -75,14 +93,7 @@ class QueryServer:
             )
         if request.op == "stats":
             return ok_response(
-                request.id,
-                {
-                    "dispatcher": self.dispatcher.snapshot(),
-                    "census": {
-                        "pool": last_census_pool_stats(),
-                        "runtime": last_census_runtime_stats(),
-                    },
-                },
+                request.id, {"dispatcher": self.dispatcher.snapshot()}
             )
         if request.op == "shutdown":
             self._shutdown.set()
@@ -103,7 +114,9 @@ class QueryServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> "tuple[str, int]":
         """Bind and start accepting; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES
+        )
         sock = self._server.sockets[0].getsockname()
         return sock[0], sock[1]
 
@@ -133,16 +146,32 @@ class QueryServer:
         write_lock = asyncio.Lock()
         tasks: "set[asyncio.Task]" = set()
 
-        async def respond(line: bytes) -> None:
-            response = await self.handle_line(line)
+        async def send(response: dict) -> None:
             async with write_lock:
                 writer.write(encode_response(response))
                 with contextlib.suppress(ConnectionError):
                     await writer.drain()
 
+        async def respond(line: bytes) -> None:
+            await send(await self.handle_line(line))
+
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: a final unterminated line
+                except asyncio.LimitOverrunError:
+                    await send(
+                        error_response(
+                            None,
+                            "too-large",
+                            f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        )
+                    )
+                    if not await _skip_line(reader):
+                        break
+                    continue
                 if not line:
                     break
                 if not line.strip():

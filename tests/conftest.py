@@ -186,12 +186,13 @@ class EngineHarness:
         )
 
     def from_snapshot(self, csr: CSRAdjacency, matrix: np.ndarray, **kwargs):
-        """Engine adopting a precomputed matrix (copy-on-write)."""
-        if self.kind == "unit":
-            return DistanceEngine.from_snapshot(csr, matrix, **kwargs)
-        return WeightedDistanceEngine.from_snapshot(
-            weighted_csr_from_csr(csr), matrix, **kwargs
-        )
+        """Engine adopting a precomputed matrix (copy-on-write).
+
+        Only the unit engine adopts snapshots (the query server's
+        pool-store cold start); snapshot cases run on ``"unit"`` alone.
+        """
+        assert self.kind == "unit", "only the unit engine adopts snapshots"
+        return DistanceEngine.from_snapshot(csr, matrix, **kwargs)
 
     def update(self, engine, csr: CSRAdjacency) -> str:
         """Sync ``engine`` to the (unit) substrate of ``csr``."""

@@ -314,35 +314,21 @@ def test_brute_force_path_rejects_kernel_knobs():
 
 
 # ----------------------------------------------------------------------
-# Golden equivalence: warm-started shards == cold shards, bit for bit
+# Golden equivalence: sharded census == single-shard census, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,budgets", GOLDEN_INSTANCES)
 @pytest.mark.parametrize("version", ["sum", "max"])
 def test_warm_started_shards_bit_identical(label, budgets, version):
-    """Shared-memory warm starts (parent snapshots each shard's start
-    rank; shards attach instead of rebuilding) must not change a single
-    bit of the census for any worker count."""
+    """Shards start from their own cold-built matrices at any rank; the
+    sharded census must not change a single bit of the one-shard one."""
     game = BoundedBudgetGame(list(budgets))
-    for workers in (1, 2, 4):
-        cold = census_scan(
-            game, version, workers=workers, pool=False, collect_equilibria=True
+    ref = census_scan(game, version, workers=1, collect_equilibria=True)
+    for workers in (2, 4):
+        got = census_scan(
+            game, version, workers=workers, collect_equilibria=True
         )
-        warm = census_scan(
-            game, version, workers=workers, pool=True, collect_equilibria=True
-        )
-        assert warm.report == cold.report, f"{label}/{version}/workers={workers}"
-        assert warm.equilibria == cold.equilibria
-
-
-def test_warm_started_shards_actually_attach():
-    from repro.core.enumeration import LAST_CENSUS_POOL_STATS
-
-    game = BoundedBudgetGame([1] * 5)
-    census_scan(game, "sum", workers=4, pool=True)
-    assert LAST_CENSUS_POOL_STATS["shards"] == 4
-    assert LAST_CENSUS_POOL_STATS["warm_attached"] == 4
-    census_scan(game, "sum", workers=4, pool=False)
-    assert LAST_CENSUS_POOL_STATS["warm_attached"] == 0
+        assert got.report == ref.report, f"{label}/{version}/workers={workers}"
+        assert got.equilibria == ref.equilibria
 
 
 def test_weighted_warm_started_shards_bit_identical():
@@ -351,14 +337,9 @@ def test_weighted_warm_started_shards_bit_identical():
 
     for label, budgets, w in WEIGHTED_INSTANCES:
         game = BoundedBudgetGame(list(budgets))
-        for workers in (1, 3):
-            cold = weighted_census_scan(
-                game, w, workers=workers, pool=False, collect_equilibria=True
-            )
-            warm = weighted_census_scan(
-                game, w, workers=workers, pool=True, collect_equilibria=True
-            )
-            assert warm == cold, f"{label}/workers={workers}"
+        ref = weighted_census_scan(game, w, workers=1, collect_equilibria=True)
+        got = weighted_census_scan(game, w, workers=3, collect_equilibria=True)
+        assert got == ref, f"{label}/workers=3"
 
 
 # ----------------------------------------------------------------------
@@ -399,12 +380,9 @@ def test_extended_battery_includes_unit_n6():
 def test_default_battery_is_the_promoted_extended_battery():
     """The formerly opt-in instances (unit n=6, mixed n=5) are default
     now; the golden battery stays the brute-force-affordable prefix."""
-    from repro.experiments.exact_census import EXTENDED_INSTANCES
-
     labels = [label for label, _ in DEFAULT_INSTANCES]
     assert "unit n=6" in labels and "mixed n=5" in labels
     assert DEFAULT_INSTANCES[: len(GOLDEN_INSTANCES)] == GOLDEN_INSTANCES
-    assert EXTENDED_INSTANCES == DEFAULT_INSTANCES
 
 
 @pytest.mark.parametrize("version", ["sum", "max"])
@@ -416,10 +394,7 @@ def test_promoted_mixed_n5_knob_invariance(version):
     reference = exact_prices(game, version)
     assert exact_prices(game, version, symmetry=True) == reference
     assert exact_prices(game, version, workers=3, symmetry=True) == reference
-    assert (
-        exact_prices(game, version, workers=2, symmetry=True, pool=True)
-        == reference
-    )
+    assert exact_prices(game, version, workers=2, symmetry=True) == reference
 
 
 @pytest.mark.parametrize("version", ["sum", "max"])
@@ -429,11 +404,7 @@ def test_promoted_unit_n6_knob_invariance(version):
     the census bench lane)."""
     game = BoundedBudgetGame([1] * 6)
     reference = exact_prices(game, version, symmetry=True, max_profiles=20_000)
-    for kwargs in (
-        {"workers": 3},
-        {"workers": 2, "pool": True},
-        {"workers": 4, "pool": False},
-    ):
+    for kwargs in ({"workers": 3}, {"workers": 2}, {"workers": 4}):
         got = exact_prices(
             game, version, symmetry=True, max_profiles=20_000, **kwargs
         )
@@ -443,49 +414,51 @@ def test_promoted_unit_n6_knob_invariance(version):
 # ----------------------------------------------------------------------
 # Stale census stats (regression): counters must describe the LAST run
 # ----------------------------------------------------------------------
-def test_unpooled_scan_reports_zero_pool_stats():
-    # Regression: an unpooled scan after a pooled one used to keep (or
-    # partially overwrite) the pooled run's counters, so dashboards and
-    # the serve layer reported phantom warm attaches.
-    from repro.core import last_census_pool_stats, last_census_runtime_stats
+def _checkpointed_scan(tmp_path):
+    """A runtime-path scan, so the runtime side-channel is non-empty."""
+    from repro.core import last_census_runtime_stats
 
-    game = BoundedBudgetGame([1] * 5)
-    census_scan(game, "sum", workers=4, pool=True)
-    pooled = last_census_pool_stats()
-    assert pooled["shards"] == 4 and pooled["warm_attached"] == 4
-    census_scan(game, "sum", workers=1, pool=False)
-    assert all(v == 0 for v in last_census_pool_stats().values())
+    game = BoundedBudgetGame([1] * 4)
+    census_scan(game, "sum", checkpoint_dir=tmp_path, shard_count=2)
+    assert last_census_runtime_stats()["shards"] == 2
+
+
+def test_unchecked_scan_clears_runtime_stats(tmp_path):
+    # Regression: a plain scan after a checkpointed one used to leave the
+    # earlier run's supervision numbers in place for a later reader.
+    from repro.core import last_census_runtime_stats
+
+    _checkpointed_scan(tmp_path)
+    census_scan(BoundedBudgetGame([1] * 5), "sum", workers=4)
     assert last_census_runtime_stats() == {}
 
 
-def test_weighted_unpooled_scan_reports_zero_pool_stats():
-    from repro.core import last_census_pool_stats, weighted_census_scan
+def test_weighted_unchecked_scan_clears_runtime_stats(tmp_path):
+    from repro.core import last_census_runtime_stats, weighted_census_scan
     from repro.experiments.exact_census import WEIGHTED_INSTANCES
 
     _, budgets, w = WEIGHTED_INSTANCES[0]
-    census_scan(BoundedBudgetGame([1] * 5), "sum", workers=4, pool=True)
-    assert last_census_pool_stats()["shards"] == 4
-    weighted_census_scan(BoundedBudgetGame(list(budgets)), w, workers=1, pool=False)
-    assert all(v == 0 for v in last_census_pool_stats().values())
+    _checkpointed_scan(tmp_path)
+    weighted_census_scan(BoundedBudgetGame(list(budgets)), w, workers=1)
+    assert last_census_runtime_stats() == {}
 
 
-def test_raising_scan_does_not_leak_prior_stats():
-    from repro.core import last_census_pool_stats
+def test_raising_scan_does_not_leak_prior_stats(tmp_path):
+    from repro.core import last_census_runtime_stats
 
-    game = BoundedBudgetGame([1] * 5)
-    census_scan(game, "sum", workers=4, pool=True)
-    assert last_census_pool_stats()["warm_attached"] == 4
+    _checkpointed_scan(tmp_path)
     with pytest.raises(GameError):
-        census_scan(game, "no-such-version", workers=1)
+        census_scan(BoundedBudgetGame([1] * 5), "no-such-version", workers=1)
     # The failed scan reset the side-channel at entry: nothing stale.
-    assert all(v == 0 for v in last_census_pool_stats().values())
+    assert last_census_runtime_stats() == {}
 
 
-def test_census_stats_accessors_return_copies():
-    from repro.core import last_census_pool_stats
-    from repro.core.enumeration import LAST_CENSUS_POOL_STATS
+def test_census_stats_accessors_return_copies(tmp_path):
+    from repro.core import last_census_runtime_stats
+    from repro.core.enumeration import LAST_CENSUS_RUNTIME_STATS
 
-    snap = last_census_pool_stats()
-    assert snap is not LAST_CENSUS_POOL_STATS
+    _checkpointed_scan(tmp_path)
+    snap = last_census_runtime_stats()
+    assert snap is not LAST_CENSUS_RUNTIME_STATS
     snap["shards"] = snap["shards"] + 777
-    assert last_census_pool_stats()["shards"] != snap["shards"]
+    assert last_census_runtime_stats()["shards"] != snap["shards"]

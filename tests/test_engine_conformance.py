@@ -3,10 +3,10 @@
 The unit BFS engine and the weighted Dial engine (run on unit weights)
 promise the same contract: scipy/networkx-exact matrices, delta repairs
 indistinguishable from recomputation, a noop on rolled-back substrates,
-an epoch/staleness guard, read-only views, and — new in this PR —
-copy-on-write adoption of snapshot matrices that never writes the
-adopted buffer. Each case here runs once per engine via the
-``engine_harness`` fixture matrix in ``conftest.py``, replacing the
+an epoch/staleness guard and read-only views. Each case here runs once
+per engine via the ``engine_harness`` fixture matrix in
+``conftest.py`` — except copy-on-write snapshot adoption, which only
+the unit engine offers — replacing the
 copy-pasted suites that ``test_graphs_engine.py`` and
 ``test_weighted_engine.py`` used to carry (those files retain only
 engine-specific behavior: real weights, pendant fast paths, adaptive
@@ -310,8 +310,12 @@ def test_single_vertex_graph(engine_harness):
 
 
 # ----------------------------------------------------------------------
-# Snapshot adoption (copy-on-write) — the matrix-pool contract
+# Snapshot adoption (copy-on-write) — the serve pool-store contract
 # ----------------------------------------------------------------------
+_UNIT_ONLY = pytest.mark.parametrize("engine_harness", ["unit"], indirect=True)
+
+
+@_UNIT_ONLY
 def test_snapshot_adoption_matches_rebuild(rng, engine_harness):
     g = random_owned_digraph(rng, 10, p=0.3)
     built = engine_harness.build(g.undirected_csr())
@@ -323,6 +327,7 @@ def test_snapshot_adoption_matches_rebuild(rng, engine_harness):
     assert adopted.inf == built.inf
 
 
+@_UNIT_ONLY
 def test_snapshot_repairs_equal_recompute_and_never_write_source(rng, engine_harness):
     g = random_owned_digraph(rng, 9, p=0.3)
     built = engine_harness.build(g.undirected_csr())
@@ -340,6 +345,7 @@ def test_snapshot_repairs_equal_recompute_and_never_write_source(rng, engine_har
     assert np.array_equal(np.asarray(frozen), source)
 
 
+@_UNIT_ONLY
 def test_snapshot_copy_mode_detaches_immediately(rng, engine_harness):
     g = random_owned_digraph(rng, 7, p=0.35)
     built = engine_harness.build(g.undirected_csr())
@@ -348,6 +354,7 @@ def test_snapshot_copy_mode_detaches_immediately(rng, engine_harness):
     assert np.array_equal(adopted.distances(), built.distances())
 
 
+@_UNIT_ONLY
 def test_snapshot_validates_shape_and_dtype(engine_harness):
     g = OwnedDigraph(4)
     g.add_arc(0, 1)

@@ -209,22 +209,18 @@ def test_cli_run_failure_surfaces_traceback(capsys):
     assert "!! NOPE failed" in err
 
 
-def test_cli_extended_flag_warns_deprecated(capsys):
+@pytest.mark.parametrize(
+    "flag",
+    [["--extended"], ["--pool"], ["--no-pool"], ["--pool-dir", "x"]],
+    ids=["extended", "pool", "no-pool", "pool-dir"],
+)
+def test_cli_run_rejects_removed_flags(flag, capsys):
     from repro.cli import main
 
-    with pytest.warns(DeprecationWarning, match="--extended is deprecated"):
-        main(["run", "FIG-2", "--extended"])
-    assert "FIG-2" in capsys.readouterr().out
-
-
-def test_cli_run_without_extended_does_not_warn(capsys, recwarn):
-    import warnings
-
-    from repro.cli import main
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert main(["run", "FIG-2"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "FIG-2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_resume_without_checkpoint_dir_exits_2(capsys):

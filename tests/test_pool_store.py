@@ -1,4 +1,4 @@
-"""Tests for the persistent on-disk mmap pool tier.
+"""Tests for the persistent on-disk matrix pool store.
 
 Four families:
 
@@ -6,13 +6,11 @@ Four families:
   canonicality, and the corruption contract: truncation, byte flips,
   clobbered magic and foreign digests all degrade to a quarantined miss
   (rebuild-and-republish), never a wrong matrix.
-* **Two-level model** — a hypothesis interleaving test driving random
-  publish / fetch-promote / evict / gc sequences against an in-memory
-  model of both tiers (shm LRU registry + disk used-clock byte-budget
-  LRU).
+* **LRU model** — a hypothesis interleaving test driving random
+  publish / attach / evict / gc sequences against an in-memory model
+  of the store's used-clock byte-budget LRU.
 * **Cross-process survival** — matrices published by a SIGKILLed
-  process attach verified in a fresh one with zero rebuilds, including
-  the census ``pool_dir=`` warm-start path end to end.
+  process attach verified in a fresh one with zero rebuilds.
 * **Maintenance** — ``gc`` reaps dead writers' temp files, quarantines
   corrupt files, rebuilds the index, enforces the budget; the
   ``repro-bbncg pool gc`` CLI fronts it.
@@ -27,23 +25,13 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-import time
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    BoundedBudgetGame,
-    MatrixPool,
-    PoolStore,
-    census_graph_digest,
-    census_scan,
-    store_digest,
-)
-from repro.core import enumeration as en
+from repro.core import PoolStore, census_graph_digest, store_digest
 from repro.core.pool_store import INDEX_NAME, attach_store_file
 from repro.errors import PoolError
 from repro.graphs.digraph import OwnedDigraph
@@ -100,9 +88,21 @@ def test_census_graph_digest_is_content_addressed():
     g3 = OwnedDigraph.from_strategies([(2,), (2,), (0,)], 3)
     # Independently built instances of the same profile agree...
     assert census_graph_digest(g1) == census_graph_digest(g2)
-    # ...different profiles and engine kinds do not.
+    # ...different profiles do not.
     assert census_graph_digest(g1) != census_graph_digest(g3)
-    assert census_graph_digest(g1) != census_graph_digest(g1, weighted=True)
+
+
+def test_census_graph_digest_bytes_are_pinned():
+    """Served stores are keyed by these digests: a changed byte would
+    orphan every matrix published before the change."""
+    g1 = OwnedDigraph.from_strategies([(1,), (2,), (0,)], 3)
+    g2 = OwnedDigraph.from_strategies([(1, 2), (2,), (0, 3), ()], 4)
+    assert census_graph_digest(g1) == (
+        "e075fcfa327362fef7e843770fd77894513b3e7756e1eb6b1d3b99e173aa0ca5"
+    )
+    assert census_graph_digest(g2) == (
+        "3e9b67057db8aceb5141abdef34f8d7110eed49559aa9cb18319f3956c8fe057"
+    )
 
 
 @pytest.mark.parametrize(
@@ -145,20 +145,19 @@ def test_attach_store_file_rejects_foreign_digest(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Two-level model: random interleavings against both tiers
+# LRU model: random interleavings against the store
 # ----------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["publish", "fetch", "evict_shm", "evict_disk", "gc"]),
+            st.sampled_from(["publish", "attach", "evict", "gc"]),
             st.integers(min_value=0, max_value=4),
         ),
         max_size=30,
     ),
-    max_segments=st.integers(min_value=1, max_value=3),
 )
-def test_two_level_interleavings_match_model(ops, max_segments):
+def test_store_interleavings_match_model(ops):
     payloads = {i: np.arange(16, dtype=np.int64) * (i + 3) for i in range(5)}
     digests = {i: store_digest("model", i) for i in range(5)}
     nb = payloads[0].nbytes
@@ -167,68 +166,43 @@ def test_two_level_interleavings_match_model(ops, max_segments):
         store = PoolStore(root, byte_budget=budget)
         disk: "dict[int, int]" = {}  # i -> LRU used stamp
         clock = 0
-        shm: "OrderedDict[tuple, int]" = OrderedDict()
-        with MatrixPool(max_segments=max_segments, store=store) as pool:
-            for op, i in ops:
-                key = ("k", i)
-                if op == "publish":
-                    pool.publish(key, {"a": payloads[i]}, digest=digests[i])
+        for op, i in ops:
+            if op == "publish":
+                store.publish(digests[i], {"a": payloads[i]})
+                clock += 1
+                disk[i] = clock
+                while len(disk) * nb > budget:
+                    victim = min((d for d in disk if d != i), key=disk.__getitem__)
+                    disk.pop(victim)
+            elif op == "attach":
+                views = store.attach(digests[i])
+                if i in disk:
+                    assert views is not None
+                    assert np.array_equal(views["a"], payloads[i])
                     clock += 1
                     disk[i] = clock
-                    while len(disk) * nb > budget:
-                        victim = min(
-                            (d for d in disk if d != i), key=disk.__getitem__
-                        )
-                        disk.pop(victim)
-                    if key in shm:
-                        shm.move_to_end(key)
-                    else:
-                        shm[key] = i
-                        while len(shm) > max_segments:
-                            shm.popitem(last=False)
-                elif op == "fetch":
-                    handle = pool.fetch(key, digest=digests[i])
-                    if key in shm:
-                        assert handle is not None
-                        shm.move_to_end(key)
-                    elif i in disk:
-                        # Promoted from the mmap tier into a shm segment.
-                        assert handle is not None
-                        views = handle.attach()
-                        assert np.array_equal(views["a"], payloads[i])
-                        clock += 1
-                        disk[i] = clock
-                        shm[key] = i
-                        while len(shm) > max_segments:
-                            shm.popitem(last=False)
-                    else:
-                        assert handle is None
-                elif op == "evict_shm":
-                    assert pool.evict(key) == (key in shm)
-                    shm.pop(key, None)
-                elif op == "evict_disk":
-                    assert store.evict(digests[i]) == (i in disk)
-                    disk.pop(i, None)
-                else:  # gc on a healthy directory is a no-op reconcile
-                    stats = store.gc()
-                    assert stats["removed_corrupt"] == 0
-                    assert stats["evicted"] == 0
-                    assert stats["files"] == len(disk)
-                    clock = max(disk.values(), default=0)
-                # Tier contents match the model exactly...
-                assert pool.keys() == list(shm)
-                on_disk = {
-                    f[: -len(".mat")]
-                    for f in os.listdir(root)
-                    if f.endswith(".mat")
-                }
-                assert on_disk == {digests[i] for i in disk}
-                entries = store.entries()
-                assert set(entries) == on_disk
-                # ...including the disk tier's LRU recency order.
-                assert sorted(disk, key=disk.__getitem__) == sorted(
-                    disk, key=lambda d: int(entries[digests[d]]["used"])
-                )
+                else:
+                    assert views is None
+            elif op == "evict":
+                assert store.evict(digests[i]) == (i in disk)
+                disk.pop(i, None)
+            else:  # gc on a healthy directory is a no-op reconcile
+                stats = store.gc()
+                assert stats["removed_corrupt"] == 0
+                assert stats["evicted"] == 0
+                assert stats["files"] == len(disk)
+                clock = max(disk.values(), default=0)
+            # Store contents match the model exactly...
+            on_disk = {
+                f[: -len(".mat")] for f in os.listdir(root) if f.endswith(".mat")
+            }
+            assert on_disk == {digests[i] for i in disk}
+            entries = store.entries()
+            assert set(entries) == on_disk
+            # ...including the LRU recency order.
+            assert sorted(disk, key=disk.__getitem__) == sorted(
+                disk, key=lambda d: int(entries[digests[d]]["used"])
+            )
 
 
 # ----------------------------------------------------------------------
@@ -274,126 +248,6 @@ def test_matrices_survive_hard_killed_publisher(tmp_path):
         "corrupt": 0,
         "store_errors": 0,
     }
-
-
-def _census_pool_run(tmp_path, pool_dir, **kwargs):
-    game = BoundedBudgetGame([1] * 5)
-    return census_scan(
-        game,
-        "max",
-        workers=2,
-        collect_equilibria=True,
-        pool_dir=pool_dir,
-        **kwargs,
-    )
-
-
-def test_census_fresh_process_attaches_from_disk_bit_identical(tmp_path):
-    pool_dir = str(tmp_path / "pool")
-    game = BoundedBudgetGame([1] * 5)
-    cold = census_scan(game, "max", workers=2, collect_equilibria=True)
-    # First pooled run builds and writes through; a subprocess stands in
-    # for "a fresh process, days later" (no shm, no instance ids shared).
-    child_code = textwrap.dedent(
-        f"""
-        from repro.core import BoundedBudgetGame, census_scan
-        census_scan(BoundedBudgetGame([1]*5), "max", workers=2,
-                    collect_equilibria=True, pool_dir={pool_dir!r})
-        """
-    )
-    subprocess.run(
-        [sys.executable, "-c", child_code],
-        check=True,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    res = _census_pool_run(tmp_path, pool_dir)
-    # Every shard warm start came off the mmap tier: 0 parent rebuilds.
-    assert en.LAST_CENSUS_POOL_STATS["shards"] == 2
-    assert en.LAST_CENSUS_POOL_STATS["warm_attached"] == 2
-    assert en.LAST_CENSUS_POOL_STATS["disk_attached"] == 2
-    assert en.LAST_CENSUS_POOL_STATS["parent_builds"] == 0
-    assert res.report == cold.report
-    assert res.equilibria == cold.equilibria
-
-
-def test_census_corrupt_pool_file_rebuilds_identical_counts(tmp_path):
-    pool_dir = tmp_path / "pool"
-    cold = _census_pool_run(tmp_path, str(pool_dir))
-    # Flip a byte in every published matrix file.
-    mats = sorted(pool_dir.glob("*.mat"))
-    assert mats
-    for path in mats:
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-    res = _census_pool_run(tmp_path, str(pool_dir))
-    # Corruption degraded to rebuild-and-republish: no disk attaches,
-    # full parent builds, identical counts.
-    assert en.LAST_CENSUS_POOL_STATS["disk_attached"] == 0
-    assert en.LAST_CENSUS_POOL_STATS["parent_builds"] == 2
-    assert res.report == cold.report
-    assert res.equilibria == cold.equilibria
-    # ...and the store is healthy again for the next run.
-    res2 = _census_pool_run(tmp_path, str(pool_dir))
-    assert en.LAST_CENSUS_POOL_STATS["disk_attached"] == 2
-    assert res2.report == cold.report
-
-
-def test_checkpointed_resume_reattaches_resume_rank_from_disk(tmp_path):
-    """A checkpointed run killed mid-shard persists its checkpoint-rank
-    matrices; the resume in a *fresh process* fetches the resume-rank
-    matrix from the mmap tier instead of rebuilding it."""
-    pool_dir = str(tmp_path / "pool")
-    ck = str(tmp_path / "ck")
-    child_code = textwrap.dedent(
-        f"""
-        from repro.core import BoundedBudgetGame, census_scan
-        from repro.parallel import Fault, FaultPlan
-        plan = FaultPlan(faults=tuple(
-            Fault(kind="stall", shard_id=s, rank=r, attempt=a)
-            for s, r in ((0, 120), (2, 580)) for a in range(4)
-        ), stall_seconds=600.0)
-        census_scan(BoundedBudgetGame([1]*5), "max", workers=2,
-                    checkpoint_dir={ck!r}, shard_count=4,
-                    pool_dir={pool_dir!r},
-                    fault_plan=plan, collect_equilibria=True,
-                    runtime_opts={{"checkpoint_interval": 16,
-                                   "heartbeat_timeout": 600.0}})
-        """
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", child_code],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    )
-    try:
-        time.sleep(7)
-    finally:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-    assert proc.returncode == -signal.SIGKILL
-    # The dead run left checkpoint-rank matrices behind on disk.
-    assert list((tmp_path / "pool").glob("*.mat"))
-
-    game = BoundedBudgetGame([1] * 5)
-    ref = census_scan(game, "max", collect_equilibria=True)
-    res = census_scan(
-        game,
-        "max",
-        workers=2,
-        collect_equilibria=True,
-        checkpoint_dir=ck,
-        resume=True,
-        pool_dir=pool_dir,
-        runtime_opts={"checkpoint_interval": 16, "heartbeat_timeout": 600.0},
-    )
-    assert res.report == ref.report
-    assert res.equilibria == ref.equilibria
-    assert res.incomplete is None
-    # The fresh process warm-started entirely off the mmap tier.
-    assert en.LAST_CENSUS_POOL_STATS["disk_attached"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -466,64 +320,3 @@ def test_cli_pool_gc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 files" in out and "reaped 1 temp" in out
     assert not (tmp_path / f".tmp-{dead.pid}-0").exists()
-
-
-def test_cli_run_pool_dir_attaches_on_rerun(tmp_path, capsys):
-    from repro.cli import main
-
-    pool_dir = str(tmp_path / "pool")
-    assert main(["run", "EXACT-tiny", "--workers", "2", "--pool-dir", pool_dir]) == 0
-    capsys.readouterr()
-    assert main(["run", "EXACT-tiny", "--workers", "2", "--pool-dir", pool_dir]) == 0
-    assert "EXACT-tiny" in capsys.readouterr().out
-    # The second run's final scan warm-started entirely from disk.
-    assert en.LAST_CENSUS_POOL_STATS["disk_attached"] > 0
-    assert en.LAST_CENSUS_POOL_STATS["parent_builds"] == 0
-
-
-# ----------------------------------------------------------------------
-# Checkpoint-matrix persistence failures must warn, not vanish
-# ----------------------------------------------------------------------
-def test_persist_checkpoint_matrix_failure_warns_and_counts(tmp_path, monkeypatch):
-    # Regression: a failing publish was swallowed with a bare `pass`,
-    # silently disabling disk warm-starts for every later resume.
-    import pytest as _pytest
-
-    from repro.core import enumeration as en
-    from repro.errors import PoolError
-    from repro.graphs import DistanceEngine
-    from repro.graphs.digraph import OwnedDigraph
-
-    g = OwnedDigraph.from_strategies([[1], [2], [0]])
-    engine = DistanceEngine(g.undirected_csr())
-    store_dir = str(tmp_path / "store")
-    store = PoolStore(store_dir)
-
-    def boom(digest, arrays):
-        raise PoolError("disk on fire")
-
-    monkeypatch.setattr(store, "publish", boom)
-    monkeypatch.setitem(en._WORKER_STORES, store_dir, store)
-    before = store.stats["store_errors"]
-    with _pytest.warns(RuntimeWarning, match="could not persist checkpoint matrix"):
-        en._persist_checkpoint_matrix(store_dir, g, engine, weighted=False)
-    assert store.stats["store_errors"] == before + 1
-
-
-def test_persist_checkpoint_matrix_unusable_store_warns(tmp_path, monkeypatch):
-    import pytest as _pytest
-
-    from repro.core import enumeration as en
-    from repro.errors import PoolError
-    from repro.graphs import DistanceEngine
-    from repro.graphs.digraph import OwnedDigraph
-
-    g = OwnedDigraph.from_strategies([[1], [2], [0]])
-    engine = DistanceEngine(g.undirected_csr())
-
-    def unusable(store_dir):
-        raise PoolError("store directory is not writable")
-
-    monkeypatch.setattr(en, "_checkpoint_store", unusable)
-    with _pytest.warns(RuntimeWarning, match="is unusable"):
-        en._persist_checkpoint_matrix(str(tmp_path / "s"), g, engine, weighted=False)

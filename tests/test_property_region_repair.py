@@ -10,8 +10,8 @@ dirty many rows but only small regions per row) — and pins:
 * the unit :class:`~repro.core.distance_cache.DistanceCache` step
   forwarder (rm/add chains replayed into lagging player engines) is
   indistinguishable from a freshly built punctured engine;
-* per-player snapshot adoption (the pool's ``U(G - u)`` bundles) never
-  changes a distance.
+* base-engine snapshot adoption (the query server's pool-store cold
+  start) never changes a distance, before or after a mutation.
 """
 
 from __future__ import annotations
@@ -160,31 +160,27 @@ def test_unit_cache_forwarding_actually_forwards():
 
 
 # ----------------------------------------------------------------------
-# Per-player snapshot adoption (pool bundle contract)
+# Base snapshot adoption (serve pool-store contract)
 # ----------------------------------------------------------------------
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_player_snapshot_adoption_matches_cold_build(seed):
+def test_base_snapshot_adoption_matches_cold_build(seed):
     rng = np.random.default_rng(seed)
     g = random_tree_digraph(rng, 8, 2)
-    snapshots = {
-        u: DistanceEngine.from_snapshot(
-            g.undirected_csr_without(u),
-            DistanceEngine(g.undirected_csr_without(u)).matrix,
-        )
-        for u in range(4)
-    }
-    warm = DistanceCache(g, player_engines=snapshots)
+    snapshot = DistanceEngine.from_snapshot(
+        g.undirected_csr(), DistanceEngine(g.undirected_csr()).matrix
+    )
+    warm = DistanceCache(g, base_engine=snapshot)
     cold = DistanceCache(g.copy())
-    for u in range(g.n):
-        assert np.array_equal(
-            np.asarray(warm.player(u).matrix), np.asarray(cold.player(u).matrix)
-        )
-    for u in range(4):
-        assert warm.player(u).stats["rebuilds"] == 0  # adopted, never rebuilt
+    assert warm.base().stats["rebuilds"] == 0  # adopted, never rebuilt
+    assert np.array_equal(
+        np.asarray(warm.base().matrix), np.asarray(cold.base().matrix)
+    )
     # Mutating the graph must detach (copy-on-write) and stay exact.
     g.remove_arc(1, int(g.out_neighbors(1)[0])) if g.out_degree(1) else g.add_arc(1, 0)
-    for u in range(4):
+    fresh = DistanceEngine(g.undirected_csr())
+    assert np.array_equal(np.asarray(warm.base().matrix), np.asarray(fresh.matrix))
+    for u in range(g.n):
         fresh = DistanceEngine(g.undirected_csr_without(u))
         assert np.array_equal(
             np.asarray(warm.player(u).matrix), np.asarray(fresh.matrix)

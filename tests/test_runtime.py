@@ -20,10 +20,14 @@ import time
 
 import pytest
 
-from repro.core import BoundedBudgetGame, census_scan, weighted_census_scan
+from repro.core import (
+    BoundedBudgetGame,
+    census_scan,
+    sampled_census_scan,
+    weighted_census_scan,
+)
 from repro.core import enumeration as en
-from repro.core.checkpoint import replay_journal, shard_journal_path
-from repro.core.matrix_pool import sweep_orphan_segments
+from repro.core.checkpoint import append_record, replay_journal, shard_journal_path
 from repro.errors import CheckpointError, GameError
 from repro.parallel import Fault, FaultPlan, contiguous_shards, run_shards
 
@@ -442,52 +446,60 @@ def test_census_cross_process_kill_and_resume(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Orphan segment sweep (regression: SIGKILLed owners leaked segments)
+# Journal compatibility: records carrying the retired "warm" counter
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no scannable shm directory"
-)
-def test_sweep_reaps_dead_owner_segments_only():
-    # A real dead pid: spawn a trivial child and let it exit.
-    proc = subprocess.Popen([sys.executable, "-c", ""])
-    proc.wait()
-    leaked = f"/dev/shm/repro_pool_{proc.pid}_0"
-    mine = f"/dev/shm/repro_pool_{os.getpid()}_999999"
-    foreign = "/dev/shm/repro_other_1_0"
-    for path in (leaked, mine, foreign):
-        with open(path, "wb") as fh:
-            fh.write(b"\0" * 16)
-    try:
-        removed = sweep_orphan_segments()
-        assert removed >= 1
-        assert not os.path.exists(leaked)  # dead owner: reaped
-        assert os.path.exists(mine)  # own live segment: untouched
-        assert os.path.exists(foreign)  # not a pool segment: ignored
-    finally:
-        for path in (leaked, mine, foreign):
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+#: kind -> (scan, positional args, keyword args, checkpoint interval)
+_LEGACY_SCANS = {
+    "unit": (
+        census_scan,
+        (BoundedBudgetGame([1] * 5), "max"),
+        {"collect_equilibria": True},
+        32,
+    ),
+    "weighted": (
+        weighted_census_scan,
+        (BoundedBudgetGame([1, 1, 1, 1]), (5, 1, 1, 1)),
+        {"collect_equilibria": True},
+        4,
+    ),
+    "sampled": (
+        sampled_census_scan,
+        (BoundedBudgetGame([1] * 5), "sum"),
+        {"samples": 90, "seed": 3, "method": "stratified"},
+        4,
+    ),
+}
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no scannable shm directory"
-)
-def test_census_scan_start_sweeps_leaked_segments(tmp_path):
-    proc = subprocess.Popen([sys.executable, "-c", ""])
-    proc.wait()
-    leaked = f"/dev/shm/repro_pool_{proc.pid}_3"
-    with open(leaked, "wb") as fh:
-        fh.write(b"\0" * 16)
-    try:
-        census_scan(BoundedBudgetGame([1, 1, 1, 1]), "max", workers=2)
-        assert not os.path.exists(leaked)
-    finally:
-        try:
-            os.unlink(leaked)
-        except FileNotFoundError:
-            pass
+@pytest.mark.parametrize("kind", sorted(_LEGACY_SCANS))
+def test_resume_accepts_journals_with_legacy_warm_counter(tmp_path, kind):
+    """Journals written while shards still counted pool warm starts
+    carry a ``"warm"`` counter; resuming from them must stay bit-
+    identical (both a mid-shard resume and a replayed done record)."""
+    from dataclasses import replace
+
+    scan, args, kwargs, interval = _LEGACY_SCANS[kind]
+    ref = scan(*args, **kwargs)
+    opts = dict(_RUNTIME_OPTS, checkpoint_interval=interval)
+    scan(*args, checkpoint_dir=tmp_path, shard_count=3, runtime_opts=opts, **kwargs)
+    for shard_id, keep in ((0, 2), (1, None), (2, 1)):
+        path = shard_journal_path(tmp_path, shard_id)
+        records = replay_journal(path).records
+        assert len(records) > 2 and records[-1].done
+        path.unlink()
+        for rec in records[:keep]:
+            append_record(path, replace(rec, counters={**rec.counters, "warm": 1}))
+    assert all(
+        "warm" in rec.counters
+        for shard_id in range(3)
+        for rec in replay_journal(shard_journal_path(tmp_path, shard_id)).records
+    )
+    got = scan(
+        *args, checkpoint_dir=tmp_path, resume=True, runtime_opts=opts, **kwargs
+    )
+    assert got == ref
+    assert en.LAST_CENSUS_RUNTIME_STATS["shards_resumed"] == 2
+    assert en.LAST_CENSUS_RUNTIME_STATS["shards_skipped_done"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -334,16 +334,45 @@ def test_control_ops_and_error_paths():
     assert got[5]["ok"] is False and got[5]["error"]["code"] == "unknown-instance"
     assert got[6]["ok"] is False and got[6]["error"]["code"] == "bad-request"
     assert got[7]["ok"] is False and got[7]["error"]["code"] == "query-error"
-    assert "census" in got[8]["result"]
-    assert set(got[8]["result"]["census"]["pool"]) == {
-        "shards",
-        "warm_attached",
-        "disk_attached",
-        "parent_builds",
-    }
+    assert set(got[8]["result"]) == {"dispatcher"}
     assert got["garbage"]["ok"] is False
     assert got["garbage"]["error"]["code"] == "bad-json"
     assert got["garbage"]["id"] is None
+
+
+@pytest.mark.parametrize("pieces", [1, 4])
+def test_oversized_line_gets_one_error_and_connection_survives(pieces):
+    """Regression: a line past the stream limit raised out of the
+    connection handler, dropping the connection and every later request."""
+    from repro.serve.server import MAX_LINE_BYTES
+
+    blob = b"x" * (MAX_LINE_BYTES + 4464) + b"\n"
+    ping = json.dumps({"id": 1, "op": "ping"}).encode() + b"\n"
+
+    async def conversation(reader, writer):
+        step = -(-len(blob) // pieces)
+        for i in range(0, len(blob), step):
+            writer.write(blob[i : i + step])
+            await writer.drain()
+            await asyncio.sleep(0.01)
+        writer.write(ping)
+        await writer.drain()
+        first = [
+            json.loads(await asyncio.wait_for(reader.readline(), 60))
+            for _ in range(2)
+        ]
+        # A second ping proves nothing else was queued behind them.
+        later = await _rpc(reader, writer, [{"id": 2, "op": "ping"}])
+        return first, later
+
+    first, later = _serve({"fig1": _fig1()}, conversation)
+    errors = [r for r in first if not r["ok"]]
+    pongs = [r for r in first if r["ok"]]
+    assert len(errors) == 1 and len(pongs) == 1
+    assert errors[0]["id"] is None
+    assert errors[0]["error"]["code"] == "too-large"
+    assert pongs[0]["id"] == 1 and pongs[0]["result"]["pong"] is True
+    assert later[2]["result"]["pong"] is True
 
 
 def test_multiple_instances_route_independently():
