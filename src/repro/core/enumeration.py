@@ -32,12 +32,18 @@ maintained matrix before any per-player ``exact()`` search runs.
 induce profile-space orbits under the budget-preserving relabeling
 group ``∏ Sym(budget class)``. A profile is *canonical* when its
 ownership-adjacency bit key is minimal over its orbit; the walk keeps
-all ``|group|`` relabeled keys up to date incrementally (two bit
-toggles per group element per step), evaluates only canonical
+a probe subset of the relabeled keys up to date a block of Gray steps
+at a time (:class:`_OrbitKeys`), evaluates only canonical
 representatives, and multiplies their contributions by the orbit size
 ``|group| / |stabilizer|``. Diameter and equilibrium membership are
 orbit invariants, so the census is bit-identical with pruning on or
 off.
+
+**Block decoding**: the exhaustive walks unrank whole blocks of Gray
+ranks with numpy (:func:`_gray_blocks`) and read each step's player
+and ``(dropped, added)`` pair off the digit block, so ranks are
+``int64`` and these walks refuse profile spaces of ``2**63`` or more.
+The sampled census unranks single ranks with Python ints instead.
 
 **Sharding** (``workers > 1``): the Gray rank space splits into
 contiguous ranges (one unranking per shard, then stepping), dispatched
@@ -248,39 +254,96 @@ def _profile_tables(
     return combos, radices, rests
 
 
-def _gray_digit_stream(
-    radices: Sequence[int], digits: "list[int]"
-) -> Iterator[tuple[int, int, int]]:
-    """Loop-free successor stream of the reflected mixed-radix Gray code.
+#: Ranks per decoded Gray block. It is also the orbit-key block of the
+#: symmetry census, so checkpoints of that walk land on multiples of it.
+_ORBIT_BLOCK: int = 2048
 
-    Mutates ``digits`` (the MSB-first digit vector of the current rank)
-    in place and yields ``(position, old_digit, new_digit)`` per rank
-    increment — the same sequence :func:`_gray_digits` produces rank by
-    rank, at amortised O(1) per step instead of O(n). Directions are
-    recovered from the reflection parity (digit ``i`` ascends iff the
-    digits before it sum to an even number), so the stream can start at
-    any rank — which is what lets census shards resume mid-sequence.
+
+def _check_rank_width(total: int) -> None:
+    """The exhaustive walks decode Gray ranks in ``int64``."""
+    if total >= 2**63:
+        raise GameError(
+            f"profile space has {total} Gray ranks; the exhaustive walk "
+            f"decodes ranks in int64 and is capped at 2**63 - 1 ranks"
+        )
+
+
+def _swap_table(combos: "list[list[tuple[int, ...]]]") -> np.ndarray:
+    """Revolving-door transitions ``(n, max_radix - 1, 2)``, ``int64``.
+
+    Entry ``[j, d]`` holds the ``(dropped, added)`` targets of player
+    ``j``'s step from strategy ``d`` to ``d + 1``; a step down from
+    ``d + 1`` to ``d`` swaps the pair.
     """
-    n = len(radices)
-    o = []
-    prefix = 0
+    width = max(len(cj) for cj in combos) - 1
+    table = np.zeros((len(combos), width, 2), dtype=np.int64)
+    for j, cj in enumerate(combos):
+        for d in range(len(cj) - 1):
+            (table[j, d, 0],) = set(cj[d]) - set(cj[d + 1])
+            (table[j, d, 1],) = set(cj[d + 1]) - set(cj[d])
+    return table
+
+
+def _gray_digit_block(rank: int, count: int, rests: Sequence[int]) -> np.ndarray:
+    """:func:`_gray_digits` of the ranks ``[rank, rank + count)``.
+
+    Returns the ``(count, n)`` ``int64`` digit block, one divmod /
+    reflect pass per position over the whole block. The block is the
+    transpose of a C-contiguous ``(n, count)`` array, so each pass
+    writes one contiguous row. Ranks must fit in ``int64`` (see
+    :func:`_check_rank_width`).
+    """
+    n = len(rests) - 1
+    r = np.arange(rank, rank + count, dtype=np.int64)
+    cols = np.empty((n, count), dtype=np.int64)
     for i in range(n):
-        o.append(1 if prefix % 2 == 0 else -1)
-        prefix += digits[i]
-    while True:
-        for j in range(n - 1, -1, -1):
-            d = digits[j] + o[j]
-            if 0 <= d < radices[j]:
-                old = digits[j]
-                digits[j] = d
-                # Positions right of j were at their extremes; passing
-                # them flipped their direction already, which is exactly
-                # the parity flip the changed digit at j implies.
-                yield j, old, d
-                break
-            o[j] = -o[j]
-        else:
-            return  # rank space exhausted
+        rest = rests[i + 1]
+        d = cols[i]
+        np.floor_divide(r, rest, out=d)
+        r -= d * rest
+        r += (d & 1) * (rest - 1 - 2 * r)  # odd digit: the suffix block is reversed
+    return cols.T
+
+
+def _gray_blocks(
+    rests: Sequence[int],
+    table: np.ndarray,
+    lo: int,
+    hi: int,
+    prev: "Sequence[int]",
+) -> "Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
+    """Decode the Gray steps into ranks ``[lo, hi)`` block by block.
+
+    ``prev`` is the digit vector of rank ``lo - 1``. Yields ``(rank,
+    digits, js, drops, adds)`` per block of up to :data:`_ORBIT_BLOCK`
+    ranks starting at ``rank``: ``digits`` is the block's digit matrix
+    and step ``t`` reaches row ``t`` from the row before it (the
+    previous block's last row for ``t = 0``) by swapping player
+    ``js[t]``'s arc to ``drops[t]`` for one to ``adds[t]``. Exactly one
+    digit changes per step, so the player is the first column that
+    differs, and the pair comes from the :func:`_swap_table` entry of
+    the lower digit, ordered by the step direction.
+    """
+    prev_row = np.asarray(prev, dtype=np.int64)
+    rank = lo
+    while rank < hi:
+        count = min(_ORBIT_BLOCK, hi - rank)
+        digits = _gray_digit_block(rank, count, rests)
+        cols = digits.T
+        before = np.empty_like(cols)
+        before[:, 0] = prev_row
+        before[:, 1:] = cols[:, :-1]
+        js = np.argmax(cols != before, axis=0)
+        steps = np.arange(count)
+        old = before[js, steps]
+        new = cols[js, steps]
+        pair = table[js, np.minimum(old, new)]
+        up = new > old
+        drops = np.where(up, pair[:, 0], pair[:, 1])
+        adds = np.where(up, pair[:, 1], pair[:, 0])
+        yield rank, digits, js, drops, adds
+        prev_row = digits[-1]
+        rank += count
 
 
 def gray_profile_walk(
@@ -299,12 +362,14 @@ def gray_profile_walk(
     arc swap that produced this profile from the previous one. Ranks
     index the reflected-Gray order, not the lexicographic one;
     restarting at any ``start`` is O(n) (one unranking), which is what
-    lets shards split the rank space.
+    lets shards split the rank space. The swaps come from the block
+    decoder :func:`_gray_blocks`, one block of ranks at a time.
     """
     _check_cap(game, max_profiles)
     n = game.n
     combos, radices, rests = _profile_tables(game)
     total = rests[0]
+    _check_rank_width(total)
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise GameError(f"bad walk range [{start}, {stop}) for {total} profiles")
@@ -315,17 +380,16 @@ def gray_profile_walk(
         [combos[u][digits[u]] for u in range(n)], n
     )
     yield start, graph, None
-    for rank in range(start + 1, stop):
-        nxt = _gray_digits(rank, radices, rests)
-        j = next(i for i in range(n) if nxt[i] != digits[i])
-        old = combos[j][digits[j]]
-        new = combos[j][nxt[j]]
-        (dropped,) = set(old) - set(new)
-        (added,) = set(new) - set(old)
-        graph.remove_arc(j, dropped)
-        graph.add_arc(j, added)
-        digits = nxt
-        yield rank, graph, (j, dropped, added)
+    table = _swap_table(combos)
+    for rank, _, js, drops, adds in _gray_blocks(
+        rests, table, start + 1, stop, digits
+    ):
+        for t, (j, dropped, added) in enumerate(
+            zip(js.tolist(), drops.tolist(), adds.tolist())
+        ):
+            graph.remove_arc(j, dropped)
+            graph.add_arc(j, added)
+            yield rank + t, graph, (j, dropped, added)
 
 
 # ----------------------------------------------------------------------
@@ -379,8 +443,9 @@ class _OrbitKeys:
 
     Two-stage evaluation keeps the per-profile cost sublinear in the
     group order: only a small **probe** subset — the identity plus
-    every within-class transposition — is maintained incrementally
-    (two gathers per Gray step). A probe key below the identity key
+    every within-class transposition — is maintained incrementally,
+    from a per-word swap-delta table ``[j, drop, add] -> (probes,)``
+    precomputed at construction. A probe key below the identity key
     certainly refutes canonicity; the rare survivors are collected
     across a whole Gray block and settled in one batched
     stabilizer-chain descent (:meth:`_exact_orbit_sizes`), whose cost
@@ -394,9 +459,11 @@ class _OrbitKeys:
     maintain-everything implementation it replaces.
 
     :meth:`advance_block` amortises the walk further: a whole block of
-    Gray swaps becomes one ``(block, probes)`` cumulative-sum pass per
-    word, so the per-profile Python and scan cost that used to dominate
-    the n = 7 census collapses into a handful of vectorised passes.
+    Gray swaps becomes one table gather and one ``(block, probes)``
+    cumulative-sum pass per word, so the per-profile Python and scan
+    cost that used to dominate the n = 7 census collapses into a
+    handful of vectorised passes. The table holds ``n^3`` probe rows
+    per word, about 1.2 MB for both words at n = 11.
     """
 
     __slots__ = (
@@ -411,6 +478,10 @@ class _OrbitKeys:
         "_w_lo",
         "_vals_hi",
         "_vals_lo",
+        "_swap_hi",
+        "_swap_lo",
+        "_block_hi",
+        "_block_lo",
         "_exact",
         "_chain",
     )
@@ -472,6 +543,19 @@ class _OrbitKeys:
         p_count = self._probe_slot.shape[0]
         self._vals_hi = np.zeros(p_count, dtype=np.uint64)
         self._vals_lo = np.zeros(p_count, dtype=np.uint64)
+        # Swap-delta tables: row (j * n + drop) * n + add is the
+        # probe-key delta of arc j -> drop becoming j -> add, so a block
+        # advance is one gather per word. Differences wrap in uint64
+        # exactly like the keys themselves.
+        arc_hi = self._w_hi[self._probe_slot].transpose(1, 2, 0)
+        arc_lo = self._w_lo[self._probe_slot].transpose(1, 2, 0)
+        shape = (n * n * n, p_count)
+        self._swap_hi = (arc_hi[:, None, :, :] - arc_hi[:, :, None, :]).reshape(shape)
+        self._swap_lo = (arc_lo[:, None, :, :] - arc_lo[:, :, None, :]).reshape(shape)
+        # Reused block buffers: fresh (block, probes) arrays per call
+        # cost more in page faults than the gather itself.
+        self._block_hi = np.empty((_ORBIT_BLOCK, p_count), dtype=np.uint64)
+        self._block_lo = np.empty((_ORBIT_BLOCK, p_count), dtype=np.uint64)
 
     @staticmethod
     def _point_orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -690,12 +774,17 @@ class _OrbitKeys:
         batched stabilizer-chain recheck, so the exact-stage cost stops
         scaling with the group order.
         """
-        slot_adds = self._probe_slot[:, js, adds]
-        slot_drops = self._probe_slot[:, js, drops]
-        deltas_hi = (self._w_hi[slot_adds] - self._w_hi[slot_drops]).T
-        deltas_lo = (self._w_lo[slot_adds] - self._w_lo[slot_drops]).T
-        block_hi = self._vals_hi[None, :] + np.cumsum(deltas_hi, axis=0)
-        block_lo = self._vals_lo[None, :] + np.cumsum(deltas_lo, axis=0)
+        steps = js.size
+        if steps > self._block_hi.shape[0]:
+            self._block_hi = np.empty((steps, self._vals_hi.size), dtype=np.uint64)
+            self._block_lo = np.empty((steps, self._vals_lo.size), dtype=np.uint64)
+        rows = (js * self._n + drops) * self._n + adds
+        block_hi = np.take(self._swap_hi, rows, axis=0, out=self._block_hi[:steps])
+        block_lo = np.take(self._swap_lo, rows, axis=0, out=self._block_lo[:steps])
+        np.cumsum(block_hi, axis=0, out=block_hi)
+        np.cumsum(block_lo, axis=0, out=block_lo)
+        block_hi += self._vals_hi
+        block_lo += self._vals_lo
         self._vals_hi = block_hi[-1].copy()
         self._vals_lo = block_lo[-1].copy()
         keys_hi = block_hi[:, 0]
@@ -734,21 +823,20 @@ def _expand_orbit(
 # ----------------------------------------------------------------------
 # Incremental census kernel
 # ----------------------------------------------------------------------
-#: Gray swaps per vectorised orbit-key block of the symmetry census.
-_ORBIT_BLOCK: int = 2048
-
 def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous Gray-rank range of the census (worker function).
 
     Owns a private mutable graph, engine pool and orbit keys; returns
     order-independently mergeable partial aggregates.
 
-    With symmetry pruning the shard is a **canonical-rep-only walk**:
-    the Gray swap stream advances digits at amortised O(1) per rank,
-    orbit keys advance in vectorised :meth:`_OrbitKeys.advance_block`
-    blocks, and the graph (plus its engine pool) is only materialised
-    at the sparse canonical ranks — skipped profiles never touch the
-    graph at all, which is what breaks the n = 7 barrier.
+    Both walks take their Gray steps from the block decoder
+    :func:`_gray_blocks`, which unranks :data:`_ORBIT_BLOCK` ranks at a
+    time in numpy. With symmetry pruning the shard is a
+    **canonical-rep-only walk**: orbit keys advance one decoded block
+    per :meth:`_OrbitKeys.advance_block` call, and the graph (plus its
+    engine pool) is only materialised at the sparse canonical ranks,
+    from their rows of the digit block — skipped profiles never touch
+    the graph at all, which is what breaks the n = 7 barrier.
 
     ``ctx`` (a :class:`~repro.parallel.runtime.ShardContext`) makes the
     shard checkpointable: progress records go to the shard journal at
@@ -827,6 +915,7 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         return part()
     _check_cap(game, max_profiles)
     combos, radices, rests = _profile_tables(game)
+    _check_rank_width(rests[0])
     cursor = start - 1 if resume_rec is not None else lo
     digits = _gray_digits(cursor, radices, rests)
     graph = OwnedDigraph.from_strategies(
@@ -843,28 +932,6 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
             for a, b in graph.arcs():
                 orbit.toggle(a, b, True)
     gdigits = list(digits)  # digit vector the materialised graph reflects
-
-    # trans[j][d]: the (dropped, added) targets of player j's
-    # revolving-door step d -> d+1, precomputed once so the per-rank
-    # loop decodes a swap with one tuple lookup instead of two set
-    # differences.
-    trans = [
-        [
-            (
-                next(iter(set(cj[d]) - set(cj[d + 1]))),
-                next(iter(set(cj[d + 1]) - set(cj[d]))),
-            )
-            for d in range(len(cj) - 1)
-        ]
-        for cj in combos
-    ]
-
-    def decode_swap(j: int, old_d: int, new_d: int) -> "tuple[int, int]":
-        """(dropped, added) targets of the digit move ``old_d -> new_d``."""
-        if new_d == old_d + 1:
-            return trans[j][old_d]
-        added, dropped = trans[j][new_d]
-        return dropped, added
 
     def evaluate(pdigits: "list[int]", orbit_size: int) -> None:
         """Materialise the profile at ``pdigits`` and census it."""
@@ -900,55 +967,35 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     interval = ctx.interval if ctx is not None else 0
     next_cp = start + interval if interval else None
 
+    blocks = _gray_blocks(rests, _swap_table(combos), cursor + 1, hi, digits)
     if orbit is None:
         # Every rank is evaluated: apply each swap as a single-arc delta
         # so the engine pool repairs (and step-forwards) one op at a time.
-        stream = _gray_digit_stream(radices, digits)
-        for rank in range(cursor + 1, hi):
-            j, old_d, new_d = next(stream)
-            dropped, added = decode_swap(j, old_d, new_d)
-            graph.remove_arc(j, dropped)
-            graph.add_arc(j, added)
-            gdigits[j] = new_d
-            evaluate(digits, 1)
-            if ctx is not None:
-                ctx.tick(rank)
-                if next_cp is not None and rank + 1 >= next_cp and rank + 1 < hi:
-                    save(rank + 1)
-                    next_cp = rank + 1 + interval
+        for rank0, block, js, drops, adds in blocks:
+            steps = zip(js.tolist(), drops.tolist(), adds.tolist(), block.tolist())
+            for t, (j, dropped, added, row) in enumerate(steps):
+                rank = rank0 + t
+                graph.remove_arc(j, dropped)
+                graph.add_arc(j, added)
+                gdigits[j] = row[j]
+                evaluate(gdigits, 1)
+                if ctx is not None:
+                    ctx.tick(rank)
+                    if next_cp is not None and rank + 1 >= next_cp and rank + 1 < hi:
+                        save(rank + 1)
+                        next_cp = rank + 1 + interval
     else:
-        # Canonical-rep-only walk: batch the swap stream into blocks,
-        # advance all probe keys per block in one vectorised pass, and
-        # only touch the graph at the (rare) canonical ranks.
-        # Checkpoints land on block boundaries: ``orbit._vals`` and the
-        # stream's digit vector both describe the block's last rank
-        # there, exactly the ``next_rank - 1`` state a resume rebuilds.
-        stream = _gray_digit_stream(radices, digits)
-        pdigits = list(digits)  # digit vector at the evaluation pointer
-        rank = cursor + 1
-        js = np.empty(_ORBIT_BLOCK, dtype=np.int64)
-        drops = np.empty(_ORBIT_BLOCK, dtype=np.int64)
-        adds = np.empty(_ORBIT_BLOCK, dtype=np.int64)
-        newds = np.empty(_ORBIT_BLOCK, dtype=np.int64)
-        while rank < hi:
-            b = min(_ORBIT_BLOCK, hi - rank)
-            for t in range(b):
-                j, old_d, new_d = next(stream)
-                dropped, added = decode_swap(j, old_d, new_d)
-                js[t] = j
-                drops[t] = dropped
-                adds[t] = added
-                newds[t] = new_d
-            sizes = orbit.advance_block(js[:b], drops[:b], adds[:b])
-            ptr = 0
-            for t in np.flatnonzero(sizes):
-                for t2 in range(ptr, int(t) + 1):
-                    pdigits[int(js[t2])] = int(newds[t2])
-                ptr = int(t) + 1
-                evaluate(pdigits, int(sizes[t]))
-            for t2 in range(ptr, b):
-                pdigits[int(js[t2])] = int(newds[t2])
-            rank += b
+        # Canonical-rep-only walk: advance all probe keys per decoded
+        # block in one vectorised pass, and only touch the graph at the
+        # (rare) canonical ranks, whose digits are rows of the block.
+        # Checkpoints land on block boundaries: the probe keys and the
+        # block's last row both describe the block's last rank there,
+        # exactly the ``next_rank - 1`` state a resume rebuilds.
+        for rank0, block, js, drops, adds in blocks:
+            sizes = orbit.advance_block(js, drops, adds)
+            for t in np.flatnonzero(sizes).tolist():
+                evaluate(block[t].tolist(), int(sizes[t]))
+            rank = rank0 + js.size
             if ctx is not None:
                 ctx.tick(rank - 1)
                 if next_cp is not None and rank >= next_cp and rank < hi:
@@ -1274,6 +1321,7 @@ def census_scan(
     if symmetry:
         _check_symmetry_cap(game.n)
     _check_cap(game, max_profiles)
+    _check_rank_width(profile_space_size(game))
     if workers < 1:
         raise GameError(f"workers must be positive, got {workers}")
     if checkpoint_dir is None and (
@@ -1685,6 +1733,7 @@ def weighted_census_scan(
         from ..parallel.executor import contiguous_shards, parallel_map
 
         total = profile_space_size(game)
+        _check_rank_width(total)
         budgets = tuple(int(b) for b in game.budgets)
 
         def payload_for(lo: int, hi: int) -> tuple:

@@ -87,30 +87,41 @@ def test_gray_walk_sharding_is_a_partition():
         assert stitched == full
 
 
+@pytest.mark.parametrize("block", [1, 7, 2048])
 @pytest.mark.parametrize(
     "budgets", [(1, 1, 1), (2, 1, 0), (1, 1, 1, 1), (2, 2, 1, 1, 0), (0, 0, 1, 0)]
 )
-def test_gray_digit_stream_matches_unranking(budgets):
-    """The amortised-O(1) successor stream must reproduce the exact
-    digit sequence of per-rank unranking, from any start rank."""
-    from repro.core.enumeration import (
-        _gray_digit_stream,
-        _gray_digits,
-        _profile_tables,
-    )
+def test_gray_block_decoder_matches_unranking(budgets, block, monkeypatch):
+    """The block decoder must reproduce per-rank unranking row by row,
+    from any start rank and for any block size, and its swaps must be
+    the revolving-door steps between consecutive rows."""
+    from repro.core import enumeration as en
 
+    monkeypatch.setattr(en, "_ORBIT_BLOCK", block)
     game = BoundedBudgetGame(list(budgets))
-    _, radices, rests = _profile_tables(game)
+    combos, radices, rests = en._profile_tables(game)
+    table = en._swap_table(combos)
     total = rests[0]
     for start in sorted({0, 1, total // 2, total - 2} & set(range(total))):
-        digits = _gray_digits(start, radices, rests)
-        stream = _gray_digit_stream(radices, digits)
-        for rank in range(start + 1, total):
-            j, old, new = next(stream)
-            assert abs(new - old) == 1
-            assert digits == _gray_digits(rank, radices, rests)
-        with pytest.raises(StopIteration):
-            next(stream)
+        prev = en._gray_digits(start, radices, rests)
+        expect = start + 1
+        for rank, digits, js, drops, adds in en._gray_blocks(
+            rests, table, start + 1, total, prev
+        ):
+            assert rank == expect
+            assert digits.dtype == np.int64 and digits.shape[0] <= block
+            for t, row in enumerate(digits.tolist()):
+                assert row == en._gray_digits(rank + t, radices, rests)
+                changed = [i for i in range(len(row)) if row[i] != prev[i]]
+                assert changed == [int(js[t])]
+                j = changed[0]
+                assert abs(row[j] - prev[j]) == 1
+                old, new = set(combos[j][prev[j]]), set(combos[j][row[j]])
+                assert old - new == {int(drops[t])}
+                assert new - old == {int(adds[t])}
+                prev = row
+            expect = rank + digits.shape[0]
+        assert expect == total
 
 
 @pytest.mark.parametrize("budgets", [(1, 1, 1, 1), (2, 2, 1, 1, 0), (1, 1, 1, 1, 1)])
@@ -148,6 +159,72 @@ def test_orbit_advance_block_matches_per_step_scan(budgets):
     assert got == ref_sizes
     total = sum(got)
     assert total == profile_space_size(game)
+
+
+def test_orbit_advance_block_two_word_keys_n9():
+    """At n = 9 (n^2 = 81 > 64) probe keys use the hi word: the block
+    advance must match freshly toggled keys at every profile of a Gray
+    window near the middle of the rank space, and the whole-group
+    reference must confirm every probe-stage survivor."""
+    from repro.core.enumeration import _ORBIT_BLOCK
+
+    budgets = [1] * 8 + [0]
+    game = BoundedBudgetGame(budgets)
+    n = game.n
+    perms = _budget_symmetry_group(budgets)
+    total = profile_space_size(game)
+    # 76125 ranks below total // 2; this window holds probe survivors
+    # and a canonical profile.
+    start = 8_312_483
+    stop = start + 3000
+    assert abs(start - total // 2) < total // 100
+    fresh = _OrbitKeys(n, perms)
+    orbit = None
+    keys, ref, swaps = [], [], []
+    for rank, graph, swap in gray_profile_walk(
+        game, start=start, stop=stop, max_profiles=total
+    ):
+        fresh.restore_state([0] * len(fresh.export_state()))
+        for a, b in graph.arcs():
+            fresh.toggle(a, b, True)
+        keys.append((fresh._vals_hi.copy(), fresh._vals_lo.copy()))
+        ref.append(fresh.canonical_orbit_size() or 0)
+        if swap is None:
+            orbit = _OrbitKeys(n, perms)
+            for a, b in graph.arcs():
+                orbit.toggle(a, b, True)
+        else:
+            swaps.append(swap)
+    got = []
+    steps = np.asarray(swaps, dtype=np.int64)
+    for s in range(0, len(steps), _ORBIT_BLOCK):
+        chunk = steps[s : s + _ORBIT_BLOCK]
+        got.extend(orbit.advance_block(chunk[:, 0], chunk[:, 1], chunk[:, 2]).tolist())
+    assert got == ref[1:]
+    assert np.array_equal(orbit._vals_hi, keys[-1][0])
+    assert np.array_equal(orbit._vals_lo, keys[-1][1])
+    assert sum(1 for hi, _ in keys if hi[0]) > len(keys) // 2  # hi word in use
+    survivors = 0
+    for (his, los), size in zip(keys, ref):
+        lt = (his < his[0]) | ((his == his[0]) & (los < los[0]))
+        if lt.any():
+            assert size == 0
+            continue
+        survivors += 1
+        assert (fresh._reference_orbit_size(int(his[0]), int(los[0])) or 0) == size
+    assert survivors >= 1 and any(ref)
+
+
+def test_exact_walk_rejects_ranks_beyond_int64():
+    """252^11 profiles overflow the block decoder's int64 ranks: the
+    census must refuse with a typed error instead of wrapping."""
+    game = BoundedBudgetGame([5] * 11)
+    assert profile_space_size(game) >= 2**63
+    for symmetry in (False, True):
+        with pytest.raises(GameError, match=r"int64.*2\*\*63 - 1"):
+            census_scan(game, "sum", symmetry=symmetry, max_profiles=10**40)
+    with pytest.raises(GameError, match="int64"):
+        next(gray_profile_walk(game, max_profiles=10**40))
 
 
 def test_contiguous_shards_edge_cases():

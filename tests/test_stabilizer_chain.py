@@ -203,3 +203,56 @@ def test_restore_state_rejects_unknown_format_and_bad_lengths():
         orbit.restore_state((0,) * (2 * probes + 1), key_format=2)
     with pytest.raises(CheckpointError, match="probe keys"):
         orbit.restore_state((0,) * (probes + 1), key_format=1)
+
+
+#: The first mid-range record the per-rank Gray stream walk (before the
+#: block decoder) journalled for the unit n = 6 max census shard
+#: ``[0, 15625)`` at checkpoint interval 4000: counters and probe keys
+#: after rank 4096, the end of the walk's second orbit block.
+_STREAM_WALK_RECORD = dict(
+    next_rank=4097,
+    counters={"best_eq": 2, "count": 4920, "eq_count": 480, "opt": 2, "worst_eq": 3},
+    orbit_vals=(
+        0, 9680732288, 0, 9684713984, 0, 9932378368, 0, 4429484544,
+        0, 8875158016, 0, 18807521536, 0, 9697378368, 0, 1083457664,
+        0, 8613005440, 0, 35450404992, 0, 704921856, 0, 13019189760,
+        0, 9680733184, 0, 38688399488, 0, 36574609536, 0, 6459785344,
+    ),
+)
+
+
+def test_stream_walk_journal_resumes_bit_identically(tmp_path):
+    """A symmetric shard journal written mid-range by the per-rank
+    stream walk resumes on the block decoder to the uninterrupted
+    run's result and journal."""
+    from repro.core.checkpoint import ShardCheckpoint, replay_journal
+    from repro.core.enumeration import _ORBIT_BLOCK, _census_shard
+    from repro.parallel.runtime import ShardContext
+
+    payload = ((1,) * 6, "max", 0, 15625, True, False, 500_000)
+    assert (_STREAM_WALK_RECORD["next_rank"] - 1) % _ORBIT_BLOCK == 0
+
+    def journal(ctx_path, record=None):
+        ctx = ShardContext(
+            shard_id=0,
+            attempt=0,
+            interval=4000,
+            journal_path=ctx_path,
+            resume_state=record,
+        )
+        part = _census_shard(payload, ctx)
+        rows = [
+            (r.next_rank, r.done, dict(r.counters), r.orbit_vals)
+            for r in replay_journal(ctx_path).records
+        ]
+        return part, rows
+
+    fresh, fresh_rows = journal(tmp_path / "fresh.journal")
+    record = ShardCheckpoint(shard_id=0, lo=0, hi=15625, **_STREAM_WALK_RECORD)
+    resumed, resumed_rows = journal(tmp_path / "resumed.journal", record)
+    assert fresh_rows[0] == (
+        record.next_rank, False, dict(record.counters), record.orbit_vals
+    )
+    assert resumed == fresh
+    assert resumed_rows == fresh_rows[1:]
+    assert fresh["count"] == 15625 and fresh["eq_count"] == 480
