@@ -1,6 +1,6 @@
 """Equilibrium query service: batched sweeps vs sequential point queries.
 
-Three claims, each asserted (not just timed):
+Two claims, each asserted (not just timed):
 
 * **Coalesced distance queries beat sequential point queries.** At
   n = 256, answering a burst of pair queries through
@@ -12,10 +12,6 @@ Three claims, each asserted (not just timed):
   answering a concurrent burst returns bit-identical distances and
   social cost, and its dispatcher stats prove the burst rode one
   batch (``max_batch >= 2``) with at least one batched sweep.
-* **Pool-dir cold starts attach, never rebuild.** Publishing the
-  distance matrix to a ``PoolStore`` and then registering the
-  instance with ``pool_dir=`` must produce a full-mode engine with
-  zero rebuilds, still bit-identical.
 
 Timings land in ``BENCH_serve.json`` at the repo root so the perf
 trajectory is tracked across PRs.
@@ -32,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import DistanceCache, social_cost
-from repro.core.pool_store import PoolStore, census_graph_digest
-from repro.graphs import DistanceEngine, OwnedDigraph
+from repro.graphs import OwnedDigraph
 from repro.serve import InstanceRegistry, QueryServer
 
 #: Wall-clock comparisons are meaningful on a quiet machine; on shared
@@ -184,50 +179,3 @@ def test_served_burst_batches_and_matches_library():
             "max_queue_wait_ms": float(np.max(waits)),
         },
     )
-
-
-# ----------------------------------------------------------------------
-# Pool-dir cold start: attach the published matrix, zero rebuilds
-# ----------------------------------------------------------------------
-def test_pool_dir_cold_start_attaches_without_rebuild(tmp_path):
-    g = _sparse_graph(_N, extra_edges=2 * _N, seed=5)
-
-    t0 = time.perf_counter()
-    engine = DistanceEngine(g.undirected_csr())
-    build_s = time.perf_counter() - t0
-    store = PoolStore(str(tmp_path))
-    store.publish(
-        census_graph_digest(g),
-        {"D": engine.matrix, "inf": np.asarray([engine.inf], dtype=np.int64)},
-    )
-
-    t0 = time.perf_counter()
-    registry = InstanceRegistry.from_graphs({"bench": g}, pool_dir=str(tmp_path))
-    attach_s = time.perf_counter() - t0
-    inst = registry.get("bench")
-    info = inst.info()
-    assert inst.source == "disk"
-    assert info["engine_mode"] == "full"
-    assert info["rebuilds"] == 0  # attached, never rebuilt — always asserted
-
-    rng = np.random.default_rng(23)
-    ref = np.asarray(engine.matrix)
-    for _ in range(64):
-        u, v = int(rng.integers(_N)), int(rng.integers(_N))
-        assert inst.cache.query(u, v) == int(ref[u, v])
-
-    _record(
-        "pool_cold_start_n256",
-        {
-            "n": _N,
-            "full_build_s": build_s,
-            "attach_s": attach_s,
-            "attach_speedup": build_s / max(attach_s, 1e-9),
-            "rebuilds": info["rebuilds"],
-        },
-    )
-    if _STRICT_TIMING:
-        assert attach_s < build_s, (
-            f"pool attach ({attach_s * 1e3:.1f}ms) should beat a full "
-            f"rebuild ({build_s * 1e3:.1f}ms)"
-        )

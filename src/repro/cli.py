@@ -18,15 +18,11 @@ Subcommands
     Flags are forwarded only to experiments whose signature takes them.
 ``all``
     Regenerate everything (the full paper reproduction).
-``pool gc --dir DIR [--budget BYTES]``
-    Maintain a ``serve --pool-dir`` store: reap temp files of dead writers,
-    quarantine corrupt matrix files, rebuild the LRU index, and enforce
-    the byte budget.
 ``export <spec> --json out.json [--dot out.dot]``
     Build one of the paper's constructions and save it. Specs:
     ``fig1``, ``spider:<k>``, ``binary-tree:<depth>``,
     ``overlap:<t>,<k>``, or ``thm2.3:<b1,b2,...>``.
-``serve [--port N | --stdio] [--instance NAME=SPEC ...] [--pool-dir DIR]``
+``serve [--port N | --stdio] [--instance NAME=SPEC ...]``
     Long-lived equilibrium query service (newline-delimited JSON over
     TCP or stdio; see :mod:`repro.serve`). Serves distance /
     social-cost / deviation-verdict / best-response / weighted-swap /
@@ -34,8 +30,8 @@ Subcommands
     specs (default: one ``fig1`` instance). Concurrent same-instance
     requests coalesce for ``--batch-window-ms`` into one batched
     multi-source sweep; every answer is bit-identical to the direct
-    library call. ``--pool-dir`` cold-starts instances by attaching
-    persisted distance matrices (zero rebuilds) when present.
+    library call. Instances cold-start in lazy-rows mode and settle
+    distance rows on demand.
 """
 
 from __future__ import annotations
@@ -155,27 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="confidence level of the --sample intervals (default 0.95)",
     )
     sub.add_parser("all", help="run every experiment")
-    pool_p = sub.add_parser("pool", help="maintain an on-disk matrix pool store")
-    pool_sub = pool_p.add_subparsers(dest="pool_command", required=True)
-    gc_p = pool_sub.add_parser(
-        "gc",
-        help="reap dead writers' temp files, quarantine corrupt matrix "
-        "files, rebuild the index, enforce the byte budget",
-    )
-    gc_p.add_argument(
-        "--dir",
-        dest="pool_dir",
-        required=True,
-        metavar="DIR",
-        help="the pool store directory (as passed to serve --pool-dir)",
-    )
-    gc_p.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="byte budget to enforce (default: the store's default budget)",
-    )
     serve_p = sub.add_parser(
         "serve",
         help="serve equilibrium queries over shared instances (NDJSON over "
@@ -203,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=SPEC",
         help="serve this construction under NAME (export-style SPEC; "
         "repeatable; a bare SPEC names itself; default: fig1)",
-    )
-    serve_p.add_argument(
-        "--pool-dir",
-        dest="pool_dir",
-        default=None,
-        metavar="DIR",
-        help="cold-start instances by attaching persisted distance matrices "
-        "from this on-disk pool store when present (zero rebuilds)",
     )
     serve_p.add_argument(
         "--batch-window-ms",
@@ -288,38 +255,6 @@ def main(argv: "list[str] | None" = None) -> int:
         )
     if args.command == "all":
         return max(_run_and_print(key) for key in REGISTRY)
-    if args.command == "pool":
-        import os
-
-        from .core.pool_store import PoolStore
-        from .errors import PoolError
-
-        if not os.path.isdir(args.pool_dir):
-            # PoolStore would happily create the directory, turning a
-            # typo'd --dir into a "successful" gc of an empty store.
-            print(
-                f"!! pool gc failed: no store directory at {args.pool_dir!r}",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            store = (
-                PoolStore(args.pool_dir)
-                if args.budget is None
-                else PoolStore(args.pool_dir, byte_budget=args.budget)
-            )
-            stats = store.gc(byte_budget=args.budget)
-        except (PoolError, OSError) as exc:
-            print(f"!! pool gc failed: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"pool {args.pool_dir}: {stats['files']} files, "
-            f"{stats['bytes']} bytes after gc "
-            f"(reaped {stats['removed_tmp']} temp, "
-            f"quarantined {stats['removed_corrupt']} corrupt, "
-            f"evicted {stats['evicted']})"
-        )
-        return 0
     if args.command == "serve":
         from .serve import run_cli as serve_run_cli
 

@@ -129,14 +129,7 @@ class DistanceCache:
         single-verdict regime — :meth:`query` / :meth:`query_punctured`
         then cost one bounded bidirectional search instead of a full
         build), ``None`` keeps the engines' default full
-        materialisation. An adopted ``base_engine`` is used as
-        constructed either way.
-    base_engine:
-        Optional pre-warmed ``U(G)`` engine adopted instead of building
-        one on first access — e.g. a copy-on-write engine attached from
-        a :class:`~repro.core.pool_store.PoolStore` file by the query
-        server. The caller asserts it describes ``graph``'s *current*
-        CSR; the golden suites pin that contract.
+        materialisation.
 
     Step forwarding
     ---------------
@@ -162,7 +155,6 @@ class DistanceCache:
         max_player_engines: int | None = None,
         dirty_fraction: "float | str | None" = None,
         rows: "str | None" = None,
-        base_engine: "DistanceEngine | None" = None,
     ) -> None:
         self._graph = graph
         self._max_players_requested = max_player_engines
@@ -185,20 +177,6 @@ class DistanceCache:
         self.evictions = 0
         self.env_hits = 0
         self.step_forwards = 0
-        if base_engine is not None:
-            if base_engine.n != graph.n:
-                raise GraphError(
-                    f"base engine is over {base_engine.n} vertices, "
-                    f"graph has {graph.n}"
-                )
-            # The adopted engine describes the graph's *current*
-            # substrate: seed the sync state so its first access
-            # replays nothing.
-            self._csr = graph.undirected_csr()
-            self._seen_revision = graph.revision
-            self._steps.advance(None)
-            self._base = base_engine
-            self._base_token = self._steps.token
 
     def _resolve_max_players(self, n: int) -> int:
         """Engine-count cap for instance size ``n`` (at least one).

@@ -20,7 +20,6 @@ __all__ = [
     "DynamicsError",
     "OptimizationError",
     "ExperimentError",
-    "PoolError",
     "CheckpointError",
 ]
 
@@ -91,10 +90,6 @@ class OptimizationError(ReproError):
 
 class ExperimentError(ReproError):
     """Raised when an experiment is misconfigured or its id is unknown."""
-
-
-class PoolError(ReproError):
-    """Raised for invalid on-disk matrix pool store operations."""
 
 
 class CheckpointError(ReproError):

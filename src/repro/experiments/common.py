@@ -71,8 +71,8 @@ def stabilize(
     version = Version.coerce(version)
     # Process-local distance cache keyed by this graph's instance id:
     # engines and their matrices survive across the alternating passes
-    # below, and retired caches' buffers are recycled (or pool-published
-    # matrices attached) across sweep tasks of the same size.
+    # below, and retired caches' buffers are recycled across sweep tasks
+    # of the same size.
     from ..parallel.sweep import shared_distance_cache
 
     cache = shared_distance_cache(graph)

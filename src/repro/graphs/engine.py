@@ -515,7 +515,6 @@ class DistanceEngine:
         "_inf",
         "_dtype",
         "_D",
-        "_cow",
         "_epoch",
         "_dirty_fraction",
         "_adaptive",
@@ -535,40 +534,6 @@ class DistanceEngine:
         dirty_fraction: "float | str" = DEFAULT_DIRTY_FRACTION,
         rows: str = "full",
     ) -> None:
-        self._configure(csr, inf, dirty_fraction)
-        self._D = np.empty((self._n, self._n), dtype=self._dtype)
-        self._cow = False
-        self._epoch = 0
-        self.stats = self._fresh_stats()
-        if rows not in ("full", "lazy"):
-            raise GraphError(f'rows must be "full" or "lazy", got {rows!r}')
-        if rows == "lazy":
-            self._lazy = True
-            self._hot = np.zeros(self._n, dtype=bool)
-        else:
-            self.rebuild()
-
-    @staticmethod
-    def _fresh_stats() -> "dict[str, int]":
-        return {
-            "rebuilds": 0,
-            "deltas": 0,
-            "noops": 0,
-            "rows_recomputed": 0,
-            "pendant_fixes": 0,
-            "region_repairs": 0,
-            "region_vertices": 0,
-            "cow_copies": 0,
-            "lazy_rows": 0,
-            "lazy_invalidations": 0,
-            "promotions": 0,
-            "point_queries": 0,
-        }
-
-    def _configure(
-        self, csr: CSRAdjacency, inf: "int | None", dirty_fraction: "float | str"
-    ) -> None:
-        """Shared constructor core (substrate checks, sentinel, dtype)."""
         if not isinstance(csr, CSRAdjacency):
             raise GraphError("DistanceEngine needs a CSRAdjacency substrate")
         if isinstance(dirty_fraction, str):
@@ -600,67 +565,28 @@ class DistanceEngine:
         self._dtype = np.int32 if 2 * self._inf < 2**31 else np.int64
         self._dirty_fraction = float(dirty_fraction)
         self._csr = csr
-        # Lazy row-on-demand state; __init__(rows="lazy") flips these.
-        self._lazy = False
-        self._hot: "np.ndarray | None" = None
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        csr: CSRAdjacency,
-        matrix: np.ndarray,
-        *,
-        inf: int | None = None,
-        dirty_fraction: "float | str" = DEFAULT_DIRTY_FRACTION,
-        copy: bool = False,
-    ) -> "DistanceEngine":
-        """Engine adopting a precomputed distance matrix — no initial BFS.
-
-        ``matrix`` must be the exact all-pairs matrix of ``csr`` under
-        the engine's ``inf``/dtype conventions (e.g. a read-only view
-        attached from a :class:`~repro.core.pool_store.PoolStore` file,
-        or another engine's matrix). With ``copy=False`` the engine
-        aliases the buffer **copy-on-write**: reads are zero-copy, and
-        the first mutation (any delta repair or rebuild) copies into a
-        private buffer first, so the adopted buffer is never written —
-        the guard that lets a read-only mmap view back a live engine.
-        """
-        engine = cls.__new__(cls)
-        engine._configure(csr, inf, dirty_fraction)
-        matrix = np.asarray(matrix)
-        if matrix.shape != (engine._n, engine._n):
-            raise GraphError(
-                f"snapshot matrix shape {matrix.shape} != "
-                f"{(engine._n, engine._n)}"
-            )
-        if matrix.dtype != engine._dtype:
-            raise GraphError(
-                f"snapshot matrix dtype {matrix.dtype} != expected "
-                f"{np.dtype(engine._dtype).name} (inf={engine._inf})"
-            )
-        if not matrix.flags.c_contiguous:
-            raise GraphError("snapshot matrix must be C-contiguous")
-        engine._D = matrix.copy() if copy else matrix
-        engine._cow = not copy
-        engine._epoch = 0
-        engine.stats = cls._fresh_stats()
-        return engine
-
-    @property
-    def copy_on_write(self) -> bool:
-        """Whether the matrix still aliases an adopted (shared) buffer."""
-        return self._cow
-
-    def _prepare_write(self, preserve: bool = True) -> None:
-        """Detach from an adopted buffer before the first in-place write.
-
-        ``preserve=False`` skips copying the content for full overwrites
-        (a rebuild); either way the adopted buffer is left untouched.
-        """
-        if self._cow:
-            self._D = np.array(self._D) if preserve else np.empty_like(self._D)
-            self._cow = False
-            self.stats["cow_copies"] += 1
+        self._D = np.empty((self._n, self._n), dtype=self._dtype)
+        self._epoch = 0
+        self.stats = {
+            "rebuilds": 0,
+            "deltas": 0,
+            "noops": 0,
+            "rows_recomputed": 0,
+            "pendant_fixes": 0,
+            "region_repairs": 0,
+            "region_vertices": 0,
+            "lazy_rows": 0,
+            "lazy_invalidations": 0,
+            "promotions": 0,
+            "point_queries": 0,
+        }
+        if rows not in ("full", "lazy"):
+            raise GraphError(f'rows must be "full" or "lazy", got {rows!r}')
+        if rows == "lazy":
+            self._lazy = True
+            self._hot = np.zeros(self._n, dtype=bool)
+        else:
+            self.rebuild()  # sets the full-mode state: _lazy False, _hot None
 
     @classmethod
     def from_graph(
@@ -984,7 +910,6 @@ class DistanceEngine:
             self._csr = new_csr
         self._lazy = False
         self._hot = None
-        self._prepare_write(preserve=False)
         all_rows = np.arange(self._n, dtype=np.int64)
         t0 = time.perf_counter()
         self._bfs_rows(self._csr, all_rows, self._D, all_rows)
@@ -1000,7 +925,6 @@ class DistanceEngine:
         so deleting its last edge changes only its own row and column:
         both become unreachable, except the zero diagonal.
         """
-        self._prepare_write()
         for y in endpoints:
             self._D[:, y] = self._inf
             self._D[y, :] = self._inf
@@ -1046,7 +970,6 @@ class DistanceEngine:
             cap,
         )
         if positions is not None:
-            self._prepare_write()
             _region_relax(
                 self._D,
                 self._inf,
@@ -1062,7 +985,6 @@ class DistanceEngine:
         rows_spent += dirty_rows.size
         if rows_spent > row_budget:
             return None
-        self._prepare_write()
         # Timed separately from t0: an aborted region attempt must not
         # inflate the per-row EMA (that would raise the region cap and
         # shrink the rebuild budget in a feedback loop).
@@ -1134,7 +1056,6 @@ class DistanceEngine:
             return "delta"
         if (self._adaptive or self._dirty_fraction > 0.0) and self.row_budget() >= 1.0:
             pivot = min(x, y)
-            self._prepare_write()
             self._csr = new_csr
             rows = np.asarray([pivot], dtype=np.int64)
             self._bfs_rows(new_csr, rows, self._D, rows)
@@ -1325,7 +1246,6 @@ class DistanceEngine:
             self.rebuild(new_csr)
             return "rebuild"
 
-        self._prepare_write()  # delta repairs write in place: detach first
         t_delta = time.perf_counter()
         observe_spent: "float | None" = None  # rows to credit the final observe
         pivots = np.empty(0, dtype=np.int64)

@@ -371,42 +371,6 @@ class WeightedDistanceEngine:
         dirty_fraction: float = DEFAULT_DIRTY_FRACTION,
         rows: str = "full",
     ) -> None:
-        self._configure(wcsr, inf, max_weight, dirty_fraction)
-        self._D = np.empty((self._n, self._n), dtype=self._dtype)
-        self._epoch = 0
-        self.stats = self._fresh_stats()
-        if rows not in ("full", "lazy"):
-            raise GraphError(f'rows must be "full" or "lazy", got {rows!r}')
-        if rows == "lazy":
-            self._lazy = True
-            self._hot = np.zeros(self._n, dtype=bool)
-        else:
-            self.rebuild()
-
-    @staticmethod
-    def _fresh_stats() -> "dict[str, int]":
-        return {
-            "rebuilds": 0,
-            "deltas": 0,
-            "noops": 0,
-            "rows_recomputed": 0,
-            "pendant_fixes": 0,
-            "region_repairs": 0,
-            "region_vertices": 0,
-            "lazy_rows": 0,
-            "lazy_invalidations": 0,
-            "promotions": 0,
-            "point_queries": 0,
-        }
-
-    def _configure(
-        self,
-        wcsr: WeightedCSR,
-        inf: "int | None",
-        max_weight: "int | None",
-        dirty_fraction: float,
-    ) -> None:
-        """Shared constructor core (substrate checks, sentinel, dtype)."""
         if not isinstance(wcsr, WeightedCSR):
             raise GraphError("WeightedDistanceEngine needs a WeightedCSR substrate")
         if not 0.0 <= dirty_fraction <= 1.0:
@@ -431,9 +395,28 @@ class WeightedDistanceEngine:
         self._dtype = np.int32 if 2 * self._inf < 2**31 else np.int64
         self._dirty_fraction = float(dirty_fraction)
         self._wcsr = wcsr
-        # Lazy row-on-demand state; __init__(rows="lazy") flips these.
-        self._lazy = False
-        self._hot: "np.ndarray | None" = None
+        self._D = np.empty((self._n, self._n), dtype=self._dtype)
+        self._epoch = 0
+        self.stats = {
+            "rebuilds": 0,
+            "deltas": 0,
+            "noops": 0,
+            "rows_recomputed": 0,
+            "pendant_fixes": 0,
+            "region_repairs": 0,
+            "region_vertices": 0,
+            "lazy_rows": 0,
+            "lazy_invalidations": 0,
+            "promotions": 0,
+            "point_queries": 0,
+        }
+        if rows not in ("full", "lazy"):
+            raise GraphError(f'rows must be "full" or "lazy", got {rows!r}')
+        if rows == "lazy":
+            self._lazy = True
+            self._hot = np.zeros(self._n, dtype=bool)
+        else:
+            self.rebuild()  # sets the full-mode state: _lazy False, _hot None
 
     # ------------------------------------------------------------------
     # Read API (mirrors DistanceEngine)

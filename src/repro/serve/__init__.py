@@ -48,9 +48,10 @@ Bit-identity contract
 Every served answer is bit-identical to the corresponding direct
 library call on the same instance — including disconnected-pair
 ``Cinf`` sentinels, exact ``Fraction`` PoA endpoints, and best-response
-strategy sets.  Batching, the affinity executor, and ``--pool-dir``
-cold starts (attaching a persisted matrix with zero parent rebuilds)
-are pure execution-plan choices; they never change a payload byte.
+strategy sets.  Batching, the affinity executor, and the lazy-rows
+cold start (rows settled on demand, promoted to a full matrix once
+enough are hot) are pure execution-plan choices; they never change a
+payload byte.
 """
 
 from .dispatcher import MicroBatchDispatcher

@@ -3,6 +3,10 @@
 Each connection reads NDJSON lines and spawns one task per request, so
 a single client that writes several lines before reading responses
 still gets its same-instance queries coalesced by the dispatcher.
+At most :data:`MAX_IN_FLIGHT` requests per connection are pending at
+once; past that the loop stops reading until one is answered, so a
+client that writes without reading stalls on TCP backpressure instead
+of growing the server's task set.
 Responses are written under a per-connection lock and matched by
 ``id`` (they may arrive out of order). A TCP request line longer than
 :data:`MAX_LINE_BYTES` is answered with one ``too-large`` error and
@@ -15,7 +19,7 @@ import asyncio
 import contextlib
 import sys
 
-from ..errors import ExperimentError, PoolError
+from ..errors import ReproError
 from .dispatcher import MicroBatchDispatcher
 from .protocol import (
     PROTOCOL_VERSION,
@@ -29,12 +33,16 @@ from .protocol import (
 )
 from .registry import InstanceRegistry
 
-__all__ = ["QueryServer", "run_cli", "MAX_LINE_BYTES"]
+__all__ = ["QueryServer", "run_cli", "MAX_IN_FLIGHT", "MAX_LINE_BYTES"]
 
 #: Longest accepted TCP request line in bytes, newline excluded:
 #: asyncio's default stream limit (64 KiB), passed explicitly to the
 #: listener.
 MAX_LINE_BYTES: int = 2**16
+
+#: Pending requests per connection before the read loop pauses; well
+#: above the default ``--max-batch`` so batching never waits on it.
+MAX_IN_FLIGHT: int = 256
 
 
 async def _skip_line(reader) -> bool:
@@ -47,6 +55,12 @@ async def _skip_line(reader) -> bool:
             await reader.readexactly(exc.consumed)
         except asyncio.IncompleteReadError:
             return False
+
+
+async def _throttle(tasks: "set[asyncio.Task]") -> None:
+    """Wait until fewer than :data:`MAX_IN_FLIGHT` of ``tasks`` are pending."""
+    while len(tasks) >= MAX_IN_FLIGHT:
+        await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
 
 
 class QueryServer:
@@ -179,6 +193,7 @@ class QueryServer:
                 task = asyncio.ensure_future(respond(line))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                await _throttle(tasks)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -239,6 +254,7 @@ class QueryServer:
                 task = asyncio.ensure_future(respond(line))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                await _throttle(tasks)
         finally:
             stop_wait.cancel()
             if tasks:
@@ -250,8 +266,8 @@ def run_cli(args) -> int:
     """Back the ``repro-bbncg serve`` subcommand; returns an exit code."""
     specs = args.instances or ["fig1"]
     try:
-        registry = InstanceRegistry.from_specs(specs, pool_dir=args.pool_dir)
-    except (ExperimentError, PoolError, OSError) as exc:
+        registry = InstanceRegistry.from_specs(specs)
+    except ReproError as exc:
         print(f"!! serve failed to build instances: {exc}", file=sys.stderr)
         return 1
     server = QueryServer(

@@ -185,15 +185,6 @@ class EngineHarness:
             weighted_csr_without_vertex(weighted_csr_from_csr(csr), u), **kwargs
         )
 
-    def from_snapshot(self, csr: CSRAdjacency, matrix: np.ndarray, **kwargs):
-        """Engine adopting a precomputed matrix (copy-on-write).
-
-        Only the unit engine adopts snapshots (the query server's
-        pool-store cold start); snapshot cases run on ``"unit"`` alone.
-        """
-        assert self.kind == "unit", "only the unit engine adopts snapshots"
-        return DistanceEngine.from_snapshot(csr, matrix, **kwargs)
-
     def update(self, engine, csr: CSRAdjacency) -> str:
         """Sync ``engine`` to the (unit) substrate of ``csr``."""
         return engine.update(self.substrate(csr))

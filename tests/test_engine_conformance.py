@@ -5,12 +5,10 @@ promise the same contract: scipy/networkx-exact matrices, delta repairs
 indistinguishable from recomputation, a noop on rolled-back substrates,
 an epoch/staleness guard and read-only views. Each case here runs once
 per engine via the ``engine_harness`` fixture matrix in
-``conftest.py`` — except copy-on-write snapshot adoption, which only
-the unit engine offers — replacing the
-copy-pasted suites that ``test_graphs_engine.py`` and
-``test_weighted_engine.py`` used to carry (those files retain only
-engine-specific behavior: real weights, pendant fast paths, adaptive
-budgets).
+``conftest.py``, replacing the copy-pasted suites that
+``test_graphs_engine.py`` and ``test_weighted_engine.py`` used to carry
+(those files retain only engine-specific behavior: real weights,
+pendant fast paths, adaptive budgets).
 """
 
 from __future__ import annotations
@@ -307,66 +305,6 @@ def test_single_vertex_graph(engine_harness):
     engine = engine_harness.build(g.undirected_csr())
     assert engine.distances().shape == (1, 1)
     assert engine.distance(0, 0) == 0
-
-
-# ----------------------------------------------------------------------
-# Snapshot adoption (copy-on-write) — the serve pool-store contract
-# ----------------------------------------------------------------------
-_UNIT_ONLY = pytest.mark.parametrize("engine_harness", ["unit"], indirect=True)
-
-
-@_UNIT_ONLY
-def test_snapshot_adoption_matches_rebuild(rng, engine_harness):
-    g = random_owned_digraph(rng, 10, p=0.3)
-    built = engine_harness.build(g.undirected_csr())
-    adopted = engine_harness.from_snapshot(g.undirected_csr(), built.matrix)
-    assert adopted.copy_on_write
-    assert adopted.stats["rebuilds"] == 0  # no initial BFS/SSSP paid
-    assert np.array_equal(adopted.distances(), built.distances())
-    assert adopted.matrix.dtype == built.matrix.dtype
-    assert adopted.inf == built.inf
-
-
-@_UNIT_ONLY
-def test_snapshot_repairs_equal_recompute_and_never_write_source(rng, engine_harness):
-    g = random_owned_digraph(rng, 9, p=0.3)
-    built = engine_harness.build(g.undirected_csr())
-    source = np.asarray(built.matrix).copy()
-    frozen = source.copy()
-    frozen.flags.writeable = False
-    adopted = engine_harness.from_snapshot(g.undirected_csr(), frozen)
-    for _ in range(6):
-        random_strategy_swap(rng, g)
-        adopted_status = engine_harness.update(adopted, g.undirected_csr())
-        assert np.array_equal(adopted.distances(), scipy_distance_oracle(g))
-        if adopted_status != "noop":
-            assert not adopted.copy_on_write
-    # The adopted buffer was never written, even across repairs/rebuilds.
-    assert np.array_equal(np.asarray(frozen), source)
-
-
-@_UNIT_ONLY
-def test_snapshot_copy_mode_detaches_immediately(rng, engine_harness):
-    g = random_owned_digraph(rng, 7, p=0.35)
-    built = engine_harness.build(g.undirected_csr())
-    adopted = engine_harness.from_snapshot(g.undirected_csr(), built.matrix, copy=True)
-    assert not adopted.copy_on_write
-    assert np.array_equal(adopted.distances(), built.distances())
-
-
-@_UNIT_ONLY
-def test_snapshot_validates_shape_and_dtype(engine_harness):
-    g = OwnedDigraph(4)
-    g.add_arc(0, 1)
-    built = engine_harness.build(g.undirected_csr())
-    with pytest.raises(GraphError):
-        engine_harness.from_snapshot(
-            g.undirected_csr(), np.zeros((3, 3), dtype=built.matrix.dtype)
-        )
-    with pytest.raises(GraphError):
-        engine_harness.from_snapshot(
-            g.undirected_csr(), np.asarray(built.matrix, dtype=np.float64)
-        )
 
 
 # ----------------------------------------------------------------------

@@ -210,17 +210,25 @@ def test_cli_run_failure_surfaces_traceback(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag",
-    [["--extended"], ["--pool"], ["--no-pool"], ["--pool-dir", "x"]],
-    ids=["extended", "pool", "no-pool", "pool-dir"],
+    "argv, message",
+    [
+        (["run", "FIG-2", "--extended"], "unrecognized arguments"),
+        (["run", "FIG-2", "--pool"], "unrecognized arguments"),
+        (["run", "FIG-2", "--no-pool"], "unrecognized arguments"),
+        (["run", "FIG-2", "--pool-dir", "x"], "unrecognized arguments"),
+        (["serve", "--pool-dir", "x"], "unrecognized arguments"),
+        (["pool", "gc", "--dir", "x"], "invalid choice"),
+    ],
+    ids=["extended", "pool", "no-pool", "pool-dir", "serve-pool-dir", "pool-gc"],
 )
-def test_cli_run_rejects_removed_flags(flag, capsys):
+def test_cli_run_rejects_removed_flags(argv, message, capsys):
+    """Deleted flags and subcommands are argparse errors (exit 2)."""
     from repro.cli import main
 
     with pytest.raises(SystemExit) as exc:
-        main(["run", "FIG-2", *flag])
+        main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_resume_without_checkpoint_dir_exits_2(capsys):
@@ -229,25 +237,6 @@ def test_cli_resume_without_checkpoint_dir_exits_2(capsys):
     assert main(["run", "FIG-2", "--resume"]) == 2
     err = capsys.readouterr().err
     assert "--resume requires --checkpoint-dir" in err
-
-
-def test_cli_pool_gc_missing_dir_exits_1(tmp_path, capsys):
-    from repro.cli import main
-
-    missing = str(tmp_path / "no-such-store")
-    assert main(["pool", "gc", "--dir", missing]) == 1
-    assert "!! pool gc failed" in capsys.readouterr().err
-    # The failed gc must not have conjured the directory into existence.
-    assert not (tmp_path / "no-such-store").exists()
-
-
-def test_cli_pool_gc_non_store_path_exits_1(tmp_path, capsys):
-    from repro.cli import main
-
-    plain = tmp_path / "plainfile"
-    plain.write_text("not a store")
-    assert main(["pool", "gc", "--dir", str(plain)]) == 1
-    assert "!! pool gc failed" in capsys.readouterr().err
 
 
 def test_cli_batch_run_keeps_going_after_middle_failure(capsys):

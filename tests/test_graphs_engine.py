@@ -2,7 +2,7 @@
 
 The behavior shared with the weighted engine — oracle-exact builds,
 repair-equals-recompute, rollback/noop, epoch staleness, read-only
-views, snapshot copy-on-write — lives in the parametrized conformance
+views — lives in the parametrized conformance
 suite (``test_engine_conformance.py``). This file keeps only what is
 unique to :class:`~repro.graphs.engine.DistanceEngine`: the
 ``from_graph`` construction surface and the adaptive delta-vs-rebuild

@@ -124,6 +124,19 @@ def test_ci_covers_exact_count_unit_n5(version):
     assert sum(c for _, _, c in rep.histogram) == 300
 
 
+@pytest.mark.parametrize("version, exact", [("sum", 84), ("max", 104)])
+def test_wilson_ci_coverage_over_many_seeds_unit_n5(version, exact):
+    """The nominal 95% Wilson interval covers the exact census count in
+    at least 34 of 40 fixed seeds of 200 uniform draws each."""
+    game = BoundedBudgetGame([1] * 5)
+    covered = 0
+    for seed in range(40):
+        rep = sampled_census_scan(game, version, samples=200, seed=seed)
+        lo, hi = rep.eq_count_ci
+        covered += lo <= exact <= hi
+    assert covered >= 34, f"{covered}/40 seeds covered {exact}"
+
+
 def test_full_stratified_draw_is_the_exact_census():
     game = BoundedBudgetGame([1] * 4)
     total = profile_space_size(game)

@@ -25,8 +25,6 @@ from repro.core import DistanceCache, social_cost
 from repro.core.best_response import exact_best_response
 from repro.core.costs import Version
 from repro.core.deviations import deviation_improves
-from repro.core.pool_store import PoolStore, census_graph_digest
-from repro.graphs import DistanceEngine
 from repro.graphs.digraph import OwnedDigraph
 from repro.graphs.distances import cinf
 from repro.serve import (
@@ -253,51 +251,46 @@ def test_sequential_requests_still_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# Pool-dir cold start: attach the persisted matrix, zero rebuilds
+# Cold start and full-mode promotion
 # ----------------------------------------------------------------------
-def test_pool_dir_cold_start_attaches_without_rebuild(tmp_path):
-    g = _fig1()
-    engine = DistanceEngine(g.undirected_csr())
-    store = PoolStore(str(tmp_path))
-    store.publish(
-        census_graph_digest(g),
-        {"D": engine.matrix, "inf": np.asarray([engine.inf], dtype=np.int64)},
-    )
+def test_cold_start_is_lazy():
+    registry = InstanceRegistry.from_graphs({"fig1": _fig1()})
+    info = registry.get("fig1").info()
+    assert info["engine_mode"] == "lazy"
+    assert info["rebuilds"] == 0
+    assert "source" not in info
 
-    registry = InstanceRegistry.from_graphs({"fig1": g}, pool_dir=str(tmp_path))
-    inst = registry.get("fig1")
-    assert inst.source == "disk"
-    info = inst.info()
-    assert info["engine_mode"] == "full"
-    assert info["rebuilds"] == 0  # attached, never rebuilt
+
+def test_full_mode_engine_serves_batched_distances():
+    """A social-cost query promotes the lazy instance to a full matrix;
+    batched distances answered from it stay bit-identical."""
+    g = _fig1()
 
     async def conversation(reader, writer):
-        got = await _rpc(
-            reader,
-            writer,
-            [
-                {"id": 1, "op": "distance", "u": 0, "v": 9},
-                {"id": 2, "op": "distance", "u": 3, "v": 17},
-                {"id": "i", "op": "instances"},
-            ],
+        got = await _rpc(reader, writer, [{"id": "sc", "op": "social_cost"}])
+        got.update(
+            await _rpc(
+                reader,
+                writer,
+                [
+                    {"id": 1, "op": "distance", "u": 0, "v": 9},
+                    {"id": 2, "op": "distance", "u": 3, "v": 17},
+                    {"id": "i", "op": "instances"},
+                ],
+            )
         )
         return got
 
-    got = _serve(registry, conversation, window=0.05)
+    got = _serve({"fig1": g}, conversation, window=0.05)
     cache = DistanceCache(g, rows="lazy")
+    assert got["sc"]["result"]["social_cost"] == social_cost(g)
     assert got[1]["result"]["distance"] == cache.query(0, 9)
     assert got[2]["result"]["distance"] == cache.query(3, 17)
     (served,) = got["i"]["result"]["instances"]
-    assert served["source"] == "disk" and served["rebuilds"] == 0
-    assert got[1]["meta"]["engine_mode"] == "full"
-    assert got[1]["meta"]["settled_fraction"] == 1.0
-
-
-def test_cold_start_without_pool_dir_is_lazy():
-    registry = InstanceRegistry.from_graphs({"fig1": _fig1()})
-    inst = registry.get("fig1")
-    assert inst.source == "lazy"
-    assert inst.info()["engine_mode"] == "lazy"
+    assert served["engine_mode"] == "full" and "source" not in served
+    for i in (1, 2):
+        assert got[i]["meta"]["engine_mode"] == "full"
+        assert got[i]["meta"]["settled_fraction"] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -375,6 +368,58 @@ def test_oversized_line_gets_one_error_and_connection_survives(pieces):
     assert later[2]["result"]["pong"] is True
 
 
+def test_in_flight_cap_pauses_reads(monkeypatch):
+    """A client that pipelines past the cap gets every answer, but the
+    connection never holds more than ``MAX_IN_FLIGHT`` pending requests."""
+    from repro.serve import server as server_mod
+
+    monkeypatch.setattr(server_mod, "MAX_IN_FLIGHT", 4)
+    g = _fig1()
+    pending = 0
+    peak = 0
+
+    async def run():
+        nonlocal pending, peak
+        server = QueryServer(InstanceRegistry.from_graphs({"fig1": g}), window=0.001)
+        handle_line = server.handle_line
+
+        async def counted(line):
+            nonlocal pending, peak
+            pending += 1
+            peak = max(peak, pending)
+            try:
+                await asyncio.sleep(0.002)
+                return await handle_line(line)
+            finally:
+                pending -= 1
+
+        server.handle_line = counted
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            burst = [
+                {"id": i, "op": "distance", "u": i % g.n, "v": (3 * i + 1) % g.n}
+                for i in range(40)
+            ]
+            writer.write(b"".join(json.dumps(r).encode() + b"\n" for r in burst))
+            await writer.drain()
+            lines = [await asyncio.wait_for(reader.readline(), 60) for _ in burst]
+            later = await _rpc(reader, writer, [{"id": "after", "op": "ping"}])
+            return [json.loads(line) for line in lines], later
+        finally:
+            writer.close()
+            await server.stop()
+
+    responses, later = asyncio.run(run())
+    assert 1 < peak <= 4
+    assert sorted(r["id"] for r in responses) == list(range(40))
+    cache = DistanceCache(g, rows="lazy")
+    for r in responses:
+        i = r["id"]
+        assert r["result"]["distance"] == cache.query(i % g.n, (3 * i + 1) % g.n)
+    assert later["after"]["result"]["pong"] is True
+
+
 def test_multiple_instances_route_independently():
     g1 = _fig1()
     g2 = OwnedDigraph.from_strategies([[1], [2], [3], [0]])
@@ -435,6 +480,9 @@ def test_registry_rejects_bad_specs():
 def test_cli_serve_bad_instance_exits_1(capsys):
     assert main(["serve", "--instance", "no-such-construction"]) == 1
     assert "!! serve failed" in capsys.readouterr().err
+    # A construction that rejects its parameters fails the same way.
+    assert main(["serve", "--instance", "spider:0"]) == 1
+    assert "spider needs k >= 1" in capsys.readouterr().err
 
 
 def test_cli_serve_stdio_roundtrip():

@@ -8,7 +8,7 @@ dedicated section pins the weight-1 degeneration: unit-weight engines
 must reproduce the BFS engine's matrices bit-for-bit (same values, same
 dtype, same sentinel). Behavior shared with the unit engine on
 unit-weight substrates — oracle builds, repair-equals-recompute,
-rollback/noop, staleness, read-only views, snapshot copy-on-write — is
+rollback/noop, staleness, read-only views — is
 covered once for both engines in ``test_engine_conformance.py``.
 """
 
