@@ -27,17 +27,15 @@ Seven claims, each asserted (not just timed):
   **zero full rebuilds and zero whole-row recomputes** — every
   deletion resolves in the pendant or affected-region tier.
 
-Timings land in ``BENCH_census.json`` at the repo root so the perf
-trajectory is tracked across PRs.
+Timings land in ``.bench_out/BENCH_census.json`` (see ``conftest.py``);
+the tracked ``BENCH_census.json`` at the repo root is the baseline.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,24 +54,14 @@ from repro.graphs import DistanceEngine, OwnedDigraph
 #: so the timing asserts are advisory there (correctness always runs).
 _STRICT_TIMING = not os.environ.get("CI")
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_census.json"
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into BENCH_census.json."""
-    data = {}
-    if _BENCH_JSON.exists():
-        try:
-            data = json.loads(_BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[key] = payload
-    _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+BENCH_NAME = "census"
 
 
 @pytest.mark.paper_artifact("exact census / incremental kernel speedup")
 @pytest.mark.parametrize("version", ["sum", "max"])
-def test_incremental_census_beats_bruteforce_unit_n5(benchmark, version):
+def test_incremental_census_beats_bruteforce_unit_n5(
+    benchmark, version, bench_record
+):
     """Unit n=5 (1024 profiles): the shipped census configuration
     (Gray walk + engine delta repair + symmetry orbit pruning) must be
     >= 5x faster than the rebuild-per-profile baseline and bit-identical."""
@@ -99,7 +87,7 @@ def test_incremental_census_beats_bruteforce_unit_n5(benchmark, version):
     assert exact_prices(game, version, workers=2, symmetry=True) == brute_report
 
     speedup = brute_s / incremental_s
-    _record(
+    bench_record(
         f"unit_n5_{version}",
         {
             "profiles": brute_report.num_profiles,
@@ -117,7 +105,7 @@ def test_incremental_census_beats_bruteforce_unit_n5(benchmark, version):
 
 
 @pytest.mark.paper_artifact("exact census / unit n=6 unlocked")
-def test_unit_n6_census_under_cap(benchmark):
+def test_unit_n6_census_under_cap(benchmark, bench_record):
     """Unit n=6: 15625 profiles, infeasible for the smoke lane on the
     brute path (~2 ms/profile), seconds on the incremental kernel. The
     exact counts are pinned: they are deterministic whole-space facts."""
@@ -146,7 +134,7 @@ def test_unit_n6_census_under_cap(benchmark):
     for v in ("sum", "max"):
         unpruned = census_scan(game, v, symmetry=False, max_profiles=20_000).report
         assert unpruned == reports[v]
-    _record(
+    bench_record(
         "unit_n6",
         {
             "profiles": 5**6,
@@ -158,7 +146,7 @@ def test_unit_n6_census_under_cap(benchmark):
 
 
 @pytest.mark.paper_artifact("exact census / unit n=7 unlocked")
-def test_unit_n7_census_single_digit_seconds(benchmark):
+def test_unit_n7_census_single_digit_seconds(benchmark, bench_record):
     """Unit n=7: 279936 profiles under the S7 budget symmetry group
     (order 5040) — infeasible per-profile (the unpruned sharded walk
     measures ~10 minutes), single-digit seconds on the canonical-rep-
@@ -182,7 +170,7 @@ def test_unit_n7_census_single_digit_seconds(benchmark):
     assert reports["max"].num_equilibria == 10212
     assert reports["max"].poa == Fraction(3, 2)
     assert reports["sum"].pos == reports["max"].pos == Fraction(1)
-    _record(
+    bench_record(
         "unit_n7",
         {
             "profiles": 6**7,
@@ -209,7 +197,7 @@ _RUN_N8 = os.environ.get("RUN_N8") == "1" or not os.environ.get("CI")
     not _RUN_N8, reason="n=8 census is opt-in under CI (set RUN_N8=1)"
 )
 @pytest.mark.paper_artifact("exact census / unit n=8 unlocked")
-def test_unit_n8_census_cross_validated(benchmark):
+def test_unit_n8_census_cross_validated(benchmark, bench_record):
     """Unit n=8: 5764801 profiles under the S8 budget symmetry group
     (order 40320). The stabilizer-chain canonical walk with two-word
     128-bit orbit keys lands sum+max well under the 'minutes' bar; the
@@ -270,7 +258,7 @@ def test_unit_n8_census_cross_validated(benchmark):
     assert part["eq_count"] == in_window
     assert part["opt"] >= reports["max"].opt_diameter
 
-    _record(
+    bench_record(
         "unit_n8",
         {
             "profiles": 7**8,
@@ -290,7 +278,7 @@ def test_unit_n8_census_cross_validated(benchmark):
 
 
 @pytest.mark.paper_artifact("sampled census / CI coverage at arbitrated sizes")
-def test_sampled_census_covers_exact_counts(benchmark):
+def test_sampled_census_covers_exact_counts(benchmark, bench_record):
     """Monte Carlo sampled census at the sizes where the exhaustive
     census can arbitrate: the Wilson interval on the equilibrium count
     must cover the known exact values (n=6: 120 sum / 480 max; n=7:
@@ -338,7 +326,7 @@ def test_sampled_census_covers_exact_counts(benchmark):
                 str(rep.poa_estimate) if rep.poa_estimate is not None else None
             ),
         }
-    _record("sampled_census", payload)
+    bench_record("sampled_census", payload)
     # 1800 evaluated profiles across four instances: the sampled scan
     # must stay far below the exhaustive walks it stands in for.
     assert not _STRICT_TIMING or elapsed < 30.0, (
@@ -347,7 +335,7 @@ def test_sampled_census_covers_exact_counts(benchmark):
 
 
 @pytest.mark.paper_artifact("distance engine / tree-like fold repairs")
-def test_treelike_fold_dynamics_zero_rebuilds(benchmark):
+def test_treelike_fold_dynamics_zero_rebuilds(benchmark, bench_record):
     """Tree-like fold/dynamics workload: every warm deletion repair in
     the unit engine must resolve below row granularity — 0 full
     rebuilds, 0 whole-row recomputes; only pendant column fixes and
@@ -391,7 +379,7 @@ def test_treelike_fold_dynamics_zero_rebuilds(benchmark):
     assert stats["region_repairs"] > 0, stats
     fresh = DistanceEngine(engine.csr)
     assert np.array_equal(np.asarray(engine.matrix), np.asarray(fresh.matrix))
-    _record(
+    bench_record(
         "treelike_fold",
         {
             "n": n,

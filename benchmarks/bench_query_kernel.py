@@ -8,55 +8,33 @@ Three claims, each asserted (not just timed):
   be at least 10x faster than the full-matrix path that first builds
   every row of ``U(G - u)``. Verdicts are bit-identical.
 * **Point queries are bit-identical to the matrix** — including the
-  ``Cinf`` sentinel on disconnected pairs — for both the unit-BFS fast
-  path and the Dial-bucket weighted path.
+  ``Cinf`` sentinel on disconnected pairs.
 * **The meet-in-the-middle rule settles a small fraction of sparse
   graphs**: on random sparse instances at n = 512 the mean fraction of
   vertices labelled per query stays below one half, the regime where a
   bidirectional stop beats one-sided sweeps.
 
-Timings land in ``BENCH_query.json`` at the repo root so the perf
-trajectory is tracked across PRs.
+Timings land in ``.bench_out/BENCH_query.json`` (see ``conftest.py``);
+the tracked ``BENCH_query.json`` at the repo root is the baseline.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.core import DistanceCache, deviation_improves
 from repro.core.best_response import BestResponseEnvironment
-from repro.graphs import (
-    DistanceEngine,
-    OwnedDigraph,
-    QueryStats,
-    WeightedDistanceEngine,
-    point_to_point,
-    weighted_csr_from_csr,
-)
+from repro.graphs import DistanceEngine, OwnedDigraph, QueryStats, point_to_point
 
 #: Wall-clock comparisons are meaningful on a quiet machine; on shared
 #: CI runners a noisy neighbour can invert margins with no code defect,
 #: so the timing asserts are advisory there (correctness always runs).
 _STRICT_TIMING = not os.environ.get("CI")
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_query.json"
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into BENCH_query.json."""
-    data = {}
-    if _BENCH_JSON.exists():
-        try:
-            data = json.loads(_BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[key] = payload
-    _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+BENCH_NAME = "query"
 
 
 def _sparse_graph(n: int, extra_edges: int, seed: int) -> OwnedDigraph:
@@ -78,7 +56,7 @@ def _sparse_graph(n: int, extra_edges: int, seed: int) -> OwnedDigraph:
 # ----------------------------------------------------------------------
 # Cold single-deviation verdict: lazy query tier vs full-matrix build
 # ----------------------------------------------------------------------
-def test_cold_swap_check_beats_full_matrix_build():
+def test_cold_swap_check_beats_full_matrix_build(bench_record):
     n = 512
     g = _sparse_graph(n, extra_edges=2 * n, seed=7)
     u = 0
@@ -122,7 +100,7 @@ def test_cold_swap_check_beats_full_matrix_build():
 
     assert verdict_lazy == verdict_full == verdict_cold
     speedup = full_s / max(lazy_s, 1e-9)
-    _record(
+    bench_record(
         "cold_swap_check_n512",
         {
             "n": n,
@@ -140,9 +118,9 @@ def test_cold_swap_check_beats_full_matrix_build():
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: kernel answers == matrix entries (unit and weighted)
+# Bit-identity: kernel answers == matrix entries
 # ----------------------------------------------------------------------
-def test_query_bit_identical_to_matrices():
+def test_query_bit_identical_to_matrices(bench_record):
     rng = np.random.default_rng(11)
     checked = 0
     for trial in range(8):
@@ -161,43 +139,18 @@ def test_query_bit_identical_to_matrices():
                     break
         csr = g.undirected_csr()
         unit_ref = np.asarray(DistanceEngine(csr).matrix)
-        wcsr = weighted_csr_from_csr(csr)
         pairs = rng.integers(0, n, size=(24, 2))
         for a, b in pairs:
             a, b = int(a), int(b)
             assert point_to_point(csr, a, b) == int(unit_ref[a, b])
-            assert point_to_point(wcsr, a, b) == int(unit_ref[a, b])
             checked += 1
-    # A genuinely weighted instance drives the Dial-bucket path.
-    n = 40
-    g = _sparse_graph(n, extra_edges=30, seed=3)
-    from repro.graphs.weighted_engine import build_weighted_csr
-
-    rng2 = np.random.default_rng(21)
-    heads, tails, weights = [], [], []
-    for a, b in g.underlying_edges():
-        w = int(rng2.integers(1, 8))
-        heads += [a, b]
-        tails += [b, a]
-        weights += [w, w]
-    wcsr = build_weighted_csr(
-        n,
-        np.asarray(heads, dtype=np.int64),
-        np.asarray(tails, dtype=np.int64),
-        np.asarray(weights, dtype=np.int64),
-    )
-    ref = np.asarray(WeightedDistanceEngine(wcsr).matrix)
-    for a in range(n):
-        for b in range(n):
-            assert point_to_point(wcsr, a, b) == int(ref[a, b])
-            checked += 1
-    _record("bit_identity", {"pairs_checked": checked})
+    bench_record("bit_identity", {"pairs_checked": checked})
 
 
 # ----------------------------------------------------------------------
 # Settled fraction: the meet rule explores a small part of sparse graphs
 # ----------------------------------------------------------------------
-def test_sparse_queries_settle_a_fraction_of_the_graph():
+def test_sparse_queries_settle_a_fraction_of_the_graph(bench_record):
     n = 512
     rng = np.random.default_rng(13)
     fractions = []
@@ -210,7 +163,7 @@ def test_sparse_queries_settle_a_fraction_of_the_graph():
             point_to_point(csr, a, b, stats=stats)
             fractions.append(stats.fraction_settled(n))
     mean_fraction = float(np.mean(fractions))
-    _record(
+    bench_record(
         "settled_fraction_sparse_n512",
         {
             "n": n,

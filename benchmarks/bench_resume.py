@@ -13,16 +13,14 @@ Three claims, each asserted (not just timed):
   total cost of a kill-and-resume cycle are bounded multiples of the
   plain scan (advisory on CI, where noisy neighbours own the clock).
 
-Timings land in ``BENCH_resume.json`` at the repo root so the
-fault-tolerance overhead is tracked across PRs.
+Timings land in ``.bench_out/BENCH_resume.json`` (see ``conftest.py``);
+the tracked ``BENCH_resume.json`` at the repo root is the baseline.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,21 +33,9 @@ from repro.parallel import Fault, FaultPlan, contiguous_shards
 #: so the timing asserts are advisory there (correctness always runs).
 _STRICT_TIMING = not os.environ.get("CI")
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_resume.json"
+BENCH_NAME = "resume"
 
 _RUNTIME_OPTS = {"backoff_base": 0.01, "timeout": 600.0}
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into BENCH_resume.json."""
-    data = {}
-    if _BENCH_JSON.exists():
-        try:
-            data = json.loads(_BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[key] = payload
-    _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _kill_plan(shards, *, attempts=(0,)):
@@ -64,7 +50,7 @@ def _kill_plan(shards, *, attempts=(0,)):
 
 
 @pytest.mark.paper_artifact("fault tolerance / unit n=6 kill-and-resume")
-def test_unit_n6_kill_and_resume_bit_identical(benchmark, tmp_path):
+def test_unit_n6_kill_and_resume_bit_identical(benchmark, tmp_path, bench_record):
     """Unit n=6, 15625 profiles: the checkpointed runtime must match
     the plain census bit for bit — uninterrupted, with every shard's
     worker killed once mid-range, and across quarantine + resume."""
@@ -121,7 +107,7 @@ def test_unit_n6_kill_and_resume_bit_identical(benchmark, tmp_path):
     assert healed.report == ref.report and healed.incomplete is None
 
     overhead = clean_s / plain_s
-    _record(
+    bench_record(
         "unit_n6_max",
         {
             "profiles": total,
@@ -146,7 +132,7 @@ def test_unit_n6_kill_and_resume_bit_identical(benchmark, tmp_path):
 
 
 @pytest.mark.paper_artifact("fault tolerance / weighted census kill-and-resume")
-def test_weighted_kill_and_resume_bit_identical(benchmark, tmp_path):
+def test_weighted_kill_and_resume_bit_identical(benchmark, tmp_path, bench_record):
     """Weighted unit n=5 (pairwise-distinct weights, 1024 profiles):
     killed at injected fault points and resumed, bit-identical."""
     game = BoundedBudgetGame([1] * 5)
@@ -203,7 +189,7 @@ def test_weighted_kill_and_resume_bit_identical(benchmark, tmp_path):
     resume_s = time.perf_counter() - t0
     assert healed == ref
 
-    _record(
+    bench_record(
         "weighted_unit_n5_ramp",
         {
             "profiles": total,

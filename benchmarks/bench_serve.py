@@ -13,8 +13,8 @@ Two claims, each asserted (not just timed):
   social cost, and its dispatcher stats prove the burst rode one
   batch (``max_batch >= 2``) with at least one batched sweep.
 
-Timings land in ``BENCH_serve.json`` at the repo root so the perf
-trajectory is tracked across PRs.
+Timings land in ``.bench_out/BENCH_serve.json`` (see ``conftest.py``);
+the tracked ``BENCH_serve.json`` at the repo root is the baseline.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import asyncio
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -36,21 +35,9 @@ from repro.serve import InstanceRegistry, QueryServer
 #: so the timing asserts are advisory there (correctness always runs).
 _STRICT_TIMING = not os.environ.get("CI")
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+BENCH_NAME = "serve"
 
 _N = 256
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into BENCH_serve.json."""
-    data = {}
-    if _BENCH_JSON.exists():
-        try:
-            data = json.loads(_BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[key] = payload
-    _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _sparse_graph(n: int, extra_edges: int, seed: int) -> OwnedDigraph:
@@ -81,7 +68,7 @@ def _burst_pairs(n: int, sources: int, count: int, seed: int) -> "list[tuple[int
 # ----------------------------------------------------------------------
 # Batched multi-source sweep vs sequential point queries
 # ----------------------------------------------------------------------
-def test_batched_beats_sequential_point_queries():
+def test_batched_beats_sequential_point_queries(bench_record):
     g = _sparse_graph(_N, extra_edges=2 * _N, seed=5)
     pairs = _burst_pairs(_N, sources=8, count=64, seed=9)
 
@@ -102,7 +89,7 @@ def test_batched_beats_sequential_point_queries():
 
     assert np.array_equal(batched, sequential)  # bit-identity, always
     speedup = seq_s / max(batch_s, 1e-9)
-    _record(
+    bench_record(
         "batched_vs_sequential_n256",
         {
             "n": _N,
@@ -125,7 +112,7 @@ def test_batched_beats_sequential_point_queries():
 # ----------------------------------------------------------------------
 # Live server: concurrent burst, one batch, bit-identical answers
 # ----------------------------------------------------------------------
-def test_served_burst_batches_and_matches_library():
+def test_served_burst_batches_and_matches_library(bench_record):
     g = _sparse_graph(_N, extra_edges=2 * _N, seed=5)
     pairs = _burst_pairs(_N, sources=8, count=32, seed=17)
 
@@ -166,7 +153,7 @@ def test_served_burst_batches_and_matches_library():
     assert stats["sweeps"] >= 1
     assert stats["batched_requests"] >= 2
     waits = [got[i]["meta"]["queue_wait_ms"] for i in range(len(pairs))]
-    _record(
+    bench_record(
         "served_burst_n256",
         {
             "n": _N,

@@ -7,7 +7,7 @@ fold, meeting the ``n >= 64`` bar of the acceptance criteria):
 
 * the **weighted swap check** re-run after each fold (the Section 6
   folding-with-verification workload) is >= 5x faster through a
-  :class:`WeightedDistanceCache`: each fold is one pendant arc delta
+  :class:`~repro.core.DistanceCache`: each fold is one pendant arc delta
   forwarded to the whole engine pool instead of a fresh all-pairs BFS
   per player per re-verification — with bit-identical verdict lists;
 * the full **fold-all cascade** is >= 5x faster in place (incremental
@@ -16,16 +16,14 @@ fold, meeting the ``n >= 64`` bar of the acceptance criteria):
 * with warm engines the fold repairs are *pendant column fixes* —
   zero rebuilds, zero dirty-row recomputes.
 
-Timings land in ``BENCH_weighted.json`` at the repo root so the perf
-trajectory is tracked across PRs.
+Timings land in ``.bench_out/BENCH_weighted.json`` (see ``conftest.py``);
+the tracked ``BENCH_weighted.json`` at the repo root is the baseline.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +36,14 @@ from repro.analysis.weighted import (
     poor_leaves,
     weighted_swap_sweep,
 )
-from repro.core import WeightedDistanceCache
+from repro.core import DistanceCache
 from repro.graphs import OwnedDigraph
 
 #: Wall-clock asserts are advisory on shared CI runners (see
 #: bench_exact_census.py); correctness asserts always run.
 _STRICT_TIMING = not os.environ.get("CI")
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_weighted.json"
+BENCH_NAME = "weighted"
 
 #: Instance size (comfortably above the n >= 64 acceptance floor).
 _N = 128
@@ -53,18 +51,6 @@ _CORE = 48
 
 #: Folds interleaved with full swap re-verification.
 _FOLD_CHECKS = 8
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into BENCH_weighted.json."""
-    data = {}
-    if _BENCH_JSON.exists():
-        try:
-            data = json.loads(_BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[key] = payload
-    _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _hub_instance(n: int = _N, core: int = _CORE, span: int = 3) -> WeightedRealization:
@@ -92,7 +78,7 @@ def _fold_and_sweep(use_cache: bool) -> "tuple[list[list[bool]], WeightedRealiza
     steady-state wall-clock splits.
     """
     wr = _hub_instance()
-    cache = WeightedDistanceCache(wr.graph) if use_cache else None
+    cache = DistanceCache(wr.graph) if use_cache else None
     kwargs = {"cache": cache} if use_cache else {}
     t0 = time.perf_counter()
     sweeps = [weighted_swap_sweep(wr, **kwargs)]
@@ -108,7 +94,7 @@ def _fold_and_sweep(use_cache: bool) -> "tuple[list[list[bool]], WeightedRealiza
 
 
 @pytest.mark.paper_artifact("Section 6 / engine-backed swap check speedup")
-def test_swap_check_after_folds_beats_loop_path(benchmark):
+def test_swap_check_after_folds_beats_loop_path(benchmark, bench_record):
     """Re-verifying swap stability after each fold must be >= 5x faster
     on the engine path, with bit-identical verdicts and realizations."""
     ref_sweeps, ref_wr, ref_cold, ref_steady = _fold_and_sweep(use_cache=False)
@@ -120,7 +106,7 @@ def test_swap_check_after_folds_beats_loop_path(benchmark):
     assert ref_wr.weights.tolist() == eng_wr.weights.tolist()
 
     speedup = ref_steady / eng_steady
-    _record(
+    bench_record(
         "swap_check_after_folds_n128",
         {
             "n": _N,
@@ -142,7 +128,7 @@ def test_swap_check_after_folds_beats_loop_path(benchmark):
 
 
 @pytest.mark.paper_artifact("Section 6 / engine-backed fold-all speedup")
-def test_fold_all_beats_loop_path(benchmark):
+def test_fold_all_beats_loop_path(benchmark, bench_record):
     """The full fold cascade (every fringe leaf folds into its hub)
     must be >= 5x faster in place than the copy-and-rescan loop."""
     wr = _hub_instance()
@@ -151,12 +137,12 @@ def test_fold_all_beats_loop_path(benchmark):
     ref = fold_all_poor_leaves(wr)
     loop_s = time.perf_counter() - t0
 
-    cache = WeightedDistanceCache(wr.graph)
+    cache = DistanceCache(wr.graph)
     t0 = time.perf_counter()
     eng = fold_all_poor_leaves(wr, cache=cache)
     engine_s = time.perf_counter() - t0
     benchmark.pedantic(
-        lambda: fold_all_poor_leaves(wr, cache=WeightedDistanceCache(wr.graph)),
+        lambda: fold_all_poor_leaves(wr, cache=DistanceCache(wr.graph)),
         rounds=1,
         iterations=1,
     )
@@ -167,7 +153,7 @@ def test_fold_all_beats_loop_path(benchmark):
     assert int(eng.weights[wr.graph.n - 1]) == 0  # fringe weight absorbed
 
     speedup = loop_s / engine_s
-    _record(
+    bench_record(
         "fold_all_n128",
         {
             "n": _N,
@@ -184,11 +170,11 @@ def test_fold_all_beats_loop_path(benchmark):
 
 
 @pytest.mark.paper_artifact("Section 6 / pendant fast path engages")
-def test_fold_repairs_are_pendant_deltas():
+def test_fold_repairs_are_pendant_deltas(bench_record):
     """With warm engines, a fold cascade repairs via pendant column
     fixes — no rebuilds, no dirty-row recomputes."""
     wr = _hub_instance(32, 12)
-    cache = WeightedDistanceCache(wr.graph)
+    cache = DistanceCache(wr.graph)
     assert is_weighted_weak_equilibrium(wr, cache=cache) == is_weighted_weak_equilibrium(wr)
     # Warm every arc-owning player's engine (the equilibrium check above
     # may early-exit), then measure only the post-fold repairs.
@@ -197,7 +183,7 @@ def test_fold_repairs_are_pendant_deltas():
     folded = fold_all_poor_leaves(wr, cache=cache)
     assert weighted_swap_sweep(folded, cache=cache) == weighted_swap_sweep(folded)
     stats = cache.stats()
-    _record("fold_repair_stats_n32", {k: int(v) for k, v in stats.items()})
+    bench_record("fold_repair_stats_n32", {k: int(v) for k, v in stats.items()})
     assert stats["rebuilds"] == 0
     assert stats["pendant_fixes"] > 0
     assert stats["rows_recomputed"] == 0

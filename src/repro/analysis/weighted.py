@@ -18,10 +18,11 @@ from the proof are implemented and empirically checkable here:
 Engine-backed path
 ------------------
 Every distance-consuming checker in this module takes an optional
-``cache`` — a :class:`~repro.core.distance_cache.WeightedDistanceCache`
-bound to ``wr.graph`` — and then routes all distance queries through
-the incrementally repaired weighted engines instead of fresh per-call
-BFS sweeps: :func:`weighted_sum_cost` becomes one row·weights product,
+``cache`` — a :class:`~repro.core.distance_cache.DistanceCache` bound to
+``wr.graph`` — and then routes all distance queries through the
+incrementally repaired hop-distance engines instead of fresh per-call
+BFS sweeps (vertex weights enter only the cost sums, never the
+distances): :func:`weighted_sum_cost` becomes one row·weights product,
 the swap check evaluates against the cached ``U(G - u)`` matrix via
 :class:`WeightedSwapEnvironment`, and :func:`fold_poor_leaf` /
 :func:`fold_all_poor_leaves` become a weight transfer plus a single-arc
@@ -44,7 +45,7 @@ import numpy as np
 from ..core.best_response import BestResponseEnvironment
 from ..errors import GameError, GraphError, StaleDistanceError
 from ..graphs.digraph import OwnedDigraph
-from ..graphs.engine import LazyRowGather
+from ..graphs.engine import DistanceEngine, LazyRowGather
 
 __all__ = [
     "WeightedRealization",
@@ -129,33 +130,15 @@ class WeightedRealization:
 
 
 def _check_cache(wr: WeightedRealization, cache) -> None:
-    """Refuse caches that would break the bit-identical contract.
+    """Refuse a cache that tracks a *different graph object* than ``wr``.
 
-    Three ways a cache can silently disagree with the loop reference:
-    it tracks a *different graph object*, its edge lengths are not all
-    1 (Section 6 measures hop distances), or its engines' unreachable
-    sentinel exceeds the paper's ``Cinf = n^2`` (a ``max_weight``
-    headroom hint large enough that ``(n-1) * w_max >= n^2`` raises
-    the sentinel, changing every cross-component cost term).
+    Its distances would then describe another realization and silently
+    disagree with the loop reference.
     """
-    from ..graphs.distances import cinf
-
     if cache.graph is not wr.graph:
         raise GameError(
-            "weighted distance cache is bound to a different graph object; "
+            "distance cache is bound to a different graph object; "
             "call cache.rebind(wr.graph) first"
-        )
-    if cache.edge_weights is not None and not cache.edge_weights.is_unit():
-        raise GameError(
-            "Section 6 machinery measures hop distances; the cache must use "
-            "unit edge lengths (edge_weights=None)"
-        )
-    n = wr.graph.n
-    if (n - 1) * cache.max_weight >= cinf(n):
-        raise GameError(
-            f"cache max_weight={cache.max_weight} raises the unreachable "
-            f"sentinel above Cinf = {cinf(n)}; Section 6 machinery needs a "
-            f"cache built without an oversized max_weight hint"
         )
 
 
@@ -218,8 +201,8 @@ def _fold_in_place(wr: WeightedRealization, leaf: int) -> int:
     """Apply one fold to ``wr`` itself; returns the absorbing neighbour.
 
     The supporting arc is removed from the live graph (one revision
-    bump — exactly the pendant deletion the weighted engine repairs
-    with a column/row write) and the weight moves by
+    bump — exactly the pendant deletion the engine repairs with a
+    column/row write) and the weight moves by
     :meth:`WeightedRealization.transfer_weight`.
     """
     owners = wr.graph.in_neighbors(leaf)
@@ -323,7 +306,7 @@ def _swap_block_improves(
     row-min against that exclusion; a candidate block's weighted costs
     reduce to one matrix–vector product. Both the loop reference path
     (``D`` from a fresh per-call BFS) and the engine path (``D`` from a
-    maintained weighted matrix) evaluate through this one helper — the
+    maintained matrix) evaluate through this one helper — the
     paths differ only in where the distances come from.
     """
     n = D.shape[1]
@@ -356,8 +339,8 @@ class WeightedSwapEnvironment:
     :class:`~repro.core.best_response.BestResponseEnvironment`,
     restricted to the Section 6 move set (drop one owned arc, add one).
     It reads the ``U(G - u)`` matrix of a shared
-    :class:`~repro.core.distance_cache.WeightedDistanceCache` engine
-    zero-copy and snapshots *three* freshness tokens: the engine epoch,
+    :class:`~repro.core.distance_cache.DistanceCache` engine zero-copy
+    and snapshots *three* freshness tokens: the engine epoch,
     the graph revision, and the realization's vertex-weights revision.
     Any read after the substrate, the in-neighbourhood, or the weights
     move on raises :class:`~repro.errors.StaleDistanceError` — in
@@ -381,20 +364,13 @@ class WeightedSwapEnvironment:
             _check_cache(wr, cache)
             engine = cache.player(u)
         elif engine is None:
-            from ..graphs.weighted_engine import (
-                WeightedDistanceEngine,
-                weighted_csr_from_csr,
-            )
-
-            engine = WeightedDistanceEngine(
-                weighted_csr_from_csr(graph.undirected_csr_without(u))
-            )
+            engine = DistanceEngine(graph.undirected_csr_without(u))
         else:
             if engine.n != graph.n:
                 raise GameError(
                     f"engine substrate has {engine.n} vertices, graph has {graph.n}"
                 )
-            if engine.wcsr.degree(u) != 0:
+            if engine.csr.degree(u) != 0:
                 raise GameError(
                     f"engine substrate must isolate player {u} (U(G - u))"
                 )
@@ -406,11 +382,6 @@ class WeightedSwapEnvironment:
         self._epoch = engine.epoch
         self._revision = graph.revision
         self._weights_rev = wr.weights_revision
-        # Fourth freshness token: the cache's edge-length map. An edit
-        # there changes the metric without touching the graph revision,
-        # the engine epoch (until someone syncs), or the vertex weights.
-        self._edge_map = cache.edge_weights if cache is not None else None
-        self._edge_rev = 0 if self._edge_map is None else self._edge_map.revision
         # A lazy engine reads through the row-on-demand facade so that
         # a single check_swap prices against rows of cur ∪ In(u) ∪ {add}
         # only; the full swap_improves sweep still touches ~n rows and
@@ -424,7 +395,7 @@ class WeightedSwapEnvironment:
 
     @property
     def engine(self):
-        """The weighted engine whose matrix this environment reads."""
+        """The engine whose ``U(G - u)`` matrix this environment reads."""
         return self._engine
 
     def is_fresh(self) -> bool:
@@ -448,18 +419,12 @@ class WeightedSwapEnvironment:
                 f"{self._wr.weights_revision} since this environment was "
                 f"built; rebuild the environment"
             )
-        if self._edge_map is not None and self._edge_map.revision != self._edge_rev:
-            raise StaleDistanceError(
-                f"edge lengths moved from revision {self._edge_rev} to "
-                f"{self._edge_map.revision} since this environment was "
-                f"built; rebuild the environment"
-            )
         rev = self._wr.graph.revision
         if rev != self._revision:
             # Same structural re-validation as BestResponseEnvironment:
             # the player's own moves leave U(G - u) and In(u) intact.
             cur = self._wr.graph.undirected_csr_without(self.u)
-            sub = self._engine.wcsr
+            sub = self._engine.csr
             if not (
                 cur.indices.size == sub.indices.size
                 and np.array_equal(cur.indptr, sub.indptr)
@@ -569,7 +534,7 @@ def _weighted_swap_improves(
 
     The retained reference path (no ``cache``/``env``) builds a fresh
     :class:`BestResponseEnvironment` — one all-pairs BFS of ``U(G - u)``
-    per call. ``cache`` replaces that with the maintained weighted
+    per call. ``cache`` replaces that with the maintained ``U(G - u)``
     engine (repaired, not rebuilt, across folds and swaps); ``env``
     reuses a prebuilt :class:`WeightedSwapEnvironment` under its
     staleness contract. All three paths return identical verdicts.
@@ -678,11 +643,7 @@ def weighted_swap_check(
     graph = wr.graph
     if not 0 <= u < graph.n:
         raise GraphError(f"vertex {u} out of range [0, {graph.n})")
-    from ..graphs.weighted_engine import WeightedDistanceEngine, weighted_csr_from_csr
-
-    engine = WeightedDistanceEngine(
-        weighted_csr_from_csr(graph.undirected_csr_without(u)), rows="lazy"
-    )
+    engine = DistanceEngine(graph.undirected_csr_without(u), rows="lazy")
     return WeightedSwapEnvironment(wr, u, engine=engine).check_swap(drop, add)
 
 
@@ -691,8 +652,8 @@ def is_weighted_weak_equilibrium(
 ) -> bool:
     """No active vertex can improve its weighted SUM cost by one swap.
 
-    ``cache`` routes every player's check through the shared weighted
-    engines (the verdict is identical either way); across a fold
+    ``cache`` routes every player's check through the shared engines
+    (the verdict is identical either way); across a fold
     cascade the engines repair one pendant arc per fold instead of
     rebuilding ``n`` matrices per re-verification. Players at local
     diameter 1 are screened off the maintained ``U(G)`` matrix: the
@@ -741,7 +702,7 @@ def check_lemma_6_4(wr: WeightedRealization, *, cache=None) -> Lemma64Report:
 
     In any weighted weak equilibrium this is at most 2 (Lemma 6.4); the
     checker lets tests audit that on folded dynamics output. ``cache``
-    answers each pair through :meth:`WeightedDistanceCache.query` — a
+    answers each pair through :meth:`DistanceCache.query` — a
     maintained-matrix read when the row is hot, one bounded
     bidirectional search when it is not (the unreachable sentinel is
     exactly the ``n^2`` the reference path substitutes either way) —

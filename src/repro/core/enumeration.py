@@ -1507,7 +1507,7 @@ class WeightedCensusReport:
 def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous Gray-rank range of the weighted census.
 
-    Owns a private mutable graph and weighted engine pool; every swap
+    Owns a private mutable graph and distance-engine pool; every swap
     verdict routes through the cache, so consecutive profiles cost one
     single-arc delta repair per touched engine instead of a fresh
     all-pairs BFS per player.
@@ -1521,7 +1521,7 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     # Imported lazily: analysis.weighted consumes core modules, so a
     # top-level import here would cycle through the package __init__s.
     from ..analysis.weighted import WeightedRealization, is_weighted_weak_equilibrium
-    from .distance_cache import WeightedDistanceCache
+    from .distance_cache import DistanceCache
 
     budgets, weights, lo, hi, collect, max_profiles = payload
     game = BoundedBudgetGame(list(budgets))
@@ -1583,14 +1583,14 @@ def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     cursor = start - 1 if resume_rec is not None else lo
     interval = ctx.interval if ctx is not None else 0
     next_cp = start + interval if interval else None
-    cache: "WeightedDistanceCache | None" = None
+    cache: "DistanceCache | None" = None
     wr = None
     active = None
     for rank, graph, swap in gray_profile_walk(
         game, start=cursor, stop=hi, max_profiles=max_profiles
     ):
         if cache is None:
-            cache = WeightedDistanceCache(graph)
+            cache = DistanceCache(graph)
             wr = WeightedRealization(graph=graph, weights=w)
             active = wr.active
         if resume_rec is not None and rank == cursor:

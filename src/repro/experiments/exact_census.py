@@ -17,7 +17,7 @@ profile brute force, just fast enough to put unit ``n = 6`` in reach.
 battery: for each weighted instance the same Gray walk counts the
 profiles that are *weighted weak equilibria* (stable under weighted
 single-arc swaps) via :func:`repro.core.enumeration.weighted_census_scan`,
-with every distance query riding the weighted engine's delta repairs.
+with every distance query riding the distance engines' delta repairs.
 """
 
 from __future__ import annotations

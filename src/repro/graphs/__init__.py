@@ -36,14 +36,6 @@ from .query import (
     point_to_point,
     single_source_distances,
 )
-from .weighted_engine import (
-    EdgeWeightMap,
-    WeightedCSR,
-    WeightedDistanceEngine,
-    build_weighted_csr,
-    weighted_csr_from_csr,
-    weighted_csr_without_vertex,
-)
 from .distances import (
     cinf,
     diameter,
@@ -84,15 +76,9 @@ __all__ = [
     "UNREACHABLE",
     "CSRAdjacency",
     "DistanceEngine",
-    "EdgeWeightMap",
     "LazyRowGather",
     "OwnedDigraph",
     "QueryStats",
-    "WeightedCSR",
-    "WeightedDistanceEngine",
-    "build_weighted_csr",
-    "weighted_csr_from_csr",
-    "weighted_csr_without_vertex",
     "adjacency_table",
     "all_pairs_distances",
     "articulation_points",

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import GraphError, VertexError
-from .csr import CSRAdjacency
+from .csr import CSRAdjacency, neighbor_offsets
 
 __all__ = [
     "UNREACHABLE",
@@ -32,20 +32,6 @@ __all__ = [
 
 #: Sentinel distance for vertices not reachable from the source set.
 UNREACHABLE: int = -1
-
-
-def _gather_frontier_neighbors(csr: CSRAdjacency, frontier: np.ndarray) -> np.ndarray:
-    """All neighbour ids of the frontier, concatenated (with duplicates)."""
-    starts = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # offsets[j] enumerates starts[i] .. starts[i]+counts[i]-1 for each
-    # frontier vertex i, laid out contiguously.
-    cum = np.cumsum(counts)
-    offsets = np.repeat(starts - (cum - counts), counts) + np.arange(total, dtype=np.int64)
-    return csr.indices[offsets]
 
 
 def multi_source_bfs(csr: CSRAdjacency, sources: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -66,9 +52,10 @@ def multi_source_bfs(csr: CSRAdjacency, sources: Sequence[int] | np.ndarray) -> 
     level = 0
     while frontier.size:
         level += 1
-        nbrs = _gather_frontier_neighbors(csr, frontier)
-        if nbrs.size == 0:
+        offsets, _ = neighbor_offsets(csr.indptr, frontier)
+        if offsets.size == 0:
             break
+        nbrs = csr.indices[offsets]
         fresh = nbrs[dist[nbrs] == UNREACHABLE]
         if fresh.size == 0:
             break
@@ -101,13 +88,9 @@ def bfs_parents(csr: CSRAdjacency, source: int) -> tuple[np.ndarray, np.ndarray]
     level = 0
     while frontier.size:
         level += 1
-        starts = csr.indptr[frontier]
-        counts = csr.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
+        offsets, counts = neighbor_offsets(csr.indptr, frontier)
+        if offsets.size == 0:
             break
-        cum = np.cumsum(counts)
-        offsets = np.repeat(starts - (cum - counts), counts) + np.arange(total, dtype=np.int64)
         nbrs = csr.indices[offsets]
         origins = np.repeat(frontier, counts)
         fresh_mask = dist[nbrs] == UNREACHABLE

@@ -18,7 +18,13 @@ import numpy as np
 
 from ..errors import GraphError
 
-__all__ = ["CSRAdjacency", "build_csr", "csr_without_vertex", "csr_degree"]
+__all__ = [
+    "CSRAdjacency",
+    "build_csr",
+    "csr_without_vertex",
+    "csr_degree",
+    "neighbor_offsets",
+]
 
 
 @dataclass(frozen=True)
@@ -132,3 +138,27 @@ def csr_without_vertex(csr: CSRAdjacency, u: int) -> CSRAdjacency:
 def csr_degree(csr: CSRAdjacency) -> np.ndarray:
     """Alias for :meth:`CSRAdjacency.degrees` kept for API symmetry."""
     return csr.degrees()
+
+
+def neighbor_offsets(
+    indptr: np.ndarray, verts: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """CSR offsets of every edge leaving ``verts``, plus per-vertex counts.
+
+    The one frontier-gather kernel of the distance stack: ``offsets``
+    enumerates ``indptr[verts[i]] .. indptr[verts[i] + 1] - 1`` for each
+    ``i`` in turn, so ``indices[offsets]`` lists the neighbours of
+    ``verts[0]``, then of ``verts[1]``, and so on (duplicates kept), and
+    ``np.repeat(np.arange(verts.size), counts)`` is the position in
+    ``verts`` each entry leaves from.
+    """
+    starts = indptr[verts]
+    counts = indptr[verts + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), counts
+    cum = np.cumsum(counts)
+    offsets = np.repeat(starts - (cum - counts), counts) + np.arange(
+        total, dtype=np.int64
+    )
+    return offsets, counts

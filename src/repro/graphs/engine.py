@@ -129,7 +129,7 @@ import numpy as np
 
 from ..errors import GraphError, StaleDistanceError, VertexError
 from .bfs import UNREACHABLE
-from .csr import CSRAdjacency, csr_without_vertex
+from .csr import CSRAdjacency, csr_without_vertex, neighbor_offsets
 from .distances import cinf
 
 __all__ = ["DistanceEngine", "LazyRowGather"]
@@ -212,8 +212,8 @@ def _bfs_flat_frontier(
 
     Writes levels into ``flat`` (the flattened ``(k, n)`` output buffer,
     pre-filled with ``inf``) starting from ``flat[slots * n + verts] =
-    0``. Shared by the unit engine's kernel and the weighted engine's
-    unit-weight fast path — one implementation, two callers. The
+    0``. Shared by the engine's batched kernel and the cold-cache
+    batched pair sweep of :mod:`repro.graphs.query`. The
     ``slots``/``verts`` arrays are never written to (the loop rebinds
     fresh arrays), so callers may pass views.
     """
@@ -221,17 +221,11 @@ def _bfs_flat_frontier(
     level = 0
     while verts.size:
         level += 1
-        starts = indptr[verts]
-        counts = indptr[verts + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
+        offsets, counts = neighbor_offsets(indptr, verts)
+        if offsets.size == 0:
             break
-        cum = np.cumsum(counts)
-        offsets = np.repeat(starts - (cum - counts), counts) + np.arange(
-            total, dtype=np.int64
-        )
-        nbrs = indices[offsets]
-        idx = np.repeat(slots, counts) * n + nbrs
+        idx = np.repeat(slots * n, counts)
+        idx += indices[offsets]
         idx = idx[flat[idx] == inf]
         if idx.size == 0:
             break
@@ -248,38 +242,28 @@ def _bfs_flat_frontier(
 
 
 def _gather_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray
+    indptr: np.ndarray, verts: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
     """CSR offsets of every edge leaving ``verts``, plus the owner index.
 
-    ``offsets[e]`` indexes ``indices`` (and an aligned weights array);
-    ``owner[e]`` is the position in ``verts`` the edge leaves from.
+    ``owner[e]`` is the position in ``verts`` edge ``e`` leaves from.
     """
-    starts = indptr[verts]
-    counts = indptr[verts + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cum = np.cumsum(counts)
-    offsets = np.repeat(starts - (cum - counts), counts) + np.arange(
-        total, dtype=np.int64
-    )
-    owner = np.repeat(np.arange(verts.size, dtype=np.int64), counts)
-    return offsets, owner
+    offsets, counts = neighbor_offsets(indptr, verts)
+    return offsets, np.repeat(np.arange(verts.size, dtype=np.int64), counts)
 
 
 def _deletion_roots(
-    D: np.ndarray, x: int, y: int, w: int, sources: np.ndarray
+    D: np.ndarray, x: int, y: int, sources: np.ndarray
 ) -> np.ndarray:
     """Downhill endpoint of the removed edge ``{x, y}`` per dirty source.
 
     For a source ``s`` dirtied by the deletion, exactly one endpoint is
-    downhill (``d(s, y) = d(s, x) + w`` or vice versa); that endpoint
+    downhill (``d(s, y) = d(s, x) + 1`` or vice versa); that endpoint
     lost its only tight parent and seeds the affected region.
     """
     dx = D[sources, x].astype(np.int64)
     dy = D[sources, y].astype(np.int64)
-    return np.where(dy == dx + w, y, x).astype(np.int64)
+    return np.where(dy == dx + 1, y, x).astype(np.int64)
 
 
 def _affected_positions(
@@ -287,7 +271,6 @@ def _affected_positions(
     inf: int,
     indptr: np.ndarray,
     indices: np.ndarray,
-    weights: "np.ndarray | None",
     sources: np.ndarray,
     roots: np.ndarray,
     cap: float,
@@ -298,15 +281,14 @@ def _affected_positions(
     sources at once: ``roots[i]`` (the downhill endpoint that lost its
     only tight parent for ``sources[i]``) seeds the region, and a vertex
     joins iff *every* tight parent — a surviving neighbour ``u`` with
-    ``d(s, u) + w(u, v) = d(s, v)`` w.r.t. the pre-removal matrix ``D``
-    — is already in the region (one unaffected tight parent preserves a
+    ``d(s, u) + 1 = d(s, v)`` w.r.t. the pre-removal matrix ``D`` — is
+    already in the region (one unaffected tight parent preserves a
     shortest path of unchanged length, so the vertex and its whole
     downstream cone keep their distances). Candidates are processed in
     increasing old-distance buckets, so parents are always classified
     before children; the set is a (safe) over-approximation of the
     vertices whose distances actually change.
 
-    ``weights=None`` means the unit regime (every edge length 1).
     Returns ``None`` as soon as the region outgrows ``cap`` — the signal
     to fall back to the dirty-row tier.
     """
@@ -324,7 +306,7 @@ def _affected_positions(
     def push_children(pos: np.ndarray) -> None:
         """Queue the strictly-downhill neighbours of newly marked positions."""
         v = pos % n
-        offsets, owner = _gather_neighbors(indptr, indices, v)
+        offsets, owner = _gather_neighbors(indptr, v)
         if offsets.size == 0:
             return
         tpos = (pos - v)[owner] + indices[offsets]
@@ -351,10 +333,9 @@ def _affected_positions(
         if cand.size == 0:
             continue
         v = cand % n
-        offsets, owner = _gather_neighbors(indptr, indices, v)
+        offsets, owner = _gather_neighbors(indptr, v)
         ppos = (cand - v)[owner] + indices[offsets]
-        w_e = 1 if weights is None else weights[offsets].astype(np.int64)
-        tight = flatD[ppos].astype(np.int64) + w_e == level
+        tight = flatD[ppos].astype(np.int64) + 1 == level
         escape = tight & ~affected[ppos]
         has_escape = np.zeros(cand.size, dtype=bool)
         np.logical_or.at(has_escape, owner, escape)
@@ -375,7 +356,6 @@ def _region_relax(
     inf: int,
     indptr: np.ndarray,
     indices: np.ndarray,
-    weights: "np.ndarray | None",
     positions: np.ndarray,
 ) -> None:
     """Exact in-place recompute of the affected positions.
@@ -386,8 +366,7 @@ def _region_relax(
     settle in one global nondecreasing-label loop. Edges never cross
     source slots, so merging all sources into one schedule is still
     Dijkstra per source; positions left at ``inf`` are genuinely
-    unreachable. Works for unit (``weights=None``) and weighted
-    substrates alike.
+    unreachable.
     """
     n = D.shape[1]
     flatD = D.reshape(-1)
@@ -395,10 +374,9 @@ def _region_relax(
     aff[positions] = True
     flatD[positions] = inf
     v = positions % n
-    offsets, owner = _gather_neighbors(indptr, indices, v)
+    offsets, owner = _gather_neighbors(indptr, v)
     if offsets.size:
-        w_e = 1 if weights is None else weights[offsets].astype(np.int64)
-        cand = flatD[(positions - v)[owner] + indices[offsets]].astype(np.int64) + w_e
+        cand = flatD[(positions - v)[owner] + indices[offsets]].astype(np.int64) + 1
         np.minimum(cand, int(inf), out=cand)
         labels = np.full(positions.size, int(inf), dtype=np.int64)
         np.minimum.at(labels, owner, cand)
@@ -414,17 +392,13 @@ def _region_relax(
         front = remaining[front_mask]
         remaining = remaining[~front_mask]
         fv = front % n
-        offsets, owner = _gather_neighbors(indptr, indices, fv)
+        offsets, owner = _gather_neighbors(indptr, fv)
         if offsets.size == 0:
             continue
-        w_e = 1 if weights is None else weights[offsets].astype(np.int64)
-        nd = np.asarray(m + w_e, dtype=np.int64)
-        if nd.ndim == 0:
-            nd = np.full(offsets.size, int(nd), dtype=np.int64)
         tpos = (front - fv)[owner] + indices[offsets]
-        improve = aff[tpos] & (flatD[tpos].astype(np.int64) > nd)
+        improve = aff[tpos] & (flatD[tpos].astype(np.int64) > m + 1)
         if improve.any():
-            np.minimum.at(flatD, tpos[improve], nd[improve].astype(flatD.dtype))
+            flatD[tpos[improve]] = m + 1
 
 
 def _minplus_through_pivots(
@@ -439,7 +413,7 @@ def _minplus_through_pivots(
     min(d(s, v), d(p, s) + d(p, v))`` over the pivots — sound because
     any strictly shorter new path crosses an inserted/shortened edge
     and hence a pivot, whose row is exact. Shared by the insertion
-    paths of both engines (``add_edge`` and ``update``). ``rows``
+    paths ``add_edge`` and ``update``. ``rows``
     restricts the repair to a subset of rows (a lazy engine's hot set);
     ``None`` means every row.
     """
@@ -957,14 +931,13 @@ class DistanceEngine:
         if dirty_rows.size == 0:
             return rows_spent
         t0 = time.perf_counter()
-        roots = _deletion_roots(self._D, x, y, 1, dirty_rows)
+        roots = _deletion_roots(self._D, x, y, dirty_rows)
         cap = self._region_cap(dirty_rows.size)
         positions = _affected_positions(
             self._D,
             self._inf,
             after_csr.indptr,
             after_csr.indices,
-            None,
             dirty_rows,
             roots,
             cap,
@@ -975,7 +948,6 @@ class DistanceEngine:
                 self._inf,
                 after_csr.indptr,
                 after_csr.indices,
-                None,
                 positions,
             )
             self._observe("region", time.perf_counter() - t0, positions.size)
@@ -1125,14 +1097,13 @@ class DistanceEngine:
         if dirty.size == 0:
             return
         t0 = time.perf_counter()
-        roots = _deletion_roots(self._D, x, y, 1, dirty)
+        roots = _deletion_roots(self._D, x, y, dirty)
         cap = self._region_cap(dirty.size)
         positions = _affected_positions(
             self._D,
             self._inf,
             after_csr.indptr,
             after_csr.indices,
-            None,
             dirty,
             roots,
             cap,
@@ -1143,7 +1114,6 @@ class DistanceEngine:
                 self._inf,
                 after_csr.indptr,
                 after_csr.indices,
-                None,
                 positions,
             )
             self._observe("region", time.perf_counter() - t0, positions.size)
@@ -1329,8 +1299,8 @@ class LazyRowGather:
     environments' indexing code is unchanged. A full-row slice in the
     row position (``D[:, v]``) genuinely needs every row and promotes.
 
-    Works over both engine flavours (anything with ``n``,
-    ``ensure_rows``, ``promote``, ``lazy`` and a ``_D`` buffer).
+    Reads the engine's ``_D`` buffer directly once the touched rows
+    are hot.
     """
 
     __slots__ = ("_engine",)

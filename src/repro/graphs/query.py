@@ -1,24 +1,16 @@
 """Forward-backward bidirectional point-to-point distance queries.
 
-The engines in :mod:`repro.graphs.engine` and
-:mod:`repro.graphs.weighted_engine` answer reads from a maintained
+The engine in :mod:`repro.graphs.engine` answers reads from a maintained
 all-pairs matrix — the right shape for batch best-response sweeps, but
 a single ``(u, v)`` verdict (a swap check, a Lemma 2.2 screen, one PoA
 probe) does not need ``n`` rows of state. This module is the query tier
-beneath them: a Wilson–Zwick style forward-backward search that grows a
-ball around ``u`` and a ball around ``v`` in alternation and stops with
-the standard meet-in-the-middle rule, settling a small fraction of the
-graph on sparse instances instead of sweeping all of it.
-
-Two paths share the public entry point :func:`point_to_point`:
-
-* a **unit-BFS fast path** — level-synchronous frontier expansion on
-  each side, always expanding the smaller frontier; and
-* a **Dial-bucket weighted path** — bidirectional Dijkstra with the
-  same heap-free bucket queues as the weighted engine's batched kernel,
-  taken only when some edge length exceeds 1 (an all-unit
-  :class:`~repro.graphs.weighted_engine.WeightedCSR` degenerates to the
-  BFS path bit-identically).
+beneath it: a Wilson–Zwick style forward-backward search that grows a
+BFS ball around ``u`` and a BFS ball around ``v`` in alternation —
+level-synchronous frontier expansion, always expanding the smaller
+frontier — and stops with the standard meet-in-the-middle rule,
+settling a small fraction of the graph on sparse instances instead of
+sweeping all of it. Every edge has length 1, as everywhere in the
+paper.
 
 Answers follow the engines' sentinel convention exactly: reachable
 pairs return the true distance, unreachable pairs return ``inf`` (the
@@ -26,9 +18,8 @@ paper's ``Cinf = n^2`` by default), so a kernel answer is bit-identical
 to the corresponding full-matrix entry.
 
 Correctness of the stopping rule: per side, labels are exact when
-assigned (BFS levels / settled Dijkstra labels), and a meet candidate
-``d_f(x) + d_b(x)`` is recorded whenever a vertex acquires (or
-improves) its second label — an upper bound realised by an actual
+assigned (BFS levels), and a meet candidate ``d_f(x) + d_b(x)`` is
+recorded whenever a vertex acquires its second label — an upper bound realised by an actual
 ``u``-``x``-``v`` walk. Once the explored radii satisfy ``r_f + r_b >=
 best``, some vertex on a true shortest path is doubly labelled, so
 ``best`` already equals the true distance and the search stops.
@@ -47,7 +38,7 @@ import numpy as np
 
 from ..errors import GraphError, VertexError
 from .bfs import UNREACHABLE, bfs_distances, multi_source_bfs
-from .csr import CSRAdjacency
+from .csr import CSRAdjacency, neighbor_offsets
 
 __all__ = [
     "QueryStats",
@@ -73,37 +64,6 @@ class QueryStats:
     def fraction_settled(self, n: int) -> float:
         """``settled`` as a fraction of ``n`` labels (one ball's worth)."""
         return self.settled / max(1, n)
-
-
-def _default_inf(substrate) -> int:
-    """The engines' default sentinel for this substrate.
-
-    ``Cinf = n^2`` for unit adjacencies; weighted substrates widen it to
-    exceed the largest finite distance ``(n - 1) * w_max``, exactly like
-    :class:`~repro.graphs.weighted_engine.WeightedDistanceEngine`.
-    """
-    n = substrate.n
-    weights = getattr(substrate, "weights", None)
-    if weights is None:
-        return n * n
-    w_max = substrate.max_weight()
-    return max(n * n, (n - 1) * w_max + 1)
-
-
-def _frontier_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray
-) -> np.ndarray:
-    """Concatenated neighbour ids of every vertex in ``verts``."""
-    starts = indptr[verts]
-    counts = indptr[verts + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(counts)
-    offsets = np.repeat(starts - (cum - counts), counts) + np.arange(
-        total, dtype=np.int64
-    )
-    return indices[offsets]
 
 
 def _bidirectional_unit(
@@ -133,7 +93,7 @@ def _bidirectional_unit(
         forward = frontier_f.size <= frontier_b.size
         dist, other = (dist_f, dist_b) if forward else (dist_b, dist_f)
         frontier = frontier_f if forward else frontier_b
-        nbrs = _frontier_neighbors(indptr, indices, frontier)
+        nbrs = indices[neighbor_offsets(indptr, frontier)[0]]
         fresh = nbrs[dist[nbrs] < 0]
         if fresh.size > 1:
             fresh = np.unique(fresh)
@@ -158,98 +118,8 @@ def _bidirectional_unit(
     return best
 
 
-def _pop_bucket(
-    buckets: "dict[int, list[np.ndarray]]",
-    label: int,
-    dist: np.ndarray,
-    settled: np.ndarray,
-) -> np.ndarray:
-    """Live (still-current, unsettled) vertices of bucket ``label``."""
-    idx = np.concatenate(buckets.pop(label))
-    idx = idx[(dist[idx] == label) & ~settled[idx]]
-    if idx.size > 1:
-        idx = np.unique(idx)
-    return idx
-
-
-def _bidirectional_weighted(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    n: int,
-    u: int,
-    v: int,
-    inf: int,
-    stats: "QueryStats | None",
-) -> int:
-    """Bidirectional Dial-bucket Dijkstra; returns the distance or ``inf``."""
-    dist_f = np.full(n, inf, dtype=np.int64)
-    dist_b = np.full(n, inf, dtype=np.int64)
-    settled_f = np.zeros(n, dtype=bool)
-    settled_b = np.zeros(n, dtype=bool)
-    dist_f[u] = 0
-    dist_b[v] = 0
-    buckets_f: "dict[int, list[np.ndarray]]" = {0: [np.asarray([u], dtype=np.int64)]}
-    buckets_b: "dict[int, list[np.ndarray]]" = {0: [np.asarray([v], dtype=np.int64)]}
-    best = int(inf)
-    while buckets_f and buckets_b:
-        top_f = min(buckets_f)
-        top_b = min(buckets_b)
-        # Stale queue entries can only make a top an under-estimate,
-        # which delays the stop by one empty pop — never a wrong answer.
-        if top_f + top_b >= best:
-            break
-        forward = top_f <= top_b
-        if forward:
-            label, dist, other = top_f, dist_f, dist_b
-            settled, buckets = settled_f, buckets_f
-        else:
-            label, dist, other = top_b, dist_b, dist_f
-            settled, buckets = settled_b, buckets_b
-        front = _pop_bucket(buckets, label, dist, settled)
-        if front.size == 0:
-            continue
-        settled[front] = True
-        if stats is not None:
-            stats.settled += int(front.size)
-        starts = indptr[front]
-        counts = indptr[front + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        cum = np.cumsum(counts)
-        offsets = np.repeat(starts - (cum - counts), counts) + np.arange(
-            total, dtype=np.int64
-        )
-        nbrs = indices[offsets]
-        nd = label + weights[offsets].astype(np.int64)
-        improve = (nd < dist[nbrs]) & ~settled[nbrs]
-        nbrs = nbrs[improve]
-        if nbrs.size == 0:
-            continue
-        np.minimum.at(dist, nbrs, nd[improve])
-        if nbrs.size > 1:
-            nbrs = np.unique(nbrs)
-        labels = dist[nbrs]
-        order = np.argsort(labels, kind="stable")
-        labels = labels[order]
-        pushed = nbrs[order]
-        cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-        vals = labels[np.concatenate([[0], cuts])] if cuts.size else labels[:1]
-        for val, seg in zip(vals, np.split(pushed, cuts)):
-            buckets.setdefault(int(val), []).append(seg)
-        # Meet rule: a vertex that just acquired (or improved) its
-        # second label witnesses a real u-x-v walk.
-        met = nbrs[other[nbrs] < inf]
-        if met.size:
-            cand = int((dist[met] + other[met]).min())
-            if cand < best:
-                best = cand
-    return best
-
-
 def point_to_point(
-    substrate: "CSRAdjacency | object",
+    csr: CSRAdjacency,
     u: int,
     v: int,
     *,
@@ -258,37 +128,27 @@ def point_to_point(
 ) -> int:
     """Distance ``u`` to ``v`` by bidirectional search; ``inf`` if apart.
 
-    ``substrate`` is a :class:`~repro.graphs.csr.CSRAdjacency` or a
-    :class:`~repro.graphs.weighted_engine.WeightedCSR`, assumed
-    *symmetric* (an undirected ``U(G)``, as everywhere in this stack) —
-    the backward ball expands over the same arcs. All-unit weighted
-    substrates take the BFS fast path and are bit-identical to the Dial
-    path. The return value matches the corresponding engine
-    matrix entry exactly (``inf``-sentinel convention, defaulting to the
-    engine defaults for the substrate). Pass a :class:`QueryStats` to
-    observe how much of the graph the query settled.
+    ``csr`` is assumed *symmetric* (an undirected ``U(G)``, as
+    everywhere in this stack) — the backward ball expands over the same
+    arcs. The return value matches the corresponding engine matrix
+    entry exactly (``inf``-sentinel convention, defaulting to the
+    engine's ``Cinf = n^2``). Pass a :class:`QueryStats` to observe how
+    much of the graph the query settled.
     """
-    n = substrate.n
+    n = csr.n
     if not 0 <= u < n:
         raise VertexError(u, n)
     if not 0 <= v < n:
         raise VertexError(v, n)
     if inf is None:
-        inf = _default_inf(substrate)
+        inf = n * n
     if u == v:
         return 0
-    weights = getattr(substrate, "weights", None)
-    if weights is None or substrate.max_weight() == 1:
-        return _bidirectional_unit(
-            substrate.indptr, substrate.indices, n, u, v, int(inf), stats
-        )
-    return _bidirectional_weighted(
-        substrate.indptr, substrate.indices, weights, n, u, v, int(inf), stats
-    )
+    return _bidirectional_unit(csr.indptr, csr.indices, n, u, v, int(inf), stats)
 
 
 def batched_pair_distances(
-    substrate: "CSRAdjacency | object",
+    csr: CSRAdjacency,
     pairs: "np.ndarray | Sequence[tuple[int, int]]",
     *,
     inf: "int | None" = None,
@@ -303,8 +163,7 @@ def batched_pair_distances(
     flat-frontier multi-source sweep (the engines' batched BFS kernel)
     over the distinct sources — the per-level numpy gathers are shared
     across every source in flight, so ten concurrent verdicts cost one
-    sweep, not ten searches. Weighted substrates batch through the
-    Dial-bucket kernel instead.
+    sweep, not ten searches.
 
     Returns an ``int64`` array with ``out[i] = dist(pairs[i])`` under
     the same ``inf``-sentinel convention as :func:`point_to_point` —
@@ -318,18 +177,18 @@ def batched_pair_distances(
             f"pairs must be a (k, 2) array of (u, v) endpoints, "
             f"got shape {p.shape}"
         )
-    n = substrate.n
+    n = csr.n
     if p.size and (p.min() < 0 or p.max() >= n):
         bad = int(p.min()) if p.min() < 0 else int(p.max())
         raise VertexError(bad, n)
     if inf is None:
-        inf = _default_inf(substrate)
+        inf = n * n
     k = p.shape[0]
     if k == 0:
         return np.empty(0, dtype=np.int64)
     if k == 1:
         return np.asarray(
-            [point_to_point(substrate, int(p[0, 0]), int(p[0, 1]), inf=inf, stats=stats)],
+            [point_to_point(csr, int(p[0, 0]), int(p[0, 1]), inf=inf, stats=stats)],
             dtype=np.int64,
         )
     # The substrate is symmetric, so sweep from whichever endpoint side
@@ -340,27 +199,18 @@ def batched_pair_distances(
         sources, inv, targets = src_v, inv_v, p[:, 0]
     else:
         sources, inv, targets = src_u, inv_u, p[:, 1]
-    weights = getattr(substrate, "weights", None)
-    if weights is None or substrate.max_weight() == 1:
-        from .engine import _bfs_flat_frontier
+    from .engine import _bfs_flat_frontier
 
-        rows = np.full((sources.size, n), int(inf), dtype=np.int64)
-        _bfs_flat_frontier(
-            substrate.indptr,
-            substrate.indices,
-            n,
-            int(inf),
-            rows.reshape(-1),
-            np.arange(sources.size, dtype=np.int64),
-            sources,
-        )
-    else:
-        from .weighted_engine import WeightedDistanceEngine
-
-        engine = WeightedDistanceEngine(substrate, rows="lazy")
-        rows = engine.distances_from(sources).astype(np.int64)
-        if engine.inf != inf:
-            rows[rows >= engine.inf] = int(inf)
+    rows = np.full((sources.size, n), int(inf), dtype=np.int64)
+    _bfs_flat_frontier(
+        csr.indptr,
+        csr.indices,
+        n,
+        int(inf),
+        rows.reshape(-1),
+        np.arange(sources.size, dtype=np.int64),
+        sources,
+    )
     if stats is not None:
         stats.settled += int(sources.size) * n
     return rows[inv, targets]

@@ -28,7 +28,8 @@ run alive through worker deaths:
   :class:`RuntimeReport` names exactly which rank ranges are missing so
   the caller can degrade to an explicitly-incomplete result.
 
-Workers are real processes (fork where available, spawn otherwise);
+Workers are real processes (fork where available, spawn otherwise),
+each reporting over an event pipe of its own (:class:`_EventPipes`);
 fault injection (:mod:`repro.parallel.faults`) kills them with
 ``os._exit`` mid-shard, so what the tests exercise is genuine process
 death, not a mock. Results are bit-identical for any worker count,
@@ -41,6 +42,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import Empty
@@ -195,7 +197,7 @@ def _worker_main(
     widx: int,
     fn: "Callable[[Any, ShardContext], dict]",
     task_q,
-    event_q,
+    event_conn,
     checkpoint_dir: str,
     fault_plan: "FaultPlan | None",
     interval: int,
@@ -210,7 +212,7 @@ def _worker_main(
             shard_id, payload, resume_state, attempt = item
 
             def emit(rank: int, _sid: int = shard_id) -> None:
-                event_q.put(("hb", widx, _sid, rank))
+                event_conn.send(("hb", widx, _sid, rank))
 
             ctx = ShardContext(
                 shard_id=shard_id,
@@ -231,11 +233,62 @@ def _worker_main(
                 # any other BaseException) must surface as an error
                 # event too — otherwise the worker dies silently and the
                 # shard waits out a full heartbeat-timeout reclamation.
-                event_q.put(("error", widx, shard_id, traceback.format_exc()))
+                event_conn.send(("error", widx, shard_id, traceback.format_exc()))
                 continue
-            event_q.put(("done", widx, shard_id, result))
+            event_conn.send(("done", widx, shard_id, result))
     except (KeyboardInterrupt, EOFError):  # pragma: no cover - teardown races
         pass
+
+
+class _EventPipes:
+    """The workers' event pipes, read as one queue.
+
+    Each worker sends its events down a pipe of its own, whose write
+    end only that worker holds. A worker killed mid-send (an injected
+    ``os._exit``, a stall kill, a real preemption) can then tear only
+    its own pipe, which reads as closed and is dropped. A single queue
+    shared by every worker serialises writers through a cross-process
+    lock: a worker that died holding it, or halfway through a message,
+    silenced every other worker for the rest of the run, so each later
+    shard waited out a heartbeat timeout.
+    """
+
+    def __init__(self) -> None:
+        self._conns: list = []
+        self._ready: deque = deque()
+
+    def add(self, conn) -> None:
+        self._conns.append(conn)
+
+    def _pull(self, timeout: float) -> None:
+        from multiprocessing.connection import wait
+
+        if not self._conns:
+            time.sleep(timeout)
+            return
+        for conn in wait(self._conns, timeout):
+            try:
+                while conn.poll():
+                    self._ready.append(conn.recv())
+            except (EOFError, OSError):  # writer gone, maybe mid-message
+                self._conns.remove(conn)
+                conn.close()
+
+    def get(self, timeout: float = 0.0):
+        """Next event, waiting up to ``timeout`` s; ``Empty`` if none."""
+        if not self._ready:
+            self._pull(timeout)
+        if not self._ready:
+            raise Empty
+        return self._ready.popleft()
+
+    def get_nowait(self):
+        return self.get(0.0)
+
+    def close(self) -> None:
+        for conn in self._conns:
+            conn.close()
+        self._conns.clear()
 
 
 def _drain_pending_events(event_q, handle_event) -> int:
@@ -407,7 +460,7 @@ def run_shards(
             stats["shards_resumed"] += 1
 
     ctx_mp = mp.get_context("fork" if fork_available() else "spawn")
-    event_q = ctx_mp.Queue()
+    event_q = _EventPipes()
     live: "dict[int, dict]" = {}  # widx -> {proc, q, shard, last_hb}
     next_widx = 0
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -420,13 +473,14 @@ def run_shards(
         widx = next_widx
         next_widx += 1
         task_q = ctx_mp.Queue()
+        reader, writer = ctx_mp.Pipe(duplex=False)
         proc = ctx_mp.Process(
             target=_worker_main,
             args=(
                 widx,
                 fn,
                 task_q,
-                event_q,
+                writer,
                 str(directory),
                 fault_plan,
                 checkpoint_interval,
@@ -435,6 +489,9 @@ def run_shards(
             daemon=True,
         )
         proc.start()
+        # The worker holds the only write end, so its death reads as EOF.
+        writer.close()
+        event_q.add(reader)
         live[widx] = {"proc": proc, "q": task_q, "shard": None, "last_hb": time.monotonic()}
         stats["workers_spawned"] += 1
 
@@ -565,7 +622,6 @@ def run_shards(
         # completed during teardown read as incomplete).
         _drain_pending_events(event_q, handle_event)
         event_q.close()
-        event_q.join_thread()
     if timed_out and incomplete_count() > 0:
         raise CheckpointError(
             f"runtime exceeded its {timeout:.1f}s budget with "

@@ -1,18 +1,19 @@
 """Shared-instance registry.
 
 Each served instance owns one realization graph plus the caches every
-query rides on: a unit :class:`~repro.core.DistanceCache` (built
-eagerly) and a weighted realization / cache pair (built on first
-weighted query).  Both caches cold-start in lazy-rows mode and settle
-rows on demand; a query that needs the whole matrix (social cost, PoA)
-promotes the unit engine to full mode.
+query rides on: a :class:`~repro.core.DistanceCache` over the graph
+(built eagerly) and a unit-weight realization with its own
+:class:`~repro.core.DistanceCache` (built on first weighted query).
+Both caches cold-start in lazy-rows mode and settle rows on demand; a
+query that needs the whole matrix (social cost, PoA) promotes the
+graph cache's base engine to full mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.distance_cache import DistanceCache, WeightedDistanceCache
+from ..core.distance_cache import DistanceCache
 from ..errors import ExperimentError
 from ..graphs.digraph import OwnedDigraph
 
@@ -39,7 +40,7 @@ class ServedInstance:
             from ..analysis.weighted import WeightedRealization
 
             wr = WeightedRealization.unit(self.graph)
-            self._weighted = (wr, WeightedDistanceCache(wr.graph, rows="lazy"))
+            self._weighted = (wr, DistanceCache(wr.graph, rows="lazy"))
         return self._weighted
 
     def info(self) -> dict:

@@ -3,14 +3,6 @@
 ``networkx`` and ``scipy`` serve as independent oracles for the
 from-scratch graph substrate; every random test is seeded for
 reproducibility.
-
-The **engine fixture matrix** lives here too: ``engine_harness`` is
-parametrized over every distance-engine implementation that must honor
-the same contract on unit-weight substrates — currently
-:class:`~repro.graphs.engine.DistanceEngine` and
-:class:`~repro.graphs.weighted_engine.WeightedDistanceEngine` — so the
-conformance suite (``test_engine_conformance.py``) runs each case once
-per engine instead of copy-pasting per-engine test files.
 """
 
 from __future__ import annotations
@@ -18,15 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs import (
-    CSRAdjacency,
-    DistanceEngine,
-    OwnedDigraph,
-    WeightedDistanceEngine,
-    csr_without_vertex,
-    weighted_csr_from_csr,
-    weighted_csr_without_vertex,
-)
+from repro.graphs import OwnedDigraph
 
 
 @pytest.fixture
@@ -147,77 +131,6 @@ def random_strategy_swap(rng: np.random.Generator, g: OwnedDigraph) -> None:
     k = min(b if b else int(rng.integers(0, g.n)), len(others))
     new = rng.choice(others, size=k, replace=False) if k else []
     g.set_strategy(u, [int(v) for v in np.atleast_1d(new)])
-
-
-class EngineHarness:
-    """Uniform facade over the engine implementations under conformance.
-
-    Every engine consumes a substrate derived from a unit CSR adjacency
-    and exposes the same read/mutation/staleness API; the harness hides
-    the substrate type so one parametrized test body drives them all.
-    Weighted engines run with all-unit weights here — the regime in
-    which they must be bit-identical to the BFS engine.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-
-    def __repr__(self) -> str:  # pytest id readability
-        return f"EngineHarness({self.kind})"
-
-    def substrate(self, csr: CSRAdjacency):
-        """Engine-native substrate for a unit CSR adjacency."""
-        if self.kind == "unit":
-            return csr
-        return weighted_csr_from_csr(csr)
-
-    def build(self, csr: CSRAdjacency, **kwargs):
-        """Engine over the substrate of ``csr``."""
-        if self.kind == "unit":
-            return DistanceEngine(csr, **kwargs)
-        return WeightedDistanceEngine(weighted_csr_from_csr(csr), **kwargs)
-
-    def build_isolated(self, csr: CSRAdjacency, u: int, **kwargs):
-        """Engine over the substrate of ``csr`` with ``u`` isolated."""
-        if self.kind == "unit":
-            return DistanceEngine(csr_without_vertex(csr, u), **kwargs)
-        return WeightedDistanceEngine(
-            weighted_csr_without_vertex(weighted_csr_from_csr(csr), u), **kwargs
-        )
-
-    def update(self, engine, csr: CSRAdjacency) -> str:
-        """Sync ``engine`` to the (unit) substrate of ``csr``."""
-        return engine.update(self.substrate(csr))
-
-    def remove_edge(self, engine, x: int, y: int) -> str:
-        """Diff-free single-edge removal (the repair-hierarchy entry)."""
-        return engine.remove_edge(x, y)
-
-    def add_edge(self, engine, x: int, y: int) -> str:
-        """Diff-free single-edge insertion."""
-        return engine.add_edge(x, y)
-
-    def current_substrate_csr(self, engine) -> CSRAdjacency:
-        """Unit-CSR view of the engine's current substrate."""
-        if self.kind == "unit":
-            return engine.csr
-        wcsr = engine.wcsr
-        return CSRAdjacency(n=wcsr.n, indptr=wcsr.indptr, indices=wcsr.indices)
-
-    def degree(self, engine, v: int) -> int:
-        """Degree of ``v`` in the engine's current substrate."""
-        sub = engine.csr if self.kind == "unit" else engine.wcsr
-        return sub.degree(v)
-
-
-#: Every engine kind the conformance suite must cover.
-ENGINE_KINDS = ("unit", "weighted-unit")
-
-
-@pytest.fixture(params=ENGINE_KINDS)
-def engine_harness(request) -> EngineHarness:
-    """One :class:`EngineHarness` per engine implementation."""
-    return EngineHarness(request.param)
 
 
 def naive_vertex_cost(g: OwnedDigraph, u: int, version: str) -> int:

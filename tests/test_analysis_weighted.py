@@ -146,7 +146,7 @@ def test_weighted_swap_check_grid_matches_swap_improves():
         _weighted_swap_improves,
         weighted_swap_check,
     )
-    from repro.core.distance_cache import WeightedDistanceCache
+    from repro.core.distance_cache import DistanceCache
 
     rng = np.random.default_rng(5)
     for _ in range(6):
@@ -154,7 +154,7 @@ def test_weighted_swap_check_grid_matches_swap_improves():
         g = random_owned_digraph(rng, n, p=0.35)
         weights = rng.integers(1, 6, n)
         wr = WeightedRealization(graph=g, weights=weights)
-        caches = [None, WeightedDistanceCache(g), WeightedDistanceCache(g, rows="lazy")]
+        caches = [None, DistanceCache(g), DistanceCache(g, rows="lazy")]
         for u in range(n):
             cur = tuple(int(v) for v in g.out_neighbors(u))
             if not cur:
@@ -193,15 +193,12 @@ def test_weighted_swap_check_cold_path_touches_few_rows():
     """A one-off cold verdict must materialise only the rows of
     cur ∪ In(u) ∪ {add}, never promote to a full matrix."""
     from repro.analysis.weighted import WeightedRealization, WeightedSwapEnvironment
-    from repro.graphs import weighted_csr_from_csr
-    from repro.graphs.weighted_engine import WeightedDistanceEngine
+    from repro.graphs import DistanceEngine
 
     g = path_realization(64)
     wr = WeightedRealization.unit(g)
     u = 5
-    engine = WeightedDistanceEngine(
-        weighted_csr_from_csr(g.undirected_csr_without(u)), rows="lazy"
-    )
+    engine = DistanceEngine(g.undirected_csr_without(u), rows="lazy")
     env = WeightedSwapEnvironment(wr, u, engine=engine)
     env.check_swap(6, 40)
     assert engine.lazy
@@ -210,13 +207,10 @@ def test_weighted_swap_check_cold_path_touches_few_rows():
 
 def test_check_lemma_6_4_lazy_cache_matches_reference():
     from repro.analysis.weighted import WeightedRealization, check_lemma_6_4
-    from repro.core.distance_cache import WeightedDistanceCache
+    from repro.core.distance_cache import DistanceCache
 
     wr = WeightedRealization.unit(star_realization(6))
     ref = check_lemma_6_4(wr)
-    for cache in (
-        WeightedDistanceCache(wr.graph),
-        WeightedDistanceCache(wr.graph, rows="lazy"),
-    ):
+    for cache in (DistanceCache(wr.graph), DistanceCache(wr.graph, rows="lazy")):
         got = check_lemma_6_4(wr, cache=cache)
         assert got == ref

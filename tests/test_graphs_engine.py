@@ -1,12 +1,10 @@
-"""Unit-engine-specific tests.
+"""Construction surface and adaptive budget of the distance engine.
 
-The behavior shared with the weighted engine — oracle-exact builds,
-repair-equals-recompute, rollback/noop, epoch staleness, read-only
-views — lives in the parametrized conformance
-suite (``test_engine_conformance.py``). This file keeps only what is
-unique to :class:`~repro.graphs.engine.DistanceEngine`: the
+The engine contract — oracle-exact builds, repair-equals-recompute,
+rollback/noop, epoch staleness, read-only views — lives in the
+conformance suite (``test_engine_conformance.py``). This file keeps the
 ``from_graph`` construction surface and the adaptive delta-vs-rebuild
-budget (the weighted engine only takes fixed fractions).
+budget.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ Four contracts, each driven by randomized instances:
 
 * **query == matrix** — a bidirectional point-to-point answer is
   bit-identical to the corresponding full-matrix entry (including the
-  ``Cinf`` sentinel on disconnected pairs), on unit substrates and on
-  genuinely weighted ones;
+  ``Cinf`` sentinel on disconnected pairs);
 * **lazy repair == recompute** — a lazy engine driven through an
   arbitrary arc-swap/deletion sequence answers every read exactly as a
   fresh full build of the final substrate would;
@@ -27,36 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StaleDistanceError
-from repro.graphs import (
-    DistanceEngine,
-    OwnedDigraph,
-    QueryStats,
-    WeightedDistanceEngine,
-    point_to_point,
-    weighted_csr_from_csr,
-)
-from repro.graphs.weighted_engine import build_weighted_csr
+from repro.graphs import DistanceEngine, QueryStats, point_to_point
 
 from conftest import random_owned_digraph, random_strategy_swap
 
-
-def _random_weighted_csr(rng: np.random.Generator, n: int, p: float, w_max: int):
-    """Random symmetric weighted substrate with weights in [1, w_max]."""
-    heads, tails, weights = [], [], []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < p:
-                w = int(rng.integers(1, w_max + 1))
-                heads += [a, b]
-                tails += [b, a]
-                weights += [w, w]
-    return build_weighted_csr(
-        n,
-        np.asarray(heads, dtype=np.int64),
-        np.asarray(tails, dtype=np.int64),
-        np.asarray(weights, dtype=np.int64),
-    )
-
+# The engine under test; its case ids carry the ``[unit]`` tag of the
+# edge lengths it runs on.
+_UNIT_ENGINE = pytest.mark.parametrize("engine_cls", [DistanceEngine], ids=["unit"])
 
 # ----------------------------------------------------------------------
 # query == full-matrix entry
@@ -80,70 +56,28 @@ def test_unit_query_equals_matrix_entry(n, seed):
             assert stats.settled <= 2 * n
 
 
-@given(
-    n=st.integers(min_value=2, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**31),
-    w_max=st.integers(min_value=1, max_value=9),
-)
-@settings(max_examples=30, deadline=None)
-def test_weighted_query_equals_matrix_entry(n, seed, w_max):
-    rng = np.random.default_rng(seed)
-    wcsr = _random_weighted_csr(rng, n, p=float(rng.uniform(0.1, 0.5)), w_max=w_max)
-    engine = WeightedDistanceEngine(wcsr)
-    ref = np.asarray(engine.matrix)
-    for u in range(n):
-        for v in range(n):
-            assert point_to_point(wcsr, u, v) == int(ref[u, v])
-
-
-@given(
-    n=st.integers(min_value=2, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=25, deadline=None)
-def test_all_unit_weighted_substrate_degenerates_to_bfs_path(n, seed):
-    """A weighted substrate whose weights are all 1 must answer exactly
-    like the unit-CSR BFS fast path on the same edge set."""
-    rng = np.random.default_rng(seed)
-    g = random_owned_digraph(rng, n, p=float(rng.uniform(0.1, 0.5)))
-    csr = g.undirected_csr()
-    wcsr = weighted_csr_from_csr(csr)
-    for u in range(n):
-        for v in range(n):
-            assert point_to_point(wcsr, u, v) == point_to_point(csr, u, v)
-
-
 # ----------------------------------------------------------------------
 # lazy repair == fresh recompute
 # ----------------------------------------------------------------------
-def _engines(csr, kind: str, **kwargs):
-    if kind == "unit":
-        return DistanceEngine(csr, **kwargs)
-    return WeightedDistanceEngine(weighted_csr_from_csr(csr), **kwargs)
-
-
-@pytest.mark.parametrize("kind", ["unit", "weighted-unit"])
+@_UNIT_ENGINE
 @given(
     n=st.integers(min_value=3, max_value=12),
     seed=st.integers(min_value=0, max_value=2**31),
     warm=st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=25, deadline=None)
-def test_lazy_repair_equals_recompute_under_swap_sequences(kind, n, seed, warm):
+def test_lazy_repair_equals_recompute_under_swap_sequences(
+    engine_cls, n, seed, warm
+):
     rng = np.random.default_rng(seed)
     g = random_owned_digraph(rng, n, p=0.3)
-    lazy = _engines(g.undirected_csr(), kind, rows="lazy")
+    lazy = engine_cls(g.undirected_csr(), rows="lazy")
     if warm:
         lazy.ensure_rows(rng.integers(0, n, size=warm))
     for _ in range(6):
         random_strategy_swap(rng, g)
-        sub = (
-            g.undirected_csr()
-            if kind == "unit"
-            else weighted_csr_from_csr(g.undirected_csr())
-        )
-        lazy.update(sub)
-        ref = np.asarray(_engines(g.undirected_csr(), kind).matrix)
+        lazy.update(g.undirected_csr())
+        ref = np.asarray(DistanceEngine(g.undirected_csr()).matrix)
         u, v = int(rng.integers(n)), int(rng.integers(n))
         assert lazy.query(u, v) == int(ref[u, v])
         if lazy.lazy:
@@ -151,22 +85,22 @@ def test_lazy_repair_equals_recompute_under_swap_sequences(kind, n, seed, warm):
             if hot.size:
                 s = int(hot[int(rng.integers(hot.size))])
                 assert np.array_equal(lazy.row(s), ref[s])
-    final = np.asarray(_engines(g.undirected_csr(), kind).matrix)
+    final = np.asarray(DistanceEngine(g.undirected_csr()).matrix)
     assert np.array_equal(np.asarray(lazy.matrix), final)
 
 
-@pytest.mark.parametrize("kind", ["unit", "weighted-unit"])
+@_UNIT_ENGINE
 @given(
     n=st.integers(min_value=4, max_value=12),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=20, deadline=None)
-def test_lazy_repair_equals_recompute_under_deletions(kind, n, seed):
+def test_lazy_repair_equals_recompute_under_deletions(engine_cls, n, seed):
     """Pure deletion sequences exercise the pendant / affected-region /
     dirty-row repair tiers on the hot subset."""
     rng = np.random.default_rng(seed)
     g = random_owned_digraph(rng, n, p=0.4)
-    lazy = _engines(g.undirected_csr(), kind, rows="lazy")
+    lazy = engine_cls(g.undirected_csr(), rows="lazy")
     lazy.ensure_rows([0, n - 1])
     while True:
         csr = g.undirected_csr()
@@ -179,7 +113,7 @@ def test_lazy_repair_equals_recompute_under_deletions(kind, n, seed):
         if g.has_arc(y, x):  # a brace backs the same undirected edge
             g.remove_arc(y, x)
         lazy.remove_edge(x, y)
-        ref = np.asarray(_engines(g.undirected_csr(), kind).matrix)
+        ref = np.asarray(DistanceEngine(g.undirected_csr()).matrix)
         if lazy.lazy:
             for s in lazy.hot_rows().tolist():
                 assert np.array_equal(lazy.row(s), ref[s])
@@ -190,16 +124,16 @@ def test_lazy_repair_equals_recompute_under_deletions(kind, n, seed):
 # ----------------------------------------------------------------------
 # staleness contract
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["unit", "weighted-unit"])
+@_UNIT_ENGINE
 @given(
     n=st.integers(min_value=3, max_value=10),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=20, deadline=None)
-def test_lazy_engine_staleness_contract(kind, n, seed):
+def test_lazy_engine_staleness_contract(engine_cls, n, seed):
     rng = np.random.default_rng(seed)
     g = random_owned_digraph(rng, n, p=0.4)
-    lazy = _engines(g.undirected_csr(), kind, rows="lazy")
+    lazy = engine_cls(g.undirected_csr(), rows="lazy")
     token = lazy.epoch
     lazy.ensure_epoch(token)
     # Reads never stale a token...
@@ -219,9 +153,9 @@ def test_lazy_engine_staleness_contract(kind, n, seed):
 # ----------------------------------------------------------------------
 # promotion threshold monotonicity
 # ----------------------------------------------------------------------
-def _touches_to_promote(kind: str, csr, dirty_fraction: float) -> int:
+def _touches_to_promote(engine_cls, csr, dirty_fraction: float) -> int:
     """Distinct row touches absorbed before the engine leaves lazy mode."""
-    engine = _engines(csr, kind, rows="lazy", dirty_fraction=dirty_fraction)
+    engine = engine_cls(csr, rows="lazy", dirty_fraction=dirty_fraction)
     for touched in range(csr.n):
         if not engine.lazy:
             return touched
@@ -229,7 +163,7 @@ def _touches_to_promote(kind: str, csr, dirty_fraction: float) -> int:
     return csr.n
 
 
-@pytest.mark.parametrize("kind", ["unit", "weighted-unit"])
+@_UNIT_ENGINE
 @given(
     n=st.integers(min_value=3, max_value=16),
     seed=st.integers(min_value=0, max_value=2**31),
@@ -240,7 +174,9 @@ def _touches_to_promote(kind: str, csr, dirty_fraction: float) -> int:
     ),
 )
 @settings(max_examples=25, deadline=None)
-def test_promotion_touches_monotone_in_dirty_fraction(kind, n, seed, fractions):
+def test_promotion_touches_monotone_in_dirty_fraction(
+    engine_cls, n, seed, fractions
+):
     """Under the fixed cost model the promotion threshold is
     ``max(1, dirty_fraction * n)``, so the touches a lazy engine absorbs
     before promoting never decrease as ``dirty_fraction`` grows."""
@@ -249,8 +185,8 @@ def test_promotion_touches_monotone_in_dirty_fraction(kind, n, seed, fractions):
     csr = g.undirected_csr()
     prev_f, prev_touches = None, None
     for f in sorted(fractions):
-        touches = _touches_to_promote(kind, csr, f)
-        engine = _engines(csr, kind, rows="lazy", dirty_fraction=f)
+        touches = _touches_to_promote(engine_cls, csr, f)
+        engine = engine_cls(csr, rows="lazy", dirty_fraction=f)
         assert engine.promotion_threshold() == max(1.0, f * n)
         if prev_f is not None:
             assert touches >= prev_touches, (prev_f, f)

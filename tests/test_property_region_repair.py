@@ -4,9 +4,9 @@ Hypothesis drives random arc-swap / edge-op sequences over *tree-like*
 generators — the regime the affected-region tier exists for (deletions
 dirty many rows but only small regions per row) — and pins:
 
-* affected-region repair == fresh recompute, for both engines, at every
-  step of every sequence (the engines may pick any tier; the matrices
-  must be bit-identical either way);
+* affected-region repair == fresh recompute at every step of every
+  sequence (the engine may pick any tier; the matrices must be
+  bit-identical either way);
 * the unit :class:`~repro.core.distance_cache.DistanceCache` step
   forwarder (rm/add chains replayed into lagging player engines) is
   indistinguishable from a freshly built punctured engine.
@@ -19,9 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance_cache import DistanceCache
-from repro.graphs import DistanceEngine, WeightedDistanceEngine
+from repro.graphs import DistanceEngine
 from repro.graphs.digraph import OwnedDigraph
-from repro.graphs.weighted_engine import weighted_csr_from_csr
 
 from conftest import random_tree_digraph
 
@@ -54,40 +53,6 @@ def test_unit_region_repair_equals_fresh_recompute(seed, n, extra, data):
         x, y = edges[idx]
         engine.remove_edge(x, y)
         fresh = DistanceEngine(engine.csr)
-        assert np.array_equal(np.asarray(engine.matrix), np.asarray(fresh.matrix))
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    n=st.integers(min_value=4, max_value=18),
-    data=st.data(),
-)
-def test_weighted_region_repair_equals_fresh_recompute(seed, n, data):
-    g = _tree_graph(seed, n, 2)
-    weights = data.draw(
-        st.lists(
-            st.integers(min_value=1, max_value=4),
-            min_size=g.num_arcs,
-            max_size=g.num_arcs,
-        )
-    )
-    wcsr = weighted_csr_from_csr(g.undirected_csr())
-    # Reassign arbitrary small positive lengths (both directions equal).
-    warr = wcsr.weights.copy()
-    edges = _edges_of(g)
-    for w, (x, y) in zip(weights, edges):
-        for a, b in ((x, y), (y, x)):
-            lo, hi = int(wcsr.indptr[a]), int(wcsr.indptr[a + 1])
-            pos = lo + int(np.searchsorted(wcsr.indices[lo:hi], b))
-            warr[pos] = w
-    wcsr = type(wcsr)(n=wcsr.n, indptr=wcsr.indptr, indices=wcsr.indices, weights=warr)
-    engine = WeightedDistanceEngine(wcsr, max_weight=4)
-    order = data.draw(st.permutations(range(len(edges))))
-    for idx in order[: min(len(order), 10)]:
-        x, y = edges[idx]
-        engine.remove_edge(x, y)
-        fresh = WeightedDistanceEngine(engine.wcsr, inf=engine.inf)
         assert np.array_equal(np.asarray(engine.matrix), np.asarray(fresh.matrix))
 
 

@@ -1,13 +1,14 @@
-"""Property-based tests for weighted distance-cache coherence.
+"""Property-based tests for the Section 6 machinery on a distance cache.
 
 The metamorphic property throughout, mirroring
-``test_property_engine.py``: any interleaving of strategy swaps, vertex
-weight transfers, and edge-weight edits with distance queries through
-the shared :class:`WeightedDistanceCache` must be indistinguishable
-from recomputing every weighted matrix from scratch — "repair equals
-recompute". Plus the staleness contract: environments captured before
-a substrate change *or a weights-revision bump* must raise instead of
-answering from old state.
+``test_property_engine.py``: any interleaving of strategy swaps and
+vertex weight transfers with distance queries through the shared
+:class:`~repro.core.distance_cache.DistanceCache` must be
+indistinguishable from recomputing every matrix from scratch — "repair
+equals recompute" — and every cached Section 6 checker must answer
+exactly like the loop reference. Plus the staleness contract:
+environments captured before a substrate change *or a weights-revision
+bump* must raise instead of answering from old state.
 """
 
 from __future__ import annotations
@@ -27,15 +28,9 @@ from repro.analysis.weighted import (
     weighted_sum_cost,
     weighted_swap_sweep,
 )
-from repro.core import WeightedDistanceCache
+from repro.core import DistanceCache
 from repro.errors import GameError, StaleDistanceError
-from repro.graphs import (
-    EdgeWeightMap,
-    OwnedDigraph,
-    WeightedDistanceEngine,
-    weighted_csr_from_csr,
-    weighted_csr_without_vertex,
-)
+from repro.graphs import DistanceEngine, OwnedDigraph
 
 
 def _random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> OwnedDigraph:
@@ -54,44 +49,31 @@ def _random_strategy(rng: np.random.Generator, n: int, u: int, size: int) -> lis
     return [int(v) for v in np.atleast_1d(picked)]
 
 
-def _fresh_reference(graph: OwnedDigraph, ew, probe: "int | None") -> np.ndarray:
-    """From-scratch weighted matrix of U(G) (or U(G - probe))."""
-    wcsr = weighted_csr_from_csr(graph.undirected_csr(), ew)
-    if probe is not None:
-        wcsr = weighted_csr_without_vertex(wcsr, probe)
-    kwargs = {} if ew is None else {"max_weight": ew.max_weight()}
-    return WeightedDistanceEngine(wcsr, **kwargs).distances()
+def _fresh_reference(graph: OwnedDigraph, probe: "int | None") -> np.ndarray:
+    """From-scratch distance matrix of U(G) (or U(G - probe))."""
+    if probe is None:
+        return DistanceEngine(graph.undirected_csr()).distances()
+    return DistanceEngine(graph.undirected_csr_without(probe)).distances()
 
 
 @given(
     n=st.integers(min_value=2, max_value=11),
     seed=st.integers(min_value=0, max_value=2**31),
-    use_edge_weights=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_repair_equals_recompute_under_mixed_mutation_sequences(
-    n, seed, use_edge_weights
-):
-    """Random swap / weight-transfer / edge-weight-edit interleavings:
-    cached weighted engines always agree with a from-scratch build of
-    the same substrate."""
+def test_repair_equals_recompute_under_mixed_mutation_sequences(n, seed):
+    """Random swap / weight-transfer interleavings: cached engines
+    always agree with a from-scratch build of the same substrate."""
     rng = np.random.default_rng(seed)
     g = _random_graph(rng, n)
-    ew = EdgeWeightMap() if use_edge_weights else None
     wr = WeightedRealization(
         graph=g, weights=rng.integers(1, 5, size=n).astype(np.int64)
     )
-    cache = WeightedDistanceCache(g, edge_weights=ew, max_weight=6)
+    cache = DistanceCache(g)
     for _ in range(6):
-        op = rng.random()
-        if op < 0.5:
+        if rng.random() < 0.5:
             u = int(rng.integers(n))
             g.set_strategy(u, _random_strategy(rng, n, u, int(rng.integers(0, n))))
-        elif op < 0.75 and ew is not None:
-            edges = g.underlying_edges()
-            if edges:
-                x, y = edges[int(rng.integers(len(edges)))]
-                ew.set_weight(x, y, int(rng.integers(1, 7)))
         else:
             src, dst = rng.choice(n, size=2, replace=False)
             if wr.weights[int(src)] > 0:
@@ -99,12 +81,12 @@ def test_repair_equals_recompute_under_mixed_mutation_sequences(
         if rng.random() < 0.7:  # interleave queries with mutations
             probe = int(rng.integers(n))
             got = cache.player(probe).distances()
-            assert np.array_equal(got, _fresh_reference(g, ew, probe))
+            assert np.array_equal(got, _fresh_reference(g, probe))
             base = cache.base().distances()
-            assert np.array_equal(base, _fresh_reference(g, ew, None))
+            assert np.array_equal(base, _fresh_reference(g, None))
     for probe in range(n):
         got = cache.player(probe).distances()
-        assert np.array_equal(got, _fresh_reference(g, ew, probe))
+        assert np.array_equal(got, _fresh_reference(g, probe))
 
 
 @given(
@@ -121,7 +103,7 @@ def test_cached_section6_checkers_equal_reference(n, seed):
     if w.sum() == 0:
         w[int(rng.integers(n))] = 1
     wr = WeightedRealization(graph=g, weights=w)
-    cache = WeightedDistanceCache(g)
+    cache = DistanceCache(g)
     for u in range(n):
         assert weighted_sum_cost(wr, u) == weighted_sum_cost(wr, u, cache=cache)
         assert _weighted_swap_improves(wr, u) == _weighted_swap_improves(
@@ -138,7 +120,7 @@ def test_cached_section6_checkers_equal_reference(n, seed):
     assert poor_leaves(eng) == []
     # The rebound cache serves the folded working graph coherently.
     assert np.array_equal(
-        cache.base().distances(), _fresh_reference(eng.graph, None, None)
+        cache.base().distances(), _fresh_reference(eng.graph, None)
     )
 
 
@@ -152,7 +134,7 @@ def test_bounded_fold_rounds_match_reference(n, seed, max_rounds):
     rng = np.random.default_rng(seed)
     g = _random_graph(rng, n, p=0.3)
     wr = WeightedRealization(graph=g, weights=np.ones(n, dtype=np.int64))
-    cache = WeightedDistanceCache(g)
+    cache = DistanceCache(g)
     ref = fold_all_poor_leaves(wr, max_rounds=max_rounds)
     eng = fold_all_poor_leaves(wr, max_rounds=max_rounds, cache=cache)
     assert ref.graph == eng.graph
@@ -169,7 +151,7 @@ def test_weights_revision_bump_stales_environment():
     for i in range(5):
         g.add_arc(i, i + 1)
     wr = WeightedRealization(graph=g, weights=np.ones(6, dtype=np.int64))
-    cache = WeightedDistanceCache(g)
+    cache = DistanceCache(g)
     env = WeightedSwapEnvironment(wr, 1, cache=cache)
     assert env.is_fresh()
     verdict = env.swap_improves()
@@ -186,32 +168,11 @@ def test_weights_revision_bump_stales_environment():
     assert isinstance(verdict, bool)
 
 
-def test_edge_weight_edit_stales_environment():
-    """An EdgeWeightMap edit changes the metric without touching the
-    graph revision, the vertex weights, or (until a sync) the engine
-    epoch — the environment must still refuse to answer."""
-    g = OwnedDigraph(4)
-    for i in range(3):
-        g.add_arc(i, i + 1)
-    ew = EdgeWeightMap()
-    wr = WeightedRealization(graph=g, weights=np.ones(4, dtype=np.int64))
-    cache = WeightedDistanceCache(g, edge_weights=ew)
-    env = WeightedSwapEnvironment(wr, 0, cache=cache)
-    env.swap_improves()
-    ew.set_weight(1, 2, 1)  # same length, but the metric *may* have moved
-    assert not env.is_fresh()
-    with pytest.raises(StaleDistanceError):
-        env.swap_improves()
-    # A fresh environment (after the cache resyncs) answers again.
-    env2 = WeightedSwapEnvironment(wr, 0, cache=cache)
-    assert isinstance(env2.swap_improves(), bool)
-
-
 def test_substrate_change_stales_environment_via_epoch():
     rng = np.random.default_rng(3)
     g = _random_graph(rng, 7, p=0.4)
     wr = WeightedRealization(graph=g, weights=np.ones(7, dtype=np.int64))
-    cache = WeightedDistanceCache(g)
+    cache = DistanceCache(g)
     u, v = 1, 4
     env = WeightedSwapEnvironment(wr, u, cache=cache)
     env.swap_improves()
@@ -232,7 +193,7 @@ def test_own_move_keeps_environment_fresh():
     for i in range(4):
         g.add_arc(i, i + 1)
     wr = WeightedRealization(graph=g, weights=np.arange(1, 6, dtype=np.int64))
-    cache = WeightedDistanceCache(g)
+    cache = DistanceCache(g)
     env = WeightedSwapEnvironment(wr, 0, cache=cache)
     before = env.swap_improves()
     g.set_strategy(0, [2])
@@ -245,58 +206,11 @@ def test_cache_graph_identity_guard():
     g1.add_arc(0, 1)
     g2 = g1.copy()
     wr = WeightedRealization(graph=g1, weights=np.ones(4, dtype=np.int64))
-    cache = WeightedDistanceCache(g2)
+    cache = DistanceCache(g2)
     with pytest.raises(GameError):
         weighted_sum_cost(wr, 0, cache=cache)
     with pytest.raises(GameError):
         is_weighted_weak_equilibrium(wr, cache=cache)
-
-
-def test_oversized_sentinel_rejected_by_section6_machinery():
-    # A max_weight hint big enough to raise the engines' sentinel above
-    # Cinf would silently change every cross-component cost term, so
-    # the Section 6 machinery must refuse the cache outright.
-    g = OwnedDigraph(4)
-    g.add_arc(0, 1)
-    g.add_arc(2, 3)
-    wr = WeightedRealization(graph=g, weights=np.ones(4, dtype=np.int64))
-    cache = WeightedDistanceCache(g, max_weight=100)
-    with pytest.raises(GameError):
-        weighted_sum_cost(wr, 0, cache=cache)
-    with pytest.raises(GameError):
-        is_weighted_weak_equilibrium(wr, cache=cache)
-    # A modest hint that keeps the sentinel at Cinf stays bit-identical.
-    small = WeightedDistanceCache(g, max_weight=2)
-    assert weighted_sum_cost(wr, 0, cache=small) == weighted_sum_cost(wr, 0)
-
-
-def test_weight_growth_past_hint_rebuilds_engine_pool():
-    # Raising an edge weight beyond the construction-time headroom must
-    # transparently rebuild the pool with a larger sentinel, not error.
-    g = OwnedDigraph(3)
-    g.add_arc(0, 1)
-    g.add_arc(1, 2)
-    ew = EdgeWeightMap()
-    cache = WeightedDistanceCache(g, edge_weights=ew)
-    assert cache.base().distance(0, 2) == 2
-    ew.set_weight(0, 1, 50)
-    assert cache.max_weight == 1  # grows lazily on the next access
-    assert cache.base().distance(0, 2) == 51
-    assert cache.max_weight == 50
-    assert cache.base().inf > 2 * 50
-    got = cache.player(1).distances()
-    assert np.array_equal(got, _fresh_reference(g, ew, 1))
-
-
-def test_non_unit_edge_weights_rejected_by_section6_machinery():
-    g = OwnedDigraph(3)
-    g.add_arc(0, 1)
-    g.add_arc(1, 2)
-    ew = EdgeWeightMap(overrides={(0, 1): 3})
-    wr = WeightedRealization(graph=g, weights=np.ones(3, dtype=np.int64))
-    cache = WeightedDistanceCache(g, edge_weights=ew)
-    with pytest.raises(GameError):
-        weighted_sum_cost(wr, 0, cache=cache)
 
 
 def test_transfer_weight_validation():
@@ -314,11 +228,11 @@ def test_transfer_weight_validation():
 def test_lru_eviction_bounds_cached_engines():
     rng = np.random.default_rng(9)
     g = _random_graph(rng, 10, p=0.3)
-    cache = WeightedDistanceCache(g, max_player_engines=3)
+    cache = DistanceCache(g, max_player_engines=3)
     for u in range(10):
         cache.player(u)
     stats = cache.stats()
     assert stats["player_engines"] == 3
     assert stats["evictions"] == 7
     got = cache.player(0).distances()
-    assert np.array_equal(got, _fresh_reference(g, None, 0))
+    assert np.array_equal(got, _fresh_reference(g, 0))

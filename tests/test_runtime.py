@@ -540,6 +540,38 @@ def test_drain_pending_events_applies_backlog():
     assert _drain_pending_events(q, seen.append) == 0
 
 
+def test_event_pipes_drop_a_torn_pipe_and_keep_the_rest():
+    # Regression: workers shared one event queue, so a worker killed
+    # halfway through a send silenced every other worker for the rest
+    # of the run. A torn pipe now reads as closed and only it is dropped.
+    import multiprocessing as mp
+    import struct
+    from queue import Empty
+
+    from repro.parallel.runtime import _EventPipes
+
+    events = _EventPipes()
+    torn_r, torn_w = mp.Pipe(duplex=False)
+    ok_r, ok_w = mp.Pipe(duplex=False)
+    events.add(torn_r)
+    events.add(ok_r)
+    # A length header promising more bytes than the dead writer sent.
+    os.write(torn_w.fileno(), struct.pack("!i", 100) + b"partial")
+    torn_w.close()
+    ok_w.send(("hb", 1, 0, 5))
+    seen = []
+    with pytest.raises(Empty):
+        while True:
+            seen.append(events.get(timeout=0.2))
+    assert seen == [("hb", 1, 0, 5)]
+    assert torn_r.closed
+    ok_w.send(("done", 1, 0, {"total": 1}))
+    assert events.get(timeout=1.0) == ("done", 1, 0, {"total": 1})
+    events.close()
+    assert ok_r.closed
+    ok_w.close()
+
+
 def test_shutdown_drain_applies_late_done(tmp_path):
     # Regression: a "done" event emitted while the scheduler was tearing
     # down (here: forced by a deadline shorter than the shard) was

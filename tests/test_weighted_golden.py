@@ -3,8 +3,9 @@
 Every fixture exercised by ``test_analysis_weighted.py`` and
 ``test_section6_checkers.py`` — dynamics-converged equilibria, stars,
 paths, fold cascades, Lemma 6.4 graphs — is re-run here through a
-:class:`WeightedDistanceCache`, and every verdict, cost, fold sequence
-and report must be *bit-identical* to the retained loop path. The
+:class:`~repro.core.distance_cache.DistanceCache`, and every verdict,
+cost, fold sequence and report must be *bit-identical* to the retained
+loop path. The
 weighted census gets the same treatment: incremental Gray-walk vs
 rebuild-per-profile reference vs sharded workers.
 """
@@ -27,7 +28,7 @@ from repro.analysis.weighted import (
 )
 from repro.core import (
     BoundedBudgetGame,
-    WeightedDistanceCache,
+    DistanceCache,
     best_response_dynamics,
     weighted_census_scan,
 )
@@ -37,7 +38,7 @@ from repro.graphs import OwnedDigraph, path_realization, star_realization
 
 def both_paths(wr: WeightedRealization):
     """A fresh cache bound to ``wr.graph`` for the engine path."""
-    return WeightedDistanceCache(wr.graph)
+    return DistanceCache(wr.graph)
 
 
 def assert_checkers_identical(wr: WeightedRealization) -> None:
