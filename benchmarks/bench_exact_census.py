@@ -107,8 +107,9 @@ def test_incremental_census_beats_bruteforce_unit_n5(
 @pytest.mark.paper_artifact("exact census / unit n=6 unlocked")
 def test_unit_n6_census_under_cap(benchmark, bench_record):
     """Unit n=6: 15625 profiles, infeasible for the smoke lane on the
-    brute path (~2 ms/profile), seconds on the incremental kernel. The
-    exact counts are pinned: they are deterministic whole-space facts."""
+    brute path (~2 ms/profile), well under a second on the incremental
+    kernel. The exact counts are pinned: they are deterministic
+    whole-space facts."""
     game = BoundedBudgetGame([1] * 6)
 
     def run():
@@ -129,8 +130,8 @@ def test_unit_n6_census_under_cap(benchmark, bench_record):
     assert reports["max"].poa == Fraction(3, 2)
     # Knob bridge beyond the brute-force budget: the unpruned walk
     # (every profile evaluated) must agree with the pruned kernel bit
-    # for bit. ~15 s/version, which is why it lives in this lane and
-    # not in tier-1.
+    # for bit. About 0.1 s/version on the bitset evaluator; tier-1
+    # runs the same bridge (test_promoted_unit_n6_knob_invariance).
     for v in ("sum", "max"):
         unpruned = census_scan(game, v, symmetry=False, max_profiles=20_000).report
         assert unpruned == reports[v]

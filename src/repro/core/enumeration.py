@@ -12,21 +12,25 @@ enumerable, which buys three things the asymptotic machinery cannot:
 
 Incremental census design
 -------------------------
-The kernel walks the profile space in **Gray order** instead of
-materialising a fresh graph per profile: each player's strategy space
-is laid out in *revolving-door* order (consecutive ``C(n-1, b)``
-combinations differ by dropping one target and adding one), and the
-per-player sequences are composed with a reflected mixed-radix Gray
-code, so consecutive profiles of the whole walk differ by exactly one
-arc swap of one player. That swap is applied in place to a single
-mutable :class:`~repro.graphs.digraph.OwnedDigraph` and repaired by the
-:class:`~repro.graphs.engine.DistanceEngine` delta machinery (via a
-:class:`~repro.core.distance_cache.DistanceCache`), replacing the
-rebuild-per-profile all-pairs BFS of the brute-force path with a
-few-row repair per step. Equilibrium membership screens all players at
-once with the vectorized Lemma 2.2 pass
-(:func:`~repro.core.deviations.screen_best_responders`) over the
-maintained matrix before any per-player ``exact()`` search runs.
+The kernel walks the profile space in **Gray order**: each player's
+strategy space is laid out in *revolving-door* order (consecutive
+``C(n-1, b)`` combinations differ by dropping one target and adding
+one), and the per-player sequences are composed with a reflected
+mixed-radix Gray code, so consecutive profiles of the whole walk differ
+by exactly one arc swap of one player.
+
+The unit census never materialises a graph or repairs a distance
+engine. It hands blocks of Gray digit rows to the batched bitset
+evaluator :func:`~repro.core.census_eval.evaluate_block`: every vertex's
+neighbourhood is one ``int64`` mask (so ``n <= 63``), a BFS is a loop
+of OR levels, and a profile is a Nash equilibrium iff each player's
+cost is no larger than its cost at every one of its ``C(n-1, b_i)``
+strategies — all other profiles on the player's axis of the profile
+space, evaluated as one batch. That is the exact equilibrium test, with
+no best-response search and no Lemma 2.2 screen. The weighted and
+sampled censuses still evaluate each profile on one mutable graph whose
+distances a :class:`~repro.core.distance_cache.DistanceCache` repairs
+swap by swap.
 
 **Symmetry pruning** (``symmetry=True``): players with equal budgets
 induce profile-space orbits under the budget-preserving relabeling
@@ -47,9 +51,9 @@ The sampled census unranks single ranks with Python ints instead.
 
 **Sharding** (``workers > 1``): the Gray rank space splits into
 contiguous ranges (one unranking per shard, then stepping), dispatched
-through :func:`~repro.parallel.executor.parallel_map`; each worker owns
-its own mutable graph and engine pool, and the merge of shard partials
-is order-independent, so reports are identical for any worker count.
+through :func:`~repro.parallel.executor.parallel_map`; the merge of
+shard partials is order-independent, so reports are identical for any
+worker count.
 
 **Key format**: with symmetry pruning each relabeled profile is packed
 into a **two-word (128-bit) key** — cell ``(a, b)`` occupies the bit
@@ -90,9 +94,9 @@ import numpy as np
 from ..errors import CheckpointError, GameError
 from ..graphs.digraph import OwnedDigraph
 from ..graphs.distances import diameter
+from .census_eval import evaluate_block, out_mask_tables
 from .costs import Version
 from .deviations import is_equilibrium
-from .distance_cache import DistanceCache
 from .game import BoundedBudgetGame
 
 __all__ = [
@@ -135,6 +139,20 @@ def _check_symmetry_cap(n: int) -> None:
             f"symmetry pruning packs profiles into two-word 128-bit keys "
             f"and is capped at n = {_MAX_SYMMETRY_N} (n^2 <= 128), "
             f"got n = {n}"
+        )
+
+
+#: The unit census evaluates profiles on one ``int64`` neighbour mask
+#: per vertex (:mod:`repro.core.census_eval`).
+_MAX_BITSET_N: int = 63
+
+
+def _check_bitset_cap(n: int) -> None:
+    """The unit census's bitset evaluator holds ``n`` bits per mask."""
+    if n > _MAX_BITSET_N:
+        raise GameError(
+            f"the census evaluates profiles on int64 neighbour masks and "
+            f"is capped at n = {_MAX_BITSET_N}, got n = {n}"
         )
 
 
@@ -257,6 +275,11 @@ def _profile_tables(
 #: Ranks per decoded Gray block. It is also the orbit-key block of the
 #: symmetry census, so checkpoints of that walk land on multiples of it.
 _ORBIT_BLOCK: int = 2048
+
+#: The symmetric walk buffers canonical rows until this many are pending
+#: and evaluates them in one batch: per-row evaluator calls cost
+#: milliseconds each, a batch of hundreds costs tens of milliseconds.
+_EVAL_BATCH: int = 512
 
 
 def _check_rank_width(total: int) -> None:
@@ -826,26 +849,26 @@ def _expand_orbit(
 def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous Gray-rank range of the census (worker function).
 
-    Owns a private mutable graph, engine pool and orbit keys; returns
-    order-independently mergeable partial aggregates.
+    Profiles are never materialised as graphs: the walks hand blocks of
+    Gray digit rows to :func:`~repro.core.census_eval.evaluate_block`,
+    which decides Nash membership and the diameter of every row with a
+    batched bitset BFS. Returns order-independently mergeable partial
+    aggregates.
 
-    Both walks take their Gray steps from the block decoder
-    :func:`_gray_blocks`, which unranks :data:`_ORBIT_BLOCK` ranks at a
-    time in numpy. With symmetry pruning the shard is a
+    Without symmetry pruning each decoded Gray block is evaluated in one
+    call, split at checkpoint boundaries. With it the shard is a
     **canonical-rep-only walk**: orbit keys advance one decoded block
-    per :meth:`_OrbitKeys.advance_block` call, and the graph (plus its
-    engine pool) is only materialised at the sparse canonical ranks,
-    from their rows of the digit block — skipped profiles never touch
-    the graph at all, which is what breaks the n = 7 barrier.
+    per :meth:`_OrbitKeys.advance_block` call, and the canonical rows
+    (with their orbit sizes) are buffered and evaluated
+    :data:`_EVAL_BATCH` at a time, and always before a checkpoint.
 
     ``ctx`` (a :class:`~repro.parallel.runtime.ShardContext`) makes the
     shard checkpointable: progress records go to the shard journal at
     ``ctx.interval`` rank spacing, and ``ctx.resume_state`` restarts
     the walk mid-range — counters and orbit probe keys restored
-    verbatim, the graph rebuilt at rank ``next_rank - 1`` with one
-    unranking — without re-counting any rank. ``ctx=None`` is the
-    plain :func:`~repro.parallel.executor.parallel_map` path,
-    bit-identical to the checkpointed one.
+    verbatim — without re-counting any rank. ``ctx=None`` is the plain
+    :func:`~repro.parallel.executor.parallel_map` path, bit-identical
+    to the checkpointed one.
     """
     (
         budgets,
@@ -916,91 +939,102 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     _check_cap(game, max_profiles)
     combos, radices, rests = _profile_tables(game)
     _check_rank_width(rests[0])
-    cursor = start - 1 if resume_rec is not None else lo
-    digits = _gray_digits(cursor, radices, rests)
-    graph = OwnedDigraph.from_strategies(
-        [combos[u][digits[u]] for u in range(n)], n
-    )
-    cache = DistanceCache(graph, dirty_fraction="adaptive")
-    if orbit is not None:
-        if resume_rec is not None and resume_rec.orbit_vals is not None:
-            orbit.restore_state(
-                resume_rec.orbit_vals,
-                key_format=resume_rec.orbit_key_format,
-            )
-        else:
-            for a, b in graph.arcs():
-                orbit.toggle(a, b, True)
-    gdigits = list(digits)  # digit vector the materialised graph reflects
+    tables = out_mask_tables(combos)
 
-    def evaluate(pdigits: "list[int]", orbit_size: int) -> None:
-        """Materialise the profile at ``pdigits`` and census it."""
+    def evaluate(rows: np.ndarray, sizes: np.ndarray) -> None:
+        """Census a block of digit rows, each weighted by its orbit size."""
         nonlocal count, eq_count, opt, best_eq, worst_eq
-        for j in range(n):
-            if gdigits[j] != pdigits[j]:
-                graph.set_strategy(j, combos[j][pdigits[j]])
-                gdigits[j] = pdigits[j]
-        d = int(cache.base().matrix.max()) if n > 1 else 0
-        count += orbit_size
-        if opt is None or d < opt:
-            opt = d
-        if is_equilibrium(graph, version, cache=cache):
-            eq_count += orbit_size
-            if best_eq is None or d < best_eq:
-                best_eq = d
-            if worst_eq is None or d > worst_eq:
-                worst_eq = d
-            if collect:
-                key = graph.profile_key()
-                if perms is not None and orbit_size > 1:
+        is_nash, diam = evaluate_block(rows, tables, version)
+        count += int(sizes.sum())
+        d = int(diam.min())
+        opt = d if opt is None else min(opt, d)
+        if not is_nash.any():
+            return
+        eq_count += int(sizes[is_nash].sum())
+        eq_diam = diam[is_nash]
+        d = int(eq_diam.min())
+        best_eq = d if best_eq is None else min(best_eq, d)
+        d = int(eq_diam.max())
+        worst_eq = d if worst_eq is None else max(worst_eq, d)
+        if collect:
+            for row, size in zip(rows[is_nash].tolist(), sizes[is_nash].tolist()):
+                key = tuple(tuple(sorted(combos[u][k])) for u, k in enumerate(row))
+                if perms is not None and size > 1:
                     eq_profiles.extend(_expand_orbit(key, perms))
                 else:
                     eq_profiles.append(key)
 
-    if resume_rec is None:
-        # The cursor rank itself is only censused on a fresh start; a
-        # resumed walk already aggregated it (``[lo, next_rank)`` done).
-        first_size = 1 if orbit is None else orbit.canonical_orbit_size()
-        if first_size is not None:
-            evaluate(digits, first_size)
-
     interval = ctx.interval if ctx is not None else 0
     next_cp = start + interval if interval else None
 
-    blocks = _gray_blocks(rests, _swap_table(combos), cursor + 1, hi, digits)
     if orbit is None:
-        # Every rank is evaluated: apply each swap as a single-arc delta
-        # so the engine pool repairs (and step-forwards) one op at a time.
-        for rank0, block, js, drops, adds in blocks:
-            steps = zip(js.tolist(), drops.tolist(), adds.tolist(), block.tolist())
-            for t, (j, dropped, added, row) in enumerate(steps):
-                rank = rank0 + t
-                graph.remove_arc(j, dropped)
-                graph.add_arc(j, added)
-                gdigits[j] = row[j]
-                evaluate(gdigits, 1)
-                if ctx is not None:
-                    ctx.tick(rank)
-                    if next_cp is not None and rank + 1 >= next_cp and rank + 1 < hi:
-                        save(rank + 1)
-                        next_cp = rank + 1 + interval
-    else:
-        # Canonical-rep-only walk: advance all probe keys per decoded
-        # block in one vectorised pass, and only touch the graph at the
-        # (rare) canonical ranks, whose digits are rows of the block.
-        # Checkpoints land on block boundaries: the probe keys and the
-        # block's last row both describe the block's last rank there,
-        # exactly the ``next_rank - 1`` state a resume rebuilds.
-        for rank0, block, js, drops, adds in blocks:
-            sizes = orbit.advance_block(js, drops, adds)
-            for t in np.flatnonzero(sizes).tolist():
-                evaluate(block[t].tolist(), int(sizes[t]))
-            rank = rank0 + js.size
+        # Every rank is evaluated, one decoded Gray block per call; blocks
+        # end at checkpoint ranks so each record follows its whole block.
+        rank = start
+        while rank < hi:
+            stop = min(hi, rank + _ORBIT_BLOCK, next_cp or hi)
+            evaluate(
+                _gray_digit_block(rank, stop - rank, rests),
+                np.ones(stop - rank, dtype=np.int64),
+            )
+            rank = stop
             if ctx is not None:
                 ctx.tick(rank - 1)
-                if next_cp is not None and rank >= next_cp and rank < hi:
+                if rank >= next_cp and rank < hi:
                     save(rank)
                     next_cp = rank + interval
+        save(hi, done=True)
+        return part()
+
+    # Canonical-rep-only walk: advance all probe keys per decoded block
+    # in one vectorised pass and buffer the (rare) canonical rows for
+    # batched evaluation. Checkpoints land on block boundaries after a
+    # flush: the probe keys then describe the block's last rank, exactly
+    # the ``next_rank - 1`` state a resume restarts from.
+    cursor = start - 1 if resume_rec is not None else lo
+    digits = _gray_digits(cursor, radices, rests)
+    if resume_rec is not None and resume_rec.orbit_vals is not None:
+        orbit.restore_state(
+            resume_rec.orbit_vals, key_format=resume_rec.orbit_key_format
+        )
+    else:
+        for u in range(n):
+            for v in combos[u][digits[u]]:
+                orbit.toggle(u, v, True)
+    pending: "list[tuple[np.ndarray, np.ndarray]]" = []
+
+    def flush() -> None:
+        if pending:
+            evaluate(
+                np.concatenate([rows for rows, _ in pending]),
+                np.concatenate([sizes for _, sizes in pending]),
+            )
+            pending.clear()
+
+    if resume_rec is None:
+        # The cursor rank itself is only censused on a fresh start; a
+        # resumed walk already aggregated it (``[lo, next_rank)`` done).
+        first_size = orbit.canonical_orbit_size()
+        if first_size is not None:
+            pending.append(
+                (np.asarray([digits], dtype=np.int64), np.asarray([first_size]))
+            )
+    blocks = _gray_blocks(rests, _swap_table(combos), cursor + 1, hi, digits)
+    for rank0, block, js, drops, adds in blocks:
+        sizes = orbit.advance_block(js, drops, adds)
+        hits = np.flatnonzero(sizes)
+        if hits.size:
+            pending.append((block[hits], sizes[hits]))
+            if sum(rows.shape[0] for rows, _ in pending) >= _EVAL_BATCH:
+                flush()
+        rank = rank0 + js.size
+        if ctx is not None:
+            ctx.tick(rank - 1)
+            if rank >= next_cp and rank < hi:
+                flush()
+                save(rank)
+                next_cp = rank + interval
+    flush()
     save(hi, done=True)
     return part()
 
@@ -1294,15 +1328,20 @@ def census_scan(
     shard_count: "int | None" = None,
     runtime_opts: "dict | None" = None,
 ) -> CensusResult:
-    """Full equilibrium census via the incremental Gray-order kernel.
+    """Full equilibrium census via the Gray-order walk and the bitset
+    evaluator.
 
     One pass over the profile space (or its canonical orbit
     representatives with ``symmetry=True``) computes the optimal
     diameter, the equilibrium count, and the best/worst equilibrium
-    diameters; ``workers > 1`` splits the rank space into contiguous
-    shards executed through :func:`repro.parallel.executor.parallel_map`;
-    every shard builds its start matrix from scratch. The result is
-    bit-identical for every combination of knobs.
+    diameters. Blocks of profiles go through
+    :func:`~repro.core.census_eval.evaluate_block`, which tests each
+    profile against every strategy of every player; no graph is built
+    and no distance engine runs. Neighbourhoods are ``int64`` masks, so
+    games with ``n > 63`` raise :class:`~repro.errors.GameError`.
+    ``workers > 1`` splits the rank space into contiguous shards
+    executed through :func:`repro.parallel.executor.parallel_map`. The
+    result is bit-identical for every combination of knobs.
 
     ``checkpoint_dir`` switches execution to the fault-tolerant
     work-stealing runtime (:func:`repro.parallel.runtime.run_shards`):
@@ -1318,6 +1357,7 @@ def census_scan(
 
     _reset_census_stats()
     version = Version.coerce(version)
+    _check_bitset_cap(game.n)
     if symmetry:
         _check_symmetry_cap(game.n)
     _check_cap(game, max_profiles)
@@ -1405,11 +1445,11 @@ def enumerate_equilibria(
 ) -> list[OwnedDigraph]:
     """All pure Nash equilibria of a tiny game, by exhaustive check.
 
-    Each profile is tested with the exact per-player engine (with the
-    Lemma 2.2 shortcut), so membership is provably correct. The default
-    incremental kernel returns the identical list (lexicographic
-    profile order) as the ``incremental=False`` rebuild-per-profile
-    reference path.
+    Each profile is tested against every strategy of every player, so
+    membership is provably correct. The default incremental kernel
+    returns the identical list (lexicographic profile order) as the
+    ``incremental=False`` rebuild-per-profile reference path, which
+    runs the exact best-response search on every profile.
     """
     version = Version.coerce(version)
     if not incremental:
@@ -2317,7 +2357,7 @@ def exact_prices(
 
     One pass over the profile space computes the optimal diameter and
     the best/worst equilibrium diameters simultaneously. The default
-    incremental path (Gray-order walk + engine delta repair, optionally
+    incremental path (Gray-order walk + bitset evaluator, optionally
     with ``symmetry`` orbit pruning and ``workers`` shards) returns a
     report bit-identical to the ``incremental=False`` rebuild-per-profile
     reference implementation.

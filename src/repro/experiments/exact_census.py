@@ -7,7 +7,7 @@ checked over the whole space rather than sampled. This is the
 strongest form of machine verification the paper admits.
 
 Runs on the incremental Gray-order census kernel
-(:func:`repro.core.enumeration.census_scan`): one engine-repaired pass
+(:func:`repro.core.enumeration.census_scan`): one bitset-evaluated pass
 per (instance, version) computes the prices *and* collects the
 equilibria, with symmetry orbit pruning on by default and optional
 sharded workers — the numbers are bit-identical to the rebuild-per-

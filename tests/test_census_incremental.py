@@ -1,11 +1,12 @@
 """Golden-equivalence and property tests for the incremental census.
 
-The incremental Gray-order kernel (engine delta repair, symmetry orbit
-pruning, sharded workers) must be *bit-identical* to the rebuild-per-
-profile brute force on every default instance — these tests pin that
-contract, plus the structural invariants it rests on: revolving-door
-adjacency, Gray-walk coverage, engine-repaired distances matching fresh
-BFS at every step, and the budget-symmetry orbit decomposition.
+The incremental Gray-order kernel (batched bitset evaluation, symmetry
+orbit pruning, sharded workers) must be *bit-identical* to the rebuild-
+per-profile brute force on every default instance — these tests pin
+that contract, plus the structural invariants it rests on: revolving-
+door adjacency, Gray-walk coverage, bitset costs matching the
+independent cost functions, and the budget-symmetry orbit
+decomposition.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     BoundedBudgetGame,
     DistanceCache,
+    Version,
     census_scan,
     enumerate_equilibria,
     exact_prices,
@@ -286,6 +288,57 @@ def test_engine_rejects_bad_dirty_fraction_string():
 
 
 # ----------------------------------------------------------------------
+# Bitset evaluator against the independent cost functions (hypothesis)
+# ----------------------------------------------------------------------
+@st.composite
+def _profiles(draw):
+    """Random strategy profiles, n = 1..7, budget-0 players included."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    profile = []
+    for u in range(n):
+        pool = [v for v in range(n) if v != u]
+        budget = draw(st.integers(min_value=0, max_value=n - 1))
+        profile.append(tuple(sorted(draw(st.permutations(pool))[:budget])))
+    return profile
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=_profiles())
+@example(profile=[(), ()])
+@example(profile=[(1,), (0,), (3,), ()])
+@example(profile=[()])
+def test_bitset_evaluator_matches_independent_costs(profile):
+    """Per-player costs equal :func:`all_costs`, the diameter equals
+    :func:`social_cost` (disconnected profiles included), and the Nash
+    verdict equals the exact :func:`is_equilibrium`."""
+    from repro.core import all_costs, is_equilibrium, social_cost
+    from repro.core.census_eval import (
+        diameters,
+        evaluate_block,
+        neighbour_masks,
+        out_mask_tables,
+        source_costs,
+    )
+    from repro.core.enumeration import _profile_tables
+
+    n = len(profile)
+    graph = OwnedDigraph.from_strategies(profile, n)
+    combos, _, _ = _profile_tables(BoundedBudgetGame([len(s) for s in profile]))
+    tables = out_mask_tables(combos)
+    digits = np.asarray([[combos[u].index(s) for u, s in enumerate(profile)]])
+    out = np.asarray([[t[d] for t, d in zip(tables, digits[0])]], dtype=np.int64)
+    nbr, _ = neighbour_masks(out)
+    assert int(diameters(nbr)[0]) == social_cost(graph)
+    for version in ("sum", "max"):
+        v = Version.coerce(version)
+        costs = [int(source_costs(nbr, i, v)[0]) for i in range(n)]
+        assert costs == all_costs(graph, version).tolist()
+        is_nash, diam = evaluate_block(digits, tables, v)
+        assert bool(is_nash[0]) == is_equilibrium(graph, version, method="exact")
+        assert int(diam[0]) == social_cost(graph)
+
+
+# ----------------------------------------------------------------------
 # Vectorized Lemma 2.2 screen
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
@@ -332,6 +385,14 @@ def test_orbit_decomposition_partitions_profile_space():
     assert reps < 81  # pruning actually prunes
 
 
+def test_census_capped_by_bitset_width():
+    # One profile (every budget 0), so the refusal allocates nothing.
+    game = BoundedBudgetGame([0] * 64)
+    assert profile_space_size(game) == 1
+    with pytest.raises(GameError, match="int64 neighbour masks"):
+        census_scan(game, "sum")
+
+
 def test_symmetry_capped_by_key_width():
     # n = 9..11 became legal with the two-word (128-bit) keys; the cap
     # now binds at n = 12 (n^2 = 144 > 128).
@@ -354,15 +415,34 @@ def test_exact_prices_golden_equivalence(label, budgets, version):
     assert exact_prices(game, version, workers=3, symmetry=True) == brute
 
 
-@pytest.mark.parametrize("budgets", [(1, 1, 1), (2, 1, 0), (1, 1, 1, 1), (2, 1, 1, 0)])
+@pytest.mark.parametrize(
+    "budgets",
+    [
+        (1, 1, 1),
+        (2, 1, 0),
+        (1, 1, 1, 1),
+        (2, 1, 1, 0),
+        (0,),
+        (0, 0),
+        (1, 0),
+        (1, 1),
+        (2, 1, 1, 1, 0),
+    ],
+)
 @pytest.mark.parametrize("version", ["sum", "max"])
 def test_enumerate_equilibria_golden_equivalence(budgets, version):
+    """Collected equilibria equal the rebuild-per-profile list exactly
+    (n = 1 and n = 2 included), and so do the reports."""
     game = BoundedBudgetGame(list(budgets))
     brute = enumerate_equilibria(game, version, incremental=False)
+    keys = tuple(g.profile_key() for g in brute)
+    report = exact_prices(game, version, incremental=False)
     for kwargs in ({}, {"symmetry": True}, {"workers": 2, "symmetry": True}):
         fast = enumerate_equilibria(game, version, **kwargs)
-        assert len(fast) == len(brute)
-        assert [g.profile_key() for g in fast] == [g.profile_key() for g in brute]
+        assert [g.profile_key() for g in fast] == list(keys)
+        got = census_scan(game, version, collect_equilibria=True, **kwargs)
+        assert got.equilibria == keys
+        assert got.report == report
 
 
 def test_census_scan_collects_sorted_equilibria():
@@ -464,9 +544,8 @@ def test_default_battery_is_the_promoted_extended_battery():
 
 @pytest.mark.parametrize("version", ["sum", "max"])
 def test_promoted_mixed_n5_knob_invariance(version):
-    """mixed n=5 (576 profiles) is cheap enough to bridge the unpruned
-    walk against every knob combination right here; the n=6 unpruned
-    bridge lives in the census bench lane (it costs ~15 s/version)."""
+    """mixed n=5 (576 profiles): the unpruned walk against every knob
+    combination."""
     game = BoundedBudgetGame([2, 2, 1, 1, 0])
     reference = exact_prices(game, version)
     assert exact_prices(game, version, symmetry=True) == reference
@@ -477,8 +556,9 @@ def test_promoted_mixed_n5_knob_invariance(version):
 @pytest.mark.parametrize("version", ["sum", "max"])
 def test_promoted_unit_n6_knob_invariance(version):
     """unit n=6's pruned-kernel knob combinations agree bit for bit
-    (count-pinned at 120/480 elsewhere; the symmetry-off bridge runs in
-    the census bench lane)."""
+    (count-pinned at 120/480 elsewhere), and so does the unpruned walk,
+    which evaluates all 15625 profiles: the bridge that checks the
+    pruned census's orbit weighting."""
     game = BoundedBudgetGame([1] * 6)
     reference = exact_prices(game, version, symmetry=True, max_profiles=20_000)
     for kwargs in ({"workers": 3}, {"workers": 2}, {"workers": 4}):
@@ -486,6 +566,8 @@ def test_promoted_unit_n6_knob_invariance(version):
             game, version, symmetry=True, max_profiles=20_000, **kwargs
         )
         assert got == reference, kwargs
+    unpruned = census_scan(game, version, symmetry=False, max_profiles=20_000)
+    assert unpruned.report == reference
 
 
 # ----------------------------------------------------------------------

@@ -301,6 +301,60 @@ def test_census_random_fault_plan_with_symmetry(tmp_path):
     assert res.equilibria == ref.equilibria
 
 
+def test_unpruned_census_checkpoints_at_interval_ranks(tmp_path):
+    """Blocks end at checkpoint ranks, so records land every
+    ``checkpoint_interval`` ranks, then a done record at ``hi``."""
+    game = BoundedBudgetGame([2, 1, 1, 1, 0])
+    ref = census_scan(game, "sum", collect_equilibria=True)
+    got = census_scan(
+        game,
+        "sum",
+        collect_equilibria=True,
+        checkpoint_dir=tmp_path,
+        runtime_opts=dict(_RUNTIME_OPTS, checkpoint_interval=100),
+    )
+    assert got == ref
+    records = replay_journal(shard_journal_path(tmp_path, 0)).records
+    assert [r.next_rank for r in records] == [100, 200, 300, 384]
+    assert [r.done for r in records] == [False, False, False, True]
+
+
+@pytest.mark.parametrize(
+    "budgets,symmetry,interval,kill,journaled",
+    [
+        ((2, 1, 1, 1, 0), False, 100, 150, [100]),
+        # The symmetric walk checkpoints on Gray-block boundaries only.
+        ((1,) * 6, True, 2048, 5000, [2049, 4097]),
+    ],
+)
+def test_census_kill_inside_block_then_resume_bit_identical(
+    tmp_path, budgets, symmetry, interval, kill, journaled
+):
+    """A kill at a rank inside an evaluated block loses that block's
+    work; the resume restarts from the last record and matches the
+    uninterrupted census exactly."""
+    game = BoundedBudgetGame(list(budgets))
+    kwargs = dict(symmetry=symmetry, collect_equilibria=True)
+    ref = census_scan(game, "max", **kwargs)
+    opts = dict(_RUNTIME_OPTS, checkpoint_interval=interval, max_retries=0)
+    partial = census_scan(
+        game,
+        "max",
+        checkpoint_dir=tmp_path,
+        fault_plan=FaultPlan(faults=(Fault(kind="kill", shard_id=0, rank=kill),)),
+        runtime_opts=opts,
+        **kwargs,
+    )
+    assert partial.incomplete is not None
+    records = replay_journal(shard_journal_path(tmp_path, 0)).records
+    assert [r.next_rank for r in records] == journaled
+    healed = census_scan(
+        game, "max", checkpoint_dir=tmp_path, resume=True, runtime_opts=opts, **kwargs
+    )
+    assert healed == ref
+    assert en.LAST_CENSUS_RUNTIME_STATS["shards_resumed"] == 1
+
+
 def test_weighted_census_random_fault_plan(tmp_path):
     game = BoundedBudgetGame([1, 1, 1, 1])
     weights = (5, 1, 1, 1)
