@@ -354,7 +354,7 @@ def test_treelike_fold_dynamics_zero_rebuilds(benchmark, bench_record):
 
     def run():
         graph = build_tree()
-        engine = DistanceEngine(graph.undirected_csr(), dirty_fraction="adaptive")
+        engine = DistanceEngine(graph.undirected_csr())
         for key in engine.stats:
             engine.stats[key] = 0
         csr = graph.undirected_csr()

@@ -112,9 +112,9 @@ class DistanceCache:
         Cap on simultaneously cached per-player engines (LRU eviction).
         Defaults to whatever fits a ~256 MB matrix budget, at least one.
     dirty_fraction:
-        Forwarded to every engine; a float fixes the delta-vs-rebuild
-        cutoff, ``"adaptive"`` lets each engine tune it from its own
-        cost EMAs — see :mod:`repro.graphs.engine` for the policy.
+        Forwarded to every engine: the delta-vs-rebuild cutoff in
+        ``[0, 1]`` (``None`` keeps the engine default) — see
+        :mod:`repro.graphs.engine` for the policy.
     rows:
         Forwarded to every engine the cache builds: ``"lazy"`` starts
         each matrix unmaterialised with row-on-demand reads (the cold
@@ -145,7 +145,7 @@ class DistanceCache:
         graph: OwnedDigraph,
         *,
         max_player_engines: int | None = None,
-        dirty_fraction: "float | str | None" = None,
+        dirty_fraction: "float | None" = None,
         rows: "str | None" = None,
     ) -> None:
         self._graph = graph

@@ -27,10 +27,10 @@ of OR levels, and a profile is a Nash equilibrium iff each player's
 cost is no larger than its cost at every one of its ``C(n-1, b_i)``
 strategies — all other profiles on the player's axis of the profile
 space, evaluated as one batch. That is the exact equilibrium test, with
-no best-response search and no Lemma 2.2 screen. The weighted and
-sampled censuses still evaluate each profile on one mutable graph whose
-distances a :class:`~repro.core.distance_cache.DistanceCache` repairs
-swap by swap.
+no best-response search and no Lemma 2.2 screen. The sampled census
+evaluates its drawn profiles the same way. The weighted census still
+evaluates each profile on one mutable graph whose distances a
+:class:`~repro.core.distance_cache.DistanceCache` repairs swap by swap.
 
 **Symmetry pruning** (``symmetry=True``): players with equal budgets
 induce profile-space orbits under the budget-preserving relabeling
@@ -47,7 +47,6 @@ off.
 ranks with numpy (:func:`_gray_blocks`) and read each step's player
 and ``(dropped, added)`` pair off the digit block, so ranks are
 ``int64`` and these walks refuse profile spaces of ``2**63`` or more.
-The sampled census unranks single ranks with Python ints instead.
 
 **Sharding** (``workers > 1``): the Gray rank space splits into
 contiguous ranges (one unranking per shard, then stepping), dispatched
@@ -69,12 +68,10 @@ resume when ``n^2 <= 64`` and fail loudly otherwise.
 
 **Sampled census** (:func:`sampled_census_scan`): beyond exhaustive
 reach, a seeded Monte Carlo draw of Gray ranks rides the same
-unranking / engine-repair / shard / checkpoint machinery and reports
+unranking / bitset evaluator / shard / checkpoint machinery and reports
 equilibrium-density and price-of-anarchy *estimates* with Wilson and
-bootstrap confidence intervals. The ``"orbit"`` method canonicalises
-each sampled profile through the stabilizer chain and memoises
-verdicts per orbit — bit-identical histograms to ``"stratified"``,
-cheaper when samples collide in orbit space.
+bootstrap confidence intervals. Its ranks are unranked one at a time
+with Python ints, since stratified draws may exceed ``int64``.
 
 Everything else is still guarded by profile caps; the sampling and
 dynamics pipelines cover larger sizes.
@@ -142,13 +139,13 @@ def _check_symmetry_cap(n: int) -> None:
         )
 
 
-#: The unit census evaluates profiles on one ``int64`` neighbour mask
-#: per vertex (:mod:`repro.core.census_eval`).
+#: The unit and sampled censuses evaluate profiles on one ``int64``
+#: neighbour mask per vertex (:mod:`repro.core.census_eval`).
 _MAX_BITSET_N: int = 63
 
 
 def _check_bitset_cap(n: int) -> None:
-    """The unit census's bitset evaluator holds ``n`` bits per mask."""
+    """The census bitset evaluator holds ``n`` bits per mask."""
     if n > _MAX_BITSET_N:
         raise GameError(
             f"the census evaluates profiles on int64 neighbour masks and "
@@ -276,9 +273,10 @@ def _profile_tables(
 #: symmetry census, so checkpoints of that walk land on multiples of it.
 _ORBIT_BLOCK: int = 2048
 
-#: The symmetric walk buffers canonical rows until this many are pending
-#: and evaluates them in one batch: per-row evaluator calls cost
-#: milliseconds each, a batch of hundreds costs tens of milliseconds.
+#: The symmetric walk buffers canonical rows until this many are pending,
+#: and the sampled census stacks this many drawn rows, to evaluate them
+#: in one batch: per-row evaluator calls cost milliseconds each, a batch
+#: of hundreds costs tens of milliseconds.
 _EVAL_BATCH: int = 512
 
 
@@ -1873,7 +1871,7 @@ _SAMPLED_DRAW_TAG: int = 1101
 _SAMPLED_BOOT_TAG: int = 1102
 
 #: The sampling methods :func:`sampled_census_scan` accepts.
-_SAMPLE_METHODS: "tuple[str, ...]" = ("uniform", "stratified", "orbit")
+_SAMPLE_METHODS: "tuple[str, ...]" = ("uniform", "stratified")
 
 
 def _sampled_ranks(
@@ -1884,12 +1882,10 @@ def _sampled_ranks(
     Shared verbatim by the parent and every shard — a shard re-derives
     the full list and evaluates its slice of *sample indices*, which is
     what makes the estimate worker-count invariant. ``"uniform"`` draws
-    ``samples`` i.i.d. ranks (with replacement); ``"stratified"`` and
-    ``"orbit"`` draw one rank per contiguous stratum of the rank space
-    — deliberately from the *same* stream, so the orbit method's
-    memoised estimator is bit-identical to the stratified one. Draws go
-    through :class:`random.Random` (not numpy) because profile spaces
-    overflow 64 bits long before they overflow Python ints.
+    ``samples`` i.i.d. ranks (with replacement); ``"stratified"`` draws
+    one rank per contiguous stratum of the rank space. Draws go through
+    :class:`random.Random` (not numpy) because profile spaces overflow
+    64 bits long before they overflow Python ints.
     """
     import random
 
@@ -1912,13 +1908,12 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous range of *sample indices* (worker function).
 
     Bounds are indices into the run's deterministic rank draw, **not**
-    Gray ranks. Each sample is one O(n) unranking plus a strategy diff
-    against the previous sample's graph, repaired by the engine delta
-    machinery; verdicts accumulate
-    into a ``(diameter, is_eq)`` histogram that the merge turns into
-    density / PoA estimates. The ``"orbit"`` method canonicalises every
-    sample through the stabilizer chain first and memoises verdicts per
-    orbit key, skipping the graph entirely on a hit.
+    Gray ranks. Each drawn rank is unranked to its Gray digit row with
+    Python ints (stratified ranks may exceed ``int64``); up to
+    :data:`_EVAL_BATCH` rows, cut at checkpoint indices, go to
+    :func:`~repro.core.census_eval.evaluate_block` at a time, and the
+    ``(diameter, is_eq)`` verdicts accumulate into a histogram that the
+    merge turns into density / PoA estimates.
     """
     (
         budgets,
@@ -1931,7 +1926,6 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     ) = payload
     game = BoundedBudgetGame(list(budgets))
     version = Version.coerce(version_value)
-    n = game.n
     total = profile_space_size(game)
     ranks = _sampled_ranks(total, samples, seed, method)
     resume_rec = ctx.resume_state if ctx is not None else None
@@ -1970,66 +1964,28 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
             save(hi, done=True)
         return part()
     combos, radices, rests = _profile_tables(game)
-    digits = _gray_digits(ranks[start], radices, rests)
-    graph = OwnedDigraph.from_strategies(
-        [combos[u][digits[u]] for u in range(n)], n
-    )
-    # Recycle retired matrix buffers process-locally: serial batteries
-    # re-scan same-sized games back to back, and the shared cache's
-    # rebind path skips their reallocations.
-    from ..parallel.sweep import shared_distance_cache
-
-    cache = shared_distance_cache(graph, dirty_fraction="adaptive")
-    gdigits = list(digits)
-
-    chain = None
-    memo: "dict[tuple[int, int], tuple[int, bool]]" = {}
-    if method == "orbit":
-        from .isomorphism import BudgetStabilizerChain
-
-        chain = BudgetStabilizerChain(budgets)
-
-    def ownership_adj(pdigits: "list[int]") -> np.ndarray:
-        adj = np.zeros((n, n), dtype=bool)
-        for u in range(n):
-            adj[u, list(combos[u][pdigits[u]])] = True
-        return adj
-
-    def evaluate(pdigits: "list[int]") -> "tuple[int, bool]":
-        for j in range(n):
-            if gdigits[j] != pdigits[j]:
-                graph.set_strategy(j, combos[j][pdigits[j]])
-                gdigits[j] = pdigits[j]
-        d = int(cache.base().matrix.max()) if n > 1 else 0
-        return d, bool(is_equilibrium(graph, version, cache=cache))
-
+    tables = out_mask_tables(combos)
     interval = ctx.interval if ctx is not None else 0
     next_cp = start + interval if interval else None
-    for i in range(start, hi):
-        pdigits = (
-            digits if i == start else _gray_digits(ranks[i], radices, rests)
+    i = start
+    while i < hi:
+        stop = min(hi, i + _EVAL_BATCH, next_cp or hi)
+        rows = np.asarray(
+            [_gray_digits(r, radices, rests) for r in ranks[i:stop]],
+            dtype=np.int64,
         )
-        verdict = None
-        if chain is not None:
-            min_hi, min_lo, _ = chain.minimal_images(
-                ownership_adj(pdigits)[None, :, :]
-            )
-            ckey = (int(min_hi[0]), int(min_lo[0]))
-            verdict = memo.get(ckey)
-        if verdict is None:
-            verdict = evaluate(pdigits)
-            if chain is not None:
-                memo[ckey] = verdict
-        d, eq = verdict
-        count += 1
-        eq_count += int(eq)
-        hkey = f"d:{d}:{int(eq)}"
-        hist[hkey] = hist.get(hkey, 0) + 1
+        is_nash, diam = evaluate_block(rows, tables, version)
+        for d, eq in zip(diam.tolist(), is_nash.tolist()):
+            hkey = f"d:{d}:{int(eq)}"
+            hist[hkey] = hist.get(hkey, 0) + 1
+        count += stop - i
+        eq_count += int(is_nash.sum())
+        i = stop
         if ctx is not None:
-            ctx.tick(i)
-            if next_cp is not None and i + 1 >= next_cp and i + 1 < hi:
-                save(i + 1)
-                next_cp = i + 1 + interval
+            ctx.tick(i - 1)
+            if i >= next_cp and i < hi:
+                save(i)
+                next_cp = i + interval
     save(hi, done=True)
     return part()
 
@@ -2146,8 +2102,8 @@ class SampledCensusReport:
     ---------------------
     ``eq_density`` is the sample fraction of equilibrium profiles —
     unbiased for the population fraction under both the i.i.d.
-    (``"uniform"``) and one-draw-per-stratum (``"stratified"`` /
-    ``"orbit"``) designs. ``eq_density_ci`` is the Wilson score
+    (``"uniform"``) and one-draw-per-stratum (``"stratified"``)
+    designs. ``eq_density_ci`` is the Wilson score
     interval at ``confidence`` (computed as if i.i.d.; under the
     stratified design it is mildly conservative). ``eq_count_estimate``
     and ``eq_count_ci`` scale those by ``total_profiles``.
@@ -2248,12 +2204,10 @@ def sampled_census_scan(
 
     Draws ``samples`` profile ranks deterministically from ``seed``
     (``method="uniform"``: i.i.d. with replacement; ``"stratified"``:
-    one per contiguous rank stratum; ``"orbit"``: the stratified draw,
-    with each sample canonicalised through the stabilizer chain and
-    verdicts memoised per orbit — bit-identical estimates, fewer graph
-    evaluations when samples collide in orbit space) and evaluates them
-    through the Gray unranking + engine-repair kernel. No profile cap:
-    sampling is exactly the regime past exhaustive reach. The estimate
+    one per contiguous rank stratum) and evaluates them in batches with
+    the bitset evaluator of the exact census, so ``n <= 63``. No
+    profile cap: sampling is exactly the regime past exhaustive reach.
+    The estimate
     is invariant under ``workers`` / ``shard_count`` — shards split the
     *sample index* space and every shard re-derives the same rank draw.
 
@@ -2279,8 +2233,7 @@ def sampled_census_scan(
         raise GameError(f"confidence must be in (0, 1), got {confidence}")
     if workers < 1:
         raise GameError(f"workers must be positive, got {workers}")
-    if method == "orbit":
-        _check_symmetry_cap(game.n)
+    _check_bitset_cap(game.n)
     if checkpoint_dir is None and (
         resume or fault_plan is not None or shard_count is not None
     ):

@@ -64,14 +64,8 @@ order of magnitude cheaper than the next when it applies:
    on the post-removal substrate, bounded by the row budget.
 4. **Rebuild** — full all-pairs BFS.
 
-The row budget is ``dirty_fraction * n`` by default. Passing
-``dirty_fraction="adaptive"`` instead derives the budget from the
-engine's own cost counters: exponential moving averages of the
-wall-clock cost of a full rebuild, of the per-row cost of a dirty-row
-repair, and of the per-position cost of a region repair set the
-break-even points between tiers 2/3/4, so each substrate settles into
-the tier mix that is measurably cheapest for its own shape. All tiers
-produce identical matrices; the knobs only trade time.
+The row budget is ``dirty_fraction * n``. All tiers produce identical
+matrices; the knob only trades time.
 
 :meth:`remove_edge` / :meth:`add_edge` are diff-free single-edge entry
 points for callers that already know the delta (a distance cache
@@ -95,10 +89,9 @@ Reads escalate through three tiers, each materialising more state:
 3. **Full matrix** — :attr:`matrix` (or enough hot rows) promotes the
    engine to the classic fully-materialised mode. The promotion
    threshold reuses the repair cost model: once the hot-row count
-   reaches :meth:`row_budget` — EMA-derived under
-   ``dirty_fraction="adaptive"``, ``dirty_fraction * n`` otherwise —
-   maintaining rows one by one is measurably no cheaper than owning
-   the whole matrix, so the engine computes the cold remainder and
+   reaches :meth:`row_budget` (``dirty_fraction * n``), maintaining
+   rows one by one is estimated to be no cheaper than owning the whole
+   matrix, so the engine computes the cold remainder and
    leaves lazy mode for good.
 
 All three tiers produce bit-identical answers (including the ``inf``
@@ -122,7 +115,6 @@ consumers that aggregate rows should accumulate into ``int64``.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -142,11 +134,6 @@ DEFAULT_DIRTY_FRACTION: float = 0.5
 #: exact support criterion; larger batches use the composed tightness
 #: filter (cheaper to evaluate, far more pessimistic).
 _SEQUENTIAL_DELETION_CAP: int = 32
-
-#: Smoothing factor of the adaptive-threshold cost EMAs: new samples
-#: carry this weight, so the budget tracks a drifting workload within a
-#: handful of updates without thrashing on one noisy measurement.
-_EMA_ALPHA: float = 0.25
 
 
 def _edge_ids(csr: CSRAdjacency) -> np.ndarray:
@@ -469,11 +456,9 @@ class DistanceEngine:
         consumes directly; any value ``> 2 * (n - 1)`` is safe for the
         min-plus repair.
     dirty_fraction:
-        Fallback knob: see the module docstring. ``0.0`` disables delta
-        repair entirely (every change rebuilds), ``1.0`` forces delta
-        repair whenever the analysis budget allows it, and the string
-        ``"adaptive"`` tunes the cutoff from the engine's own repair
-        cost vs rebuild cost EMAs.
+        Fallback knob in ``[0, 1]``: see the module docstring. ``0.0``
+        disables delta repair entirely (every change rebuilds), ``1.0``
+        forces delta repair whenever the analysis budget allows it.
     rows:
         ``"full"`` (default) materialises the all-pairs matrix up
         front. ``"lazy"`` starts unmaterialised: rows are computed and
@@ -491,10 +476,6 @@ class DistanceEngine:
         "_D",
         "_epoch",
         "_dirty_fraction",
-        "_adaptive",
-        "_ema_rebuild_cost",
-        "_ema_delta_row_cost",
-        "_ema_region_pos_cost",
         "_lazy",
         "_hot",
         "stats",
@@ -505,28 +486,15 @@ class DistanceEngine:
         csr: CSRAdjacency,
         *,
         inf: int | None = None,
-        dirty_fraction: "float | str" = DEFAULT_DIRTY_FRACTION,
+        dirty_fraction: float = DEFAULT_DIRTY_FRACTION,
         rows: str = "full",
     ) -> None:
         if not isinstance(csr, CSRAdjacency):
             raise GraphError("DistanceEngine needs a CSRAdjacency substrate")
-        if isinstance(dirty_fraction, str):
-            if dirty_fraction != "adaptive":
-                raise GraphError(
-                    f'dirty_fraction must be a float in [0, 1] or "adaptive", '
-                    f"got {dirty_fraction!r}"
-                )
-            self._adaptive = True
-            dirty_fraction = DEFAULT_DIRTY_FRACTION
-        else:
-            self._adaptive = False
-            if not 0.0 <= dirty_fraction <= 1.0:
-                raise GraphError(
-                    f"dirty_fraction must be in [0, 1], got {dirty_fraction}"
-                )
-        self._ema_rebuild_cost: "float | None" = None
-        self._ema_delta_row_cost: "float | None" = None
-        self._ema_region_pos_cost: "float | None" = None
+        if isinstance(dirty_fraction, str) or not 0.0 <= dirty_fraction <= 1.0:
+            raise GraphError(
+                f"dirty_fraction must be a float in [0, 1], got {dirty_fraction!r}"
+            )
         self._n = csr.n
         self._inf = cinf(csr.n) if inf is None else int(inf)
         if self._inf <= 2 * (self._n - 1):
@@ -600,11 +568,6 @@ class DistanceEngine:
         return self._epoch
 
     @property
-    def adaptive(self) -> bool:
-        """Whether the delta-vs-rebuild cutoff is tuned from cost EMAs."""
-        return self._adaptive
-
-    @property
     def lazy(self) -> bool:
         """Whether the engine is still in row-on-demand mode."""
         return self._lazy
@@ -635,9 +598,7 @@ class DistanceEngine:
             return
         cold = np.flatnonzero(~self._hot)
         if cold.size:
-            t0 = time.perf_counter()
             self._bfs_rows(self._csr, cold, self._D, cold)
-            self._observe("rebuild", time.perf_counter() - t0, self._n)
         self._lazy = False
         self._hot = None
         self.stats["promotions"] += 1
@@ -656,9 +617,7 @@ class DistanceEngine:
             raise VertexError(bad, self._n)
         cold = src[~self._hot[src]]
         if cold.size:
-            t0 = time.perf_counter()
             self._bfs_rows(self._csr, cold, self._D, cold)
-            self._observe("delta", time.perf_counter() - t0, cold.size)
             self._hot[cold] = True
             self.stats["lazy_rows"] += int(cold.size)
         if int(self._hot.sum()) >= self.promotion_threshold():
@@ -688,65 +647,18 @@ class DistanceEngine:
         return point_to_point(self._csr, u, v, inf=self._inf)
 
     def row_budget(self) -> float:
-        """Rows a delta repair may recompute before falling back to rebuild.
-
-        Fixed mode returns ``dirty_fraction * n``. Adaptive mode returns
-        the measured break-even point ``rebuild_cost / delta_row_cost``
-        (clamped to ``[1, n]``) once both EMAs are seeded, and the fixed
-        default until then.
-        """
-        if (
-            self._adaptive
-            and self._ema_rebuild_cost is not None
-            and self._ema_delta_row_cost is not None
-            and self._ema_delta_row_cost > 0.0
-        ):
-            est = self._ema_rebuild_cost / self._ema_delta_row_cost
-            return float(min(float(self._n), max(1.0, est)))
+        """Rows a delta repair may recompute before falling back to
+        rebuild: ``dirty_fraction * n``."""
         return self._dirty_fraction * self._n
-
-    def _observe(self, which: str, seconds: float, rows: float) -> None:
-        """Fold one timed repair/rebuild into the adaptive cost EMAs."""
-        if not self._adaptive:
-            return
-        if which == "rebuild":
-            prev = self._ema_rebuild_cost
-            self._ema_rebuild_cost = (
-                seconds if prev is None else (1 - _EMA_ALPHA) * prev + _EMA_ALPHA * seconds
-            )
-        elif which == "region":
-            per_pos = seconds / max(1.0, rows)
-            prev = self._ema_region_pos_cost
-            self._ema_region_pos_cost = (
-                per_pos if prev is None else (1 - _EMA_ALPHA) * prev + _EMA_ALPHA * per_pos
-            )
-        else:
-            per_row = seconds / max(1.0, rows)
-            prev = self._ema_delta_row_cost
-            self._ema_delta_row_cost = (
-                per_row if prev is None else (1 - _EMA_ALPHA) * prev + _EMA_ALPHA * per_row
-            )
 
     def _region_cap(self, ndirty: int) -> float:
         """Affected positions the region tier may grow before the
         dirty-row tier is estimated to be cheaper.
 
-        Adaptive mode compares the measured per-position region cost
-        against the per-row recompute cost (``ndirty`` rows would be
-        recomputed otherwise); until both EMAs are seeded — and always
-        in fixed mode — a structural default of half the dirty-row work
-        (``ndirty * n / 2`` positions) keeps the tier honest.
+        Half the dirty-row work (``ndirty * n / 2`` positions) keeps the
+        tier honest: ``ndirty`` rows would be recomputed otherwise.
         """
-        structural = ndirty * self._n / 2.0
-        if (
-            self._adaptive
-            and self._ema_region_pos_cost is not None
-            and self._ema_delta_row_cost is not None
-            and self._ema_region_pos_cost > 0.0
-        ):
-            est = ndirty * self._ema_delta_row_cost / self._ema_region_pos_cost
-            return float(min(est, float(ndirty * self._n)))
-        return structural
+        return ndirty * self._n / 2.0
 
     @property
     def matrix(self) -> np.ndarray:
@@ -885,9 +797,7 @@ class DistanceEngine:
         self._lazy = False
         self._hot = None
         all_rows = np.arange(self._n, dtype=np.int64)
-        t0 = time.perf_counter()
         self._bfs_rows(self._csr, all_rows, self._D, all_rows)
-        self._observe("rebuild", time.perf_counter() - t0, self._n)
         self._epoch += 1
         self.stats["rebuilds"] += 1
 
@@ -930,7 +840,6 @@ class DistanceEngine:
         dirty_rows = self._deletion_dirty_rows(x, y, after_csr)
         if dirty_rows.size == 0:
             return rows_spent
-        t0 = time.perf_counter()
         roots = _deletion_roots(self._D, x, y, dirty_rows)
         cap = self._region_cap(dirty_rows.size)
         positions = _affected_positions(
@@ -950,19 +859,13 @@ class DistanceEngine:
                 after_csr.indices,
                 positions,
             )
-            self._observe("region", time.perf_counter() - t0, positions.size)
             self.stats["region_repairs"] += 1
             self.stats["region_vertices"] += int(positions.size)
             return rows_spent + positions.size / self._n
         rows_spent += dirty_rows.size
         if rows_spent > row_budget:
             return None
-        # Timed separately from t0: an aborted region attempt must not
-        # inflate the per-row EMA (that would raise the region cap and
-        # shrink the rebuild budget in a feedback loop).
-        t_rows = time.perf_counter()
         self._bfs_rows(after_csr, dirty_rows, self._D, dirty_rows)
-        self._observe("delta", time.perf_counter() - t_rows, dirty_rows.size)
         return rows_spent
 
     def remove_edge(self, x: int, y: int) -> str:
@@ -984,7 +887,7 @@ class DistanceEngine:
             self._epoch += 1
             self.stats["deltas"] += 1
             return "delta"
-        if self._adaptive or self._dirty_fraction > 0.0:
+        if self._dirty_fraction > 0.0:
             spent = self._single_deletion_repair(
                 x, y, after_csr, row_budget=self.row_budget()
             )
@@ -1026,7 +929,7 @@ class DistanceEngine:
             self._epoch += 1
             self.stats["deltas"] += 1
             return "delta"
-        if (self._adaptive or self._dirty_fraction > 0.0) and self.row_budget() >= 1.0:
+        if self._dirty_fraction > 0.0 and self.row_budget() >= 1.0:
             pivot = min(x, y)
             self._csr = new_csr
             rows = np.asarray([pivot], dtype=np.int64)
@@ -1096,7 +999,6 @@ class DistanceEngine:
         dirty = self._deletion_dirty_rows(x, y, after_csr, candidates=hot)
         if dirty.size == 0:
             return
-        t0 = time.perf_counter()
         roots = _deletion_roots(self._D, x, y, dirty)
         cap = self._region_cap(dirty.size)
         positions = _affected_positions(
@@ -1116,13 +1018,10 @@ class DistanceEngine:
                 after_csr.indices,
                 positions,
             )
-            self._observe("region", time.perf_counter() - t0, positions.size)
             self.stats["region_repairs"] += 1
             self.stats["region_vertices"] += int(positions.size)
             return
-        t_rows = time.perf_counter()
         self._bfs_rows(after_csr, dirty, self._D, dirty)
-        self._observe("delta", time.perf_counter() - t_rows, dirty.size)
 
     def _lazy_update(
         self, new_csr: CSRAdjacency, removed_ids: np.ndarray, added_ids: np.ndarray
@@ -1208,7 +1107,7 @@ class DistanceEngine:
         row_budget = self.row_budget()
         analysis_cap = min(row_budget, max(16.0, n / 8))
         sequential = removed_ids.size <= _SEQUENTIAL_DELETION_CAP
-        if (not self._adaptive and self._dirty_fraction == 0.0) or (
+        if self._dirty_fraction == 0.0 or (
             not sequential and removed_ids.size + added_ids.size > analysis_cap
         ):
             # Heavy churn: the per-edge analysis below would cost more
@@ -1216,8 +1115,6 @@ class DistanceEngine:
             self.rebuild(new_csr)
             return "rebuild"
 
-        t_delta = time.perf_counter()
-        observe_spent: "float | None" = None  # rows to credit the final observe
         pivots = np.empty(0, dtype=np.int64)
         if added_ids.size:
             if added_ids.size > analysis_cap:
@@ -1235,9 +1132,7 @@ class DistanceEngine:
             # One edge at a time through the deletion repair hierarchy
             # (pendant -> affected region -> dirty rows); the matrix and
             # a working substrate advance together, so each step's
-            # filter and repair are against exact distances. The tiers
-            # observe their own costs, so the final observe only covers
-            # the insertion portion below.
+            # filter and repair are against exact distances.
             work_csr = self._csr
             for eid in removed_ids:
                 x = int(eid // n)
@@ -1251,8 +1146,6 @@ class DistanceEngine:
                     return "rebuild"
                 rows_spent = spent
             exempt = pivots
-            t_delta = time.perf_counter()
-            observe_spent = float(pivots.size)
         elif removed_ids.size:
             # Composed batch: the coarse tightness filter, one pass.
             x = removed_ids // n
@@ -1279,9 +1172,6 @@ class DistanceEngine:
                 # rows into `recompute` on the final substrate already).
                 self._bfs_rows(new_csr, pivots, self._D, pivots)
             _minplus_through_pivots(self._D, pivots, exempt)
-        credit = rows_spent if observe_spent is None else observe_spent
-        if observe_spent is None or observe_spent > 0:
-            self._observe("delta", time.perf_counter() - t_delta, credit)
         self._epoch += 1
         self.stats["deltas"] += 1
         return "delta"

@@ -256,26 +256,11 @@ def test_gray_walk_engine_distances_match_fresh_bfs(budgets, start_frac, data):
     steps = 0
     for rank, graph, swap in gray_profile_walk(game, start=start, stop=stop):
         if cache is None:
-            cache = DistanceCache(graph, dirty_fraction="adaptive")
+            cache = DistanceCache(graph)
         engine = cache.base()
         assert np.array_equal(np.asarray(engine.matrix), distance_matrix(graph))
         steps += 1
     assert steps == stop - start
-
-
-def test_adaptive_dirty_fraction_repair_equals_recompute(rng):
-    n = 24
-    game = BoundedBudgetGame([2] * n)
-    graph = game.random_realization(seed=3)
-    engine = DistanceEngine.from_graph(graph, dirty_fraction="adaptive")
-    assert engine.adaptive
-    for step in range(30):
-        u = int(rng.integers(n))
-        targets = [v for v in range(n) if v != u]
-        graph.set_strategy(u, rng.choice(targets, size=2, replace=False))
-        engine.update(graph.undirected_csr())
-        assert np.array_equal(np.asarray(engine.matrix), distance_matrix(graph))
-    assert 1.0 <= engine.row_budget() <= n
 
 
 def test_engine_rejects_bad_dirty_fraction_string():
@@ -283,8 +268,9 @@ def test_engine_rejects_bad_dirty_fraction_string():
 
     g = OwnedDigraph(3)
     g.add_arc(0, 1)
-    with pytest.raises(GraphError):
-        DistanceEngine.from_graph(g, dirty_fraction="auto")
+    for bad in ("auto", "adaptive"):
+        with pytest.raises(GraphError):
+            DistanceEngine.from_graph(g, dirty_fraction=bad)
 
 
 # ----------------------------------------------------------------------

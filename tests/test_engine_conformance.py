@@ -5,7 +5,7 @@ oracle or a fresh build: scipy/networkx-exact matrices, delta repairs
 indistinguishable from recomputation, a noop on rolled-back
 substrates, an epoch/staleness guard, read-only views and the lazy
 row-on-demand read tiers. ``test_graphs_engine.py`` keeps the
-``from_graph`` construction surface and the adaptive budget.
+``from_graph`` construction surface.
 """
 
 from __future__ import annotations

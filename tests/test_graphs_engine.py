@@ -1,10 +1,9 @@
-"""Construction surface and adaptive budget of the distance engine.
+"""Construction surface of the distance engine.
 
 The engine contract — oracle-exact builds, repair-equals-recompute,
 rollback/noop, epoch staleness, read-only views — lives in the
 conformance suite (``test_engine_conformance.py``). This file keeps the
-``from_graph`` construction surface and the adaptive delta-vs-rebuild
-budget.
+``from_graph`` construction surface.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.graphs import (
     csr_without_vertex,
 )
 
-from conftest import random_owned_digraph, random_strategy_swap, scipy_distance_oracle
+from conftest import random_owned_digraph
 
 
 def test_from_graph_builds_engine_over_underlying_graph(rng):
@@ -39,13 +38,3 @@ def test_from_graph_isolate_builds_punctured_substrate(rng):
         assert np.array_equal(engine.distances(), ref)
         assert engine.csr.degree(u) == 0
 
-
-def test_adaptive_budget_tracks_costs_and_repairs_exactly(rng):
-    g = random_owned_digraph(rng, 16, p=0.25)
-    engine = DistanceEngine.from_graph(g, dirty_fraction="adaptive")
-    assert engine.adaptive
-    for _ in range(12):
-        random_strategy_swap(rng, g)
-        engine.update(g.undirected_csr())
-        assert np.array_equal(engine.distances(), scipy_distance_oracle(g))
-    assert 1.0 <= engine.row_budget() <= g.n

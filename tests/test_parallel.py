@@ -164,8 +164,9 @@ def test_distinct_engine_kwargs_get_distinct_caches():
     try:
         g = _path_graph(5)
         plain = shared_distance_cache(g)
-        adaptive = shared_distance_cache(g, dirty_fraction="adaptive")
-        assert plain is not adaptive
+        tuned = shared_distance_cache(g, dirty_fraction=0.25)
+        assert plain is not tuned
+        assert shared_distance_cache(g, dirty_fraction=0.25) is tuned
     finally:
         clear_distance_caches()
 

@@ -46,7 +46,7 @@ def _edges_of(g: OwnedDigraph) -> "list[tuple[int, int]]":
 )
 def test_unit_region_repair_equals_fresh_recompute(seed, n, extra, data):
     g = _tree_graph(seed, n, extra)
-    engine = DistanceEngine(g.undirected_csr(), dirty_fraction="adaptive")
+    engine = DistanceEngine(g.undirected_csr())
     edges = _edges_of(g)
     order = data.draw(st.permutations(range(len(edges))))
     for idx in order[: min(len(order), 12)]:
@@ -69,7 +69,7 @@ def test_unit_region_repair_equals_fresh_recompute(seed, n, extra, data):
 def test_unit_cache_step_forwarding_equals_fresh(seed, n, steps, data):
     rng = np.random.default_rng(seed)
     g = random_tree_digraph(rng, n, 1)
-    cache = DistanceCache(g, dirty_fraction="adaptive")
+    cache = DistanceCache(g)
     # Touch every player once so later syncs exercise the forwarder.
     for u in range(n):
         cache.player(u)

@@ -2,13 +2,16 @@
 
 The sampled scan must be a *statistical* instrument with *exact*
 reproducibility: the same seed yields bit-identical reports at any
-worker count or shard decomposition, the stratified and orbit methods
-share one rank draw (so their histograms are bit-identical), intervals
-cover known exact counts at the sizes where the exhaustive census can
-arbitrate, and a full stratified draw degenerates to the exact census.
+worker count or shard decomposition, its histogram equals one built
+draw by draw from an independent graph / exact-equilibrium oracle,
+intervals cover known exact counts at the sizes where the exhaustive
+census can arbitrate, and a full stratified draw degenerates to the
+exact census.
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -25,9 +28,13 @@ from repro.core.enumeration import (
     profile_space_size,
     sampled_census_scan,
 )
+from repro.core.deviations import is_equilibrium
 from repro.core.game import BoundedBudgetGame
 from repro.errors import CheckpointError, GameError
 from repro.experiments.exact_census import exact_census_experiment
+from repro.graphs import UNREACHABLE, OwnedDigraph
+
+from conftest import scipy_distance_oracle
 
 
 # ----------------------------------------------------------------------
@@ -81,12 +88,6 @@ def test_stratified_draw_takes_one_rank_per_stratum():
     assert [r // 25 for r in ranks] == list(range(samples))
 
 
-def test_orbit_and_stratified_share_the_rank_draw():
-    assert _sampled_ranks(5000, 64, 1, "orbit") == _sampled_ranks(
-        5000, 64, 1, "stratified"
-    )
-
-
 def test_sampled_ranks_handle_huge_totals():
     total = 10**40  # far past uint64: draws must stay exact Python ints
     ranks = _sampled_ranks(total, 50, seed=0, method="stratified")
@@ -124,17 +125,26 @@ def test_ci_covers_exact_count_unit_n5(version):
     assert sum(c for _, _, c in rep.histogram) == 300
 
 
-@pytest.mark.parametrize("version, exact", [("sum", 84), ("max", 104)])
-def test_wilson_ci_coverage_over_many_seeds_unit_n5(version, exact):
+def _assert_wilson_coverage(n: int, version: str, exact: int) -> None:
     """The nominal 95% Wilson interval covers the exact census count in
     at least 34 of 40 fixed seeds of 200 uniform draws each."""
-    game = BoundedBudgetGame([1] * 5)
+    game = BoundedBudgetGame([1] * n)
     covered = 0
     for seed in range(40):
         rep = sampled_census_scan(game, version, samples=200, seed=seed)
         lo, hi = rep.eq_count_ci
         covered += lo <= exact <= hi
     assert covered >= 34, f"{covered}/40 seeds covered {exact}"
+
+
+@pytest.mark.parametrize("version, exact", [("sum", 84), ("max", 104)])
+def test_wilson_ci_coverage_over_many_seeds_unit_n5(version, exact):
+    _assert_wilson_coverage(5, version, exact)
+
+
+@pytest.mark.parametrize("version, exact", [("sum", 120), ("max", 480)])
+def test_wilson_ci_coverage_over_many_seeds_unit_n6(version, exact):
+    _assert_wilson_coverage(6, version, exact)
 
 
 def test_full_stratified_draw_is_the_exact_census():
@@ -152,14 +162,69 @@ def test_full_stratified_draw_is_the_exact_census():
     assert rep.poa_estimate is not None
 
 
-def test_orbit_method_bit_identical_to_stratified():
-    game = BoundedBudgetGame([1] * 5)
-    a = sampled_census_scan(game, "max", samples=128, seed=2, method="stratified")
-    b = sampled_census_scan(game, "max", samples=128, seed=2, method="orbit")
-    assert a.histogram == b.histogram
-    assert a.eq_samples == b.eq_samples
-    assert a.eq_density_ci == b.eq_density_ci
-    assert a.poa_ci == b.poa_ci
+# ----------------------------------------------------------------------
+# Histogram vs an independent per-draw oracle (hypothesis)
+# ----------------------------------------------------------------------
+@st.composite
+def _sampled_budgets(draw):
+    """Budget vectors, n = 1..7, budget-0 players included."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    return draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n
+        )
+    )
+
+
+def _oracle_histogram(game, version, samples, seed, method):
+    """The ``(diameter, is_eq, count)`` histogram of the run's draw,
+    built one graph and one exact equilibrium check per drawn rank."""
+    n = game.n
+    combos, radices, rests = _profile_tables(game)
+    hist: "dict[tuple[int, int], int]" = {}
+    for rank in _sampled_ranks(profile_space_size(game), samples, seed, method):
+        digits = _gray_digits(rank, radices, rests)
+        graph = OwnedDigraph.from_strategies(
+            [combos[u][digits[u]] for u in range(n)], n
+        )
+        dist = scipy_distance_oracle(graph)
+        diam = n * n if (dist == UNREACHABLE).any() else int(dist.max())
+        eq = int(is_equilibrium(graph, version, method="exact"))
+        hist[(diam, eq)] = hist.get((diam, eq), 0) + 1
+    return tuple((d, e, c) for (d, e), c in sorted(hist.items()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    budgets=_sampled_budgets(),
+    version=st.sampled_from(["sum", "max"]),
+    method=st.sampled_from(["uniform", "stratified"]),
+    samples=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_sampled_histogram_matches_per_draw_oracle(
+    budgets, version, method, samples, seed
+):
+    game = BoundedBudgetGame(budgets)
+    if method == "stratified":
+        samples = min(samples, profile_space_size(game))
+    expected = _oracle_histogram(game, version, samples, seed, method)
+    rep = sampled_census_scan(
+        game, version, samples=samples, seed=seed, method=method, workers=1
+    )
+    assert rep.histogram == expected
+    assert rep.eq_samples == sum(c for _, e, c in expected if e)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = sampled_census_scan(
+            game,
+            version,
+            samples=samples,
+            seed=seed,
+            method=method,
+            checkpoint_dir=tmp,
+            runtime_opts={"checkpoint_interval": 3},
+        )
+    assert ckpt == rep
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +301,10 @@ def test_sampled_scan_validates_arguments(tmp_path):
         sampled_census_scan(game, "sum", samples=10**6, method="stratified")
     with pytest.raises(GameError, match="require checkpoint_dir"):
         sampled_census_scan(game, "sum", samples=5, resume=True)
-    with pytest.raises(GameError, match="128-bit"):
-        sampled_census_scan(
-            BoundedBudgetGame([1] * 12), "sum", samples=5, method="orbit"
-        )
+    with pytest.raises(GameError, match="unknown sampling method"):
+        sampled_census_scan(game, "sum", samples=5, method="orbit")
+    with pytest.raises(GameError, match="capped at n = 63"):
+        sampled_census_scan(BoundedBudgetGame([1] * 64), "sum", samples=5)
 
 
 # ----------------------------------------------------------------------
