@@ -1,6 +1,6 @@
 """Incremental exact census vs rebuild-per-profile brute force.
 
-Seven claims, each asserted (not just timed):
+Eight claims, each asserted (not just timed):
 
 * the Gray-order incremental kernel with symmetry pruning beats the
   brute-force census on the unit n=5 instance by >= 5x, with a
@@ -20,6 +20,9 @@ Seven claims, each asserted (not just timed):
   equilibria matches an unpruned shard walked over the same window
   exactly (the cross-validation is a subrange because the full
   unpruned space measures ~70 minutes);
+* the weighted weak-equilibrium census of unit n=6 with all-ones
+  weights (15625 profiles, 120 weak equilibria) runs on the bitset
+  evaluator in under a second;
 * the Monte Carlo sampled census covers the known exact equilibrium
   counts at n=6 and n=7 within its stated confidence intervals, in a
   small fraction of the exhaustive walk's time;
@@ -42,12 +45,18 @@ import pytest
 
 from repro.core import (
     BoundedBudgetGame,
+    ExactPriceReport,
+    Version,
     census_scan,
+    enumerate_equilibria,
+    enumerate_realizations,
     exact_prices,
+    profile_space_size,
     sampled_census_scan,
+    weighted_census_scan,
 )
 from repro.core.enumeration import _census_shard, _gray_rank, _profile_tables
-from repro.graphs import DistanceEngine, OwnedDigraph
+from repro.graphs import DistanceEngine, OwnedDigraph, diameter
 
 #: Wall-clock comparisons are meaningful on a quiet machine; on shared
 #: CI runners a noisy neighbour can invert margins with no code defect,
@@ -63,7 +72,7 @@ def test_incremental_census_beats_bruteforce_unit_n5(
     benchmark, version, bench_record
 ):
     """Unit n=5 (1024 profiles): the shipped census configuration
-    (Gray walk + engine delta repair + symmetry orbit pruning) must be
+    (Gray walk + bitset evaluator + symmetry orbit pruning) must be
     >= 5x faster than the rebuild-per-profile baseline and bit-identical."""
     game = BoundedBudgetGame([1] * 5)
 
@@ -79,7 +88,19 @@ def test_incremental_census_beats_bruteforce_unit_n5(
     plain_report = exact_prices(game, version)
     plain_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    brute_report = exact_prices(game, version, incremental=False)
+    # Rebuild-per-profile baseline: a fresh graph per profile, its
+    # diameter, and the exact best-response search for membership.
+    eq_diams = [
+        diameter(g) for g in enumerate_equilibria(game, version, incremental=False)
+    ]
+    brute_report = ExactPriceReport(
+        version=Version.coerce(version),
+        num_profiles=profile_space_size(game),
+        num_equilibria=len(eq_diams),
+        opt_diameter=min(diameter(g) for g in enumerate_realizations(game)),
+        best_equilibrium_diameter=min(eq_diams),
+        worst_equilibrium_diameter=max(eq_diams),
+    )
     brute_s = time.perf_counter() - t0
 
     assert fast_report == brute_report
@@ -143,6 +164,37 @@ def test_unit_n6_census_under_cap(benchmark, bench_record):
             "incremental_symmetry_s": round(elapsed, 4),
             "bruteforce_s": None,  # not run: ~2 ms/profile puts it at ~30 s
         },
+    )
+
+
+@pytest.mark.paper_artifact("weighted census / unit n=6 on the bitset evaluator")
+def test_weighted_unit_n6_census_under_a_second(benchmark, bench_record):
+    """Weighted unit n=6, all-ones weights: 15625 profiles, every one
+    evaluated (weights break the orbit pruning). The counts are pinned
+    always; the one-second bound is advisory under CI."""
+    game = BoundedBudgetGame([1] * 6)
+
+    def run():
+        return weighted_census_scan(game, (1,) * 6, max_profiles=20_000)[0]
+
+    t0 = time.perf_counter()
+    report = run()
+    elapsed = time.perf_counter() - t0
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+    assert report.num_profiles == 5**6
+    assert report.num_weak_equilibria == 120
+    assert report.opt_social_cost == 48
+    bench_record(
+        "weighted_unit_n6",
+        {
+            "profiles": report.num_profiles,
+            "weak_equilibria": report.num_weak_equilibria,
+            "seconds": round(elapsed, 4),
+        },
+    )
+    assert not _STRICT_TIMING or elapsed <= 1.0, (
+        f"weighted unit n=6 census took {elapsed:.2f} s; expected <= 1 s"
     )
 
 

@@ -672,7 +672,7 @@ def is_weighted_weak_equilibrium(
                 continue
             if in_lists is None:
                 # One O(n + m) owner pass for every unscreened player,
-                # not one O(n) scan each (the census hot loop).
+                # not one O(n) scan each.
                 in_lists = wr.graph.in_neighbor_lists()
             env = WeightedSwapEnvironment(wr, u, cache=cache, in_nbrs=in_lists[u])
             if env.swap_improves():

@@ -28,9 +28,10 @@ cost is no larger than its cost at every one of its ``C(n-1, b_i)``
 strategies — all other profiles on the player's axis of the profile
 space, evaluated as one batch. That is the exact equilibrium test, with
 no best-response search and no Lemma 2.2 screen. The sampled census
-evaluates its drawn profiles the same way. The weighted census still
-evaluates each profile on one mutable graph whose distances a
-:class:`~repro.core.distance_cache.DistanceCache` repairs swap by swap.
+evaluates its drawn profiles the same way, and the weighted census
+(:func:`weighted_census_scan`) does too, with weighted SUM costs and
+each active player's single-arc swap neighbours in place of its whole
+strategy axis (:func:`~repro.core.census_eval.evaluate_weighted_block`).
 
 **Symmetry pruning** (``symmetry=True``): players with equal budgets
 induce profile-space orbits under the budget-preserving relabeling
@@ -90,8 +91,12 @@ import numpy as np
 
 from ..errors import CheckpointError, GameError
 from ..graphs.digraph import OwnedDigraph
-from ..graphs.distances import diameter
-from .census_eval import evaluate_block, out_mask_tables
+from .census_eval import (
+    evaluate_block,
+    evaluate_weighted_block,
+    out_mask_tables,
+    swap_tables,
+)
 from .costs import Version
 from .deviations import is_equilibrium
 from .game import BoundedBudgetGame
@@ -844,6 +849,52 @@ def _expand_orbit(
 # ----------------------------------------------------------------------
 # Incremental census kernel
 # ----------------------------------------------------------------------
+def _shard_start(ctx, lo: int, fresh: dict, from_record) -> tuple:
+    """``(start, part, resume_rec)`` of one census shard.
+
+    A fresh shard starts at ``lo`` with the empty ``fresh`` part; a
+    resumed one at the journaled ``next_rank``, with the part
+    ``from_record`` rebuilds from that record. A record with no progress
+    past ``lo`` runs the shard fresh.
+    """
+    rec = ctx.resume_state if ctx is not None else None
+    if rec is None or rec.next_rank <= lo:
+        return lo, fresh, None
+    return rec.next_rank, from_record(rec), rec
+
+
+def _bound(acc: dict, key: str, pick, values: np.ndarray) -> None:
+    """Fold ``pick`` (``np.min`` or ``np.max``) of ``values`` into
+    ``acc[key]``; ``None`` is the bound of no values."""
+    if acc[key] is not None:
+        values = np.append(values, acc[key])
+    acc[key] = int(pick(values))
+
+
+def _checkpointed_steps(ctx, start: int, hi: int, step: int, run, save) -> None:
+    """Drive ``run(i, stop)`` over ``[start, hi)`` in steps of at most ``step``.
+
+    Steps end at checkpoint positions (``ctx.interval`` apart from
+    ``start``), so each progress record follows its whole step; after
+    every step the shard ticks ``ctx`` and, on a checkpoint position,
+    calls ``save(stop)``. The done record ``save(hi, done=True)`` closes
+    the range.
+    """
+    interval = ctx.interval if ctx is not None else 0
+    next_cp = start + interval if interval else None
+    i = start
+    while i < hi:
+        stop = min(hi, i + step, next_cp or hi)
+        run(i, stop)
+        i = stop
+        if ctx is not None:
+            ctx.tick(i - 1)
+            if i >= next_cp and i < hi:
+                save(i)
+                next_cp = i + interval
+    save(hi, done=True)
+
+
 def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous Gray-rank range of the census (worker function).
 
@@ -882,40 +933,13 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     n = game.n
     perms = _budget_symmetry_group(budgets) if symmetry else None
     orbit = _OrbitKeys(n, perms) if perms is not None else None
-    resume_rec = ctx.resume_state if ctx is not None else None
-    if resume_rec is not None and resume_rec.next_rank <= lo:
-        resume_rec = None  # vacuous progress: run the shard fresh
-    count = 0
-    eq_count = 0
-    opt: "int | None" = None
-    best_eq: "int | None" = None
-    worst_eq: "int | None" = None
-    eq_profiles: "list[tuple[tuple[int, ...], ...]]" = []
-    start = lo
-    if resume_rec is not None:
-        c = resume_rec.counters
-        count = int(c["count"] or 0)
-        eq_count = int(c["eq_count"] or 0)
-        opt = c["opt"]
-        best_eq = c["best_eq"]
-        worst_eq = c["worst_eq"]
-        if collect and resume_rec.eq_profiles is not None:
-            eq_profiles = list(resume_rec.eq_profiles)
-        start = resume_rec.next_rank
-
-    def counters() -> "dict[str, int | None]":
-        return {
-            "count": count,
-            "eq_count": eq_count,
-            "opt": opt,
-            "best_eq": best_eq,
-            "worst_eq": worst_eq,
-        }
+    start, acc, resume_rec = _shard_start(
+        ctx, lo, _empty_part(_UNIT_COUNTER_KEYS), _unit_part_from_record
+    )
+    eq_profiles = acc.pop("eq_profiles") or []
 
     def part() -> "dict[str, object]":
-        out: "dict[str, object]" = counters()
-        out["eq_profiles"] = eq_profiles if collect else None
-        return out
+        return {**acc, "eq_profiles": eq_profiles if collect else None}
 
     def save(next_rank: int, *, done: bool = False) -> None:
         if ctx is None:
@@ -924,7 +948,7 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
             lo=lo,
             hi=hi,
             next_rank=next_rank,
-            counters=counters(),
+            counters=dict(acc),
             eq_profiles=tuple(eq_profiles) if collect else None,
             orbit_vals=orbit.export_state() if orbit is not None else None,
             done=done,
@@ -941,19 +965,14 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
 
     def evaluate(rows: np.ndarray, sizes: np.ndarray) -> None:
         """Census a block of digit rows, each weighted by its orbit size."""
-        nonlocal count, eq_count, opt, best_eq, worst_eq
         is_nash, diam = evaluate_block(rows, tables, version)
-        count += int(sizes.sum())
-        d = int(diam.min())
-        opt = d if opt is None else min(opt, d)
+        acc["count"] += int(sizes.sum())
+        _bound(acc, "opt", np.min, diam)
         if not is_nash.any():
             return
-        eq_count += int(sizes[is_nash].sum())
-        eq_diam = diam[is_nash]
-        d = int(eq_diam.min())
-        best_eq = d if best_eq is None else min(best_eq, d)
-        d = int(eq_diam.max())
-        worst_eq = d if worst_eq is None else max(worst_eq, d)
+        acc["eq_count"] += int(sizes[is_nash].sum())
+        _bound(acc, "best_eq", np.min, diam[is_nash])
+        _bound(acc, "worst_eq", np.max, diam[is_nash])
         if collect:
             for row, size in zip(rows[is_nash].tolist(), sizes[is_nash].tolist()):
                 key = tuple(tuple(sorted(combos[u][k])) for u, k in enumerate(row))
@@ -962,27 +981,23 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
                 else:
                     eq_profiles.append(key)
 
-    interval = ctx.interval if ctx is not None else 0
-    next_cp = start + interval if interval else None
-
     if orbit is None:
-        # Every rank is evaluated, one decoded Gray block per call; blocks
-        # end at checkpoint ranks so each record follows its whole block.
-        rank = start
-        while rank < hi:
-            stop = min(hi, rank + _ORBIT_BLOCK, next_cp or hi)
-            evaluate(
+        # Every rank is evaluated, one decoded Gray block per call.
+        _checkpointed_steps(
+            ctx,
+            start,
+            hi,
+            _ORBIT_BLOCK,
+            lambda rank, stop: evaluate(
                 _gray_digit_block(rank, stop - rank, rests),
                 np.ones(stop - rank, dtype=np.int64),
-            )
-            rank = stop
-            if ctx is not None:
-                ctx.tick(rank - 1)
-                if rank >= next_cp and rank < hi:
-                    save(rank)
-                    next_cp = rank + interval
-        save(hi, done=True)
+            ),
+            save,
+        )
         return part()
+
+    interval = ctx.interval if ctx is not None else 0
+    next_cp = start + interval if interval else None
 
     # Canonical-rep-only walk: advance all probe keys per decoded block
     # in one vectorised pass and buffer the (rare) canonical rows for
@@ -1116,6 +1131,28 @@ def last_census_runtime_stats() -> "dict[str, object]":
     return dict(LAST_CENSUS_RUNTIME_STATS)
 
 
+def _merge_common(parts: "list[dict]", *, total: int, collect: bool, expect_full: bool):
+    """Order-independent merge of census shard partials.
+
+    Returns ``(count, eq_count, bound, equilibria)``: ``bound(key,
+    pick)`` reduces one extremum counter with ``min`` or ``max``
+    (``None`` when no part holds one). ``expect_full=False`` is the
+    degraded (quarantine) merge: coverage may fall short of ``total``.
+    """
+    count = sum(p["count"] for p in parts)
+    if expect_full:
+        assert count == total, f"census covered {count} of {total} profiles"
+
+    def bound(key: str, pick):
+        vals = [p[key] for p in parts if p[key] is not None]
+        return pick(vals) if vals else None
+
+    equilibria = None
+    if collect:
+        equilibria = tuple(sorted(k for p in parts for k in p["eq_profiles"] or ()))
+    return count, sum(p["eq_count"] for p in parts), bound, equilibria
+
+
 def _merge_unit_parts(
     parts: "list[dict]",
     *,
@@ -1124,34 +1161,18 @@ def _merge_unit_parts(
     collect: bool,
     expect_full: bool = True,
 ):
-    """Order-independent merge of unit-census shard partials.
-
-    ``expect_full=False`` is the degraded (quarantine) merge: coverage
-    may fall short of ``total`` and every reduction guards against an
-    empty covered set.
-    """
-    count = sum(p["count"] for p in parts)
-    if expect_full:
-        assert count == total, f"census covered {count} of {total} profiles"
-    eq_count = sum(p["eq_count"] for p in parts)
-    opts = [p["opt"] for p in parts if p["opt"] is not None]
-    bests = [p["best_eq"] for p in parts if p["best_eq"] is not None]
-    worsts = [p["worst_eq"] for p in parts if p["worst_eq"] is not None]
+    """Merge unit-census shard partials (see :func:`_merge_common`)."""
+    count, eq_count, bound, equilibria = _merge_common(
+        parts, total=total, collect=collect, expect_full=expect_full
+    )
     report = ExactPriceReport(
         version=version,
         num_profiles=count,
         num_equilibria=eq_count,
-        opt_diameter=min(opts) if opts else 0,
-        best_equilibrium_diameter=min(bests) if bests else None,
-        worst_equilibrium_diameter=max(worsts) if worsts else None,
+        opt_diameter=bound("opt", min) or 0,
+        best_equilibrium_diameter=bound("best_eq", min),
+        worst_equilibrium_diameter=bound("worst_eq", max),
     )
-    equilibria = None
-    if collect:
-        merged: "list[tuple[tuple[int, ...], ...]]" = []
-        for p in parts:
-            if p["eq_profiles"]:
-                merged.extend(p["eq_profiles"])
-        equilibria = tuple(sorted(merged))
     return report, equilibria
 
 
@@ -1166,6 +1187,13 @@ _WEIGHTED_COUNTER_KEYS = (
     "best_c",
     "worst_c",
 )
+
+
+def _empty_part(keys: "tuple[str, ...]") -> "dict[str, object]":
+    """The part of a shard that has covered no profile yet."""
+    part: "dict[str, object]" = dict.fromkeys(keys)
+    part.update(count=0, eq_count=0, eq_profiles=[])
+    return part
 
 
 def _part_from_record(record, keys: "tuple[str, ...]") -> "dict[str, object]":
@@ -1444,10 +1472,12 @@ def enumerate_equilibria(
     """All pure Nash equilibria of a tiny game, by exhaustive check.
 
     Each profile is tested against every strategy of every player, so
-    membership is provably correct. The default incremental kernel
-    returns the identical list (lexicographic profile order) as the
-    ``incremental=False`` rebuild-per-profile reference path, which
-    runs the exact best-response search on every profile.
+    membership is provably correct. The default path collects them with
+    :func:`census_scan` (Gray-order walk and bitset evaluator).
+    ``incremental=False`` builds every realization and runs the exact
+    best-response search on it; it returns the identical list
+    (lexicographic profile order) and only exists as a slow reference
+    for callers outside the library.
     """
     version = Version.coerce(version)
     if not incremental:
@@ -1545,121 +1575,65 @@ class WeightedCensusReport:
 def _weighted_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     """One contiguous Gray-rank range of the weighted census.
 
-    Owns a private mutable graph and distance-engine pool; every swap
-    verdict routes through the cache, so consecutive profiles cost one
-    single-arc delta repair per touched engine instead of a fresh
-    all-pairs BFS per player.
+    Each decoded Gray block goes to
+    :func:`~repro.core.census_eval.evaluate_weighted_block`, which gives
+    every row's weak-equilibrium verdict, diameter and weighted social
+    cost from a batched bitset BFS; no graph is built.
 
     ``ctx`` enables checkpointing and mid-range resume exactly as in
-    :func:`_census_shard`: the walk restarts at ``next_rank - 1`` (one
-    unranking seeds the graph and its engine), the
-    already-counted cursor rank is skipped, and counters continue
-    verbatim — the merge is bit-identical to an uninterrupted run.
+    :func:`_census_shard`: the walk restarts at ``next_rank`` with the
+    journaled counters, so the merge is bit-identical to an
+    uninterrupted run.
     """
-    # Imported lazily: analysis.weighted consumes core modules, so a
-    # top-level import here would cycle through the package __init__s.
-    from ..analysis.weighted import WeightedRealization, is_weighted_weak_equilibrium
-    from .distance_cache import DistanceCache
-
     budgets, weights, lo, hi, collect, max_profiles = payload
     game = BoundedBudgetGame(list(budgets))
     w = np.asarray(weights, dtype=np.int64)
-    resume_rec = ctx.resume_state if ctx is not None else None
-    if resume_rec is not None and resume_rec.next_rank <= lo:
-        resume_rec = None  # vacuous progress: run the shard fresh
-    count = 0
-    eq_count = 0
-    opt_d: "int | None" = None
-    opt_c: "int | None" = None
-    best_d = worst_d = best_c = worst_c = None
-    eq_profiles: "list[tuple[tuple[int, ...], ...]]" = []
-    start = lo
-    if resume_rec is not None:
-        c = resume_rec.counters
-        count = int(c["count"] or 0)
-        eq_count = int(c["eq_count"] or 0)
-        opt_d, opt_c = c["opt_d"], c["opt_c"]
-        best_d, worst_d = c["best_d"], c["worst_d"]
-        best_c, worst_c = c["best_c"], c["worst_c"]
-        if collect and resume_rec.eq_profiles is not None:
-            eq_profiles = list(resume_rec.eq_profiles)
-        start = resume_rec.next_rank
-
-    def counters() -> "dict[str, int | None]":
-        return {
-            "count": count,
-            "eq_count": eq_count,
-            "opt_d": opt_d,
-            "opt_c": opt_c,
-            "best_d": best_d,
-            "worst_d": worst_d,
-            "best_c": best_c,
-            "worst_c": worst_c,
-        }
-
-    def part() -> "dict[str, object]":
-        out: "dict[str, object]" = counters()
-        out["eq_profiles"] = eq_profiles if collect else None
-        return out
+    start, acc, _ = _shard_start(
+        ctx, lo, _empty_part(_WEIGHTED_COUNTER_KEYS), _weighted_part_from_record
+    )
+    eq_profiles = acc.pop("eq_profiles") or []
 
     def save(next_rank: int, *, done: bool = False) -> None:
-        if ctx is None:
-            return
-        ctx.checkpoint(
-            lo=lo,
-            hi=hi,
-            next_rank=next_rank,
-            counters=counters(),
-            eq_profiles=tuple(eq_profiles) if collect else None,
-            done=done,
-        )
-
-    if start >= hi:
-        if lo <= hi:
-            save(hi, done=True)
-        return part()
-    cursor = start - 1 if resume_rec is not None else lo
-    interval = ctx.interval if ctx is not None else 0
-    next_cp = start + interval if interval else None
-    cache: "DistanceCache | None" = None
-    wr = None
-    active = None
-    for rank, graph, swap in gray_profile_walk(
-        game, start=cursor, stop=hi, max_profiles=max_profiles
-    ):
-        if cache is None:
-            cache = DistanceCache(graph)
-            wr = WeightedRealization(graph=graph, weights=w)
-            active = wr.active
-        if resume_rec is not None and rank == cursor:
-            continue  # already aggregated by the checkpointed prefix
-        count += 1
-        D = cache.base().matrix
-        d = int(D.max())
-        cost = int((D.astype(np.int64) @ w)[active].sum())
-        if opt_d is None or d < opt_d:
-            opt_d = d
-        if opt_c is None or cost < opt_c:
-            opt_c = cost
-        if is_weighted_weak_equilibrium(wr, cache=cache):
-            eq_count += 1
-            if best_d is None or d < best_d:
-                best_d = d
-            if worst_d is None or d > worst_d:
-                worst_d = d
-            if best_c is None or cost < best_c:
-                best_c = cost
-            if worst_c is None or cost > worst_c:
-                worst_c = cost
-            if collect:
-                eq_profiles.append(graph.profile_key())
         if ctx is not None:
-            ctx.tick(rank)
-            if next_cp is not None and rank + 1 >= next_cp and rank + 1 < hi:
-                save(rank + 1)
-                next_cp = rank + 1 + interval
-    save(hi, done=True)
-    return part()
+            ctx.checkpoint(
+                lo=lo,
+                hi=hi,
+                next_rank=next_rank,
+                counters=dict(acc),
+                eq_profiles=tuple(eq_profiles) if collect else None,
+                done=done,
+            )
+
+    _check_cap(game, max_profiles)
+    combos, _, rests = _profile_tables(game)
+    _check_rank_width(rests[0])
+    tables = out_mask_tables(combos)
+    swaps = swap_tables(tables, w)
+
+    def evaluate(rank: int, stop: int) -> None:
+        rows = _gray_digit_block(rank, stop - rank, rests)
+        is_eq, diam, cost = evaluate_weighted_block(rows, tables, swaps, w)
+        acc["count"] += stop - rank
+        _bound(acc, "opt_d", np.min, diam)
+        _bound(acc, "opt_c", np.min, cost)
+        if not is_eq.any():
+            return
+        acc["eq_count"] += int(is_eq.sum())
+        for key, pick, values in (
+            ("best_d", np.min, diam),
+            ("worst_d", np.max, diam),
+            ("best_c", np.min, cost),
+            ("worst_c", np.max, cost),
+        ):
+            _bound(acc, key, pick, values[is_eq])
+        if collect:
+            for row in rows[is_eq].tolist():
+                eq_profiles.append(
+                    tuple(tuple(sorted(combos[u][k])) for u, k in enumerate(row))
+                )
+
+    _checkpointed_steps(ctx, start, hi, _ORBIT_BLOCK, evaluate, save)
+    return {**acc, "eq_profiles": eq_profiles if collect else None}
 
 
 def _merge_weighted_parts(
@@ -1670,34 +1644,21 @@ def _merge_weighted_parts(
     collect: bool,
     expect_full: bool = True,
 ):
-    """Order-independent merge of weighted-census shard partials."""
-    count = sum(p["count"] for p in parts)
-    if expect_full:
-        assert count == total, f"census covered {count} of {total} profiles"
-    eq_count = sum(p["eq_count"] for p in parts)
-
-    def _merge(key, fn):
-        vals = [p[key] for p in parts if p[key] is not None]
-        return fn(vals) if vals else None
-
+    """Merge weighted-census shard partials (see :func:`_merge_common`)."""
+    count, eq_count, bound, equilibria = _merge_common(
+        parts, total=total, collect=collect, expect_full=expect_full
+    )
     report = WeightedCensusReport(
         weights=weights_t,
         num_profiles=count,
         num_weak_equilibria=eq_count,
-        opt_diameter=_merge("opt_d", min),
-        opt_social_cost=_merge("opt_c", min),
-        best_equilibrium_diameter=_merge("best_d", min),
-        worst_equilibrium_diameter=_merge("worst_d", max),
-        best_equilibrium_social_cost=_merge("best_c", min),
-        worst_equilibrium_social_cost=_merge("worst_c", max),
+        opt_diameter=bound("opt_d", min),
+        opt_social_cost=bound("opt_c", min),
+        best_equilibrium_diameter=bound("best_d", min),
+        worst_equilibrium_diameter=bound("worst_d", max),
+        best_equilibrium_social_cost=bound("best_c", min),
+        worst_equilibrium_social_cost=bound("worst_c", max),
     )
-    equilibria = None
-    if collect:
-        merged: list = []
-        for p in parts:
-            if p["eq_profiles"]:
-                merged.extend(p["eq_profiles"])
-        equilibria = tuple(sorted(merged))
     return report, equilibria
 
 
@@ -1707,7 +1668,6 @@ def weighted_census_scan(
     *,
     max_profiles: int = 500_000,
     workers: int = 1,
-    incremental: bool = True,
     collect_equilibria: bool = False,
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
@@ -1715,36 +1675,41 @@ def weighted_census_scan(
     shard_count: "int | None" = None,
     runtime_opts: "dict | None" = None,
 ) -> "tuple[WeightedCensusReport, tuple | None]":
-    """Full weighted weak-equilibrium census via the Gray-order kernel.
+    """Full weighted weak-equilibrium census via the Gray-order walk and
+    the bitset evaluator.
 
-    One engine-repaired pass over the profile space counts the profiles
-    that are weighted weak equilibria for the given positive vertex
-    weights and tracks diameter / weighted-social-cost extrema;
-    ``workers > 1`` shards the rank space. ``incremental=False`` runs
-    the retained rebuild-per-profile reference path (fresh graph and
-    fresh BFS sweeps per profile) — reports and collected equilibrium
-    sets are bit-identical for every knob combination. Vertex weights
-    break player symmetry, so there is no orbit pruning here.
+    One pass over the profile space counts the profiles that are
+    weighted weak equilibria for the given nonnegative vertex weights and
+    tracks diameter / weighted-social-cost extrema. Blocks of profiles go
+    through :func:`~repro.core.census_eval.evaluate_weighted_block`,
+    which tests each active player against every single-arc swap of its
+    strategy; no graph is built and no distance engine runs.
+    Neighbourhoods are ``int64`` masks, so games with ``n > 63`` raise
+    :class:`~repro.errors.GameError`. ``workers > 1`` shards the rank
+    space; reports and collected equilibrium sets are bit-identical for
+    every worker count. Vertex weights break player symmetry, so there
+    is no orbit pruning here.
 
     Returns ``(report, equilibria)`` where ``equilibria`` is a sorted
     tuple of profile keys when ``collect_equilibria=True``, else
     ``None``.
 
     Weight-0 vertices follow the Section 6 *folded ghost* semantics of
-    :func:`~repro.analysis.weighted.is_weighted_weak_equilibrium`: they
-    are neither checked for deviations nor legal swap targets (though
-    the profile space may still wire arcs to them — give a vertex
-    weight 1 if it should remain a live member of the folded graph).
+    the checker ``is_weighted_weak_equilibrium``: they are neither
+    checked for deviations nor legal swap targets (though the profile
+    space may still wire arcs to them — give a vertex weight 1 if it
+    should remain a live member of the folded graph).
 
     ``checkpoint_dir`` / ``resume`` / ``fault_plan`` / ``shard_count``
     / ``runtime_opts`` select the fault-tolerant checkpointed runtime
-    exactly as in :func:`census_scan` (incremental path only). The
-    2-tuple return shape is preserved; a degraded run's incompleteness
-    manifest is published through :data:`LAST_CENSUS_RUNTIME_STATS`.
+    exactly as in :func:`census_scan`. The 2-tuple return shape is
+    preserved; a degraded run's incompleteness manifest is published
+    through :data:`LAST_CENSUS_RUNTIME_STATS`.
     """
-    from ..analysis.weighted import WeightedRealization, is_weighted_weak_equilibrium
+    from ..parallel.executor import contiguous_shards, parallel_map
 
     _reset_census_stats()
+    _check_bitset_cap(game.n)
     _check_cap(game, max_profiles)
     w = np.asarray(weights, dtype=np.int64)
     if w.shape != (game.n,):
@@ -1762,103 +1727,50 @@ def weighted_census_scan(
             "resume/fault_plan/shard_count require checkpoint_dir (the "
             "checkpointed runtime path)"
         )
-    if checkpoint_dir is not None and not incremental:
-        raise GameError(
-            "the checkpointed runtime requires the incremental census kernel"
-        )
     weights_t = tuple(int(x) for x in w)
-    if incremental:
-        from ..parallel.executor import contiguous_shards, parallel_map
+    total = profile_space_size(game)
+    _check_rank_width(total)
+    budgets = tuple(int(b) for b in game.budgets)
 
-        total = profile_space_size(game)
-        _check_rank_width(total)
-        budgets = tuple(int(b) for b in game.budgets)
+    def payload_for(lo: int, hi: int) -> tuple:
+        return (budgets, weights_t, lo, hi, collect_equilibria, max_profiles)
 
-        def payload_for(lo: int, hi: int) -> tuple:
-            return (
-                budgets, weights_t, lo, hi, collect_equilibria, max_profiles
-            )
-
-        if checkpoint_dir is not None:
-            shards_t = _resolve_runtime_shards(
-                checkpoint_dir,
-                resume=resume,
-                kind="weighted_census",
-                budgets=budgets,
-                total=total,
-                shard_count=shard_count,
-                workers=workers,
-                weights=weights_t,
-                collect=collect_equilibria,
-            )
-            parts, missing, covered = _run_census_shards(
-                _weighted_census_shard,
-                payload_for,
-                _weighted_part_from_record,
-                shards_t,
-                workers=workers,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                fault_plan=fault_plan,
-                runtime_opts=runtime_opts,
-            )
-            return _merge_weighted_parts(
-                parts,
-                weights_t=weights_t,
-                total=total,
-                collect=collect_equilibria,
-                expect_full=not missing,
-            )
-        shards = contiguous_shards(total, workers)
-        payloads = [payload_for(lo, hi) for lo, hi in shards]
-        parts = parallel_map(
-            _weighted_census_shard, payloads, processes=workers
+    if checkpoint_dir is not None:
+        shards_t = _resolve_runtime_shards(
+            checkpoint_dir,
+            resume=resume,
+            kind="weighted_census",
+            budgets=budgets,
+            total=total,
+            shard_count=shard_count,
+            workers=workers,
+            weights=weights_t,
+            collect=collect_equilibria,
+        )
+        parts, missing, covered = _run_census_shards(
+            _weighted_census_shard,
+            payload_for,
+            _weighted_part_from_record,
+            shards_t,
+            workers=workers,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            fault_plan=fault_plan,
+            runtime_opts=runtime_opts,
         )
         return _merge_weighted_parts(
-            parts, weights_t=weights_t, total=total, collect=collect_equilibria
+            parts,
+            weights_t=weights_t,
+            total=total,
+            collect=collect_equilibria,
+            expect_full=not missing,
         )
-
-    if workers != 1:
-        raise GameError("workers require the incremental weighted census kernel")
-    from ..graphs.distances import distance_matrix
-
-    active = np.flatnonzero(w > 0).astype(np.int64)
-    count = 0
-    eq_count = 0
-    opt_d = opt_c = None
-    best_d = worst_d = best_c = worst_c = None
-    eq_profiles: list = []
-    for graph in enumerate_realizations(game, max_profiles=max_profiles):
-        count += 1
-        D = distance_matrix(graph)
-        d = int(D.max())
-        cost = int((D @ w)[active].sum())
-        if opt_d is None or d < opt_d:
-            opt_d = d
-        if opt_c is None or cost < opt_c:
-            opt_c = cost
-        wr = WeightedRealization(graph=graph, weights=w)
-        if is_weighted_weak_equilibrium(wr):
-            eq_count += 1
-            best_d = d if best_d is None else min(best_d, d)
-            worst_d = d if worst_d is None else max(worst_d, d)
-            best_c = cost if best_c is None else min(best_c, cost)
-            worst_c = cost if worst_c is None else max(worst_c, cost)
-            if collect_equilibria:
-                eq_profiles.append(graph.profile_key())
-    report = WeightedCensusReport(
-        weights=weights_t,
-        num_profiles=count,
-        num_weak_equilibria=eq_count,
-        opt_diameter=opt_d,
-        opt_social_cost=opt_c,
-        best_equilibrium_diameter=best_d,
-        worst_equilibrium_diameter=worst_d,
-        best_equilibrium_social_cost=best_c,
-        worst_equilibrium_social_cost=worst_c,
+    shards = contiguous_shards(total, workers)
+    payloads = [payload_for(lo, hi) for lo, hi in shards]
+    parts = parallel_map(_weighted_census_shard, payloads, processes=workers)
+    return _merge_weighted_parts(
+        parts, weights_t=weights_t, total=total, collect=collect_equilibria
     )
-    equilibria = tuple(sorted(eq_profiles)) if collect_equilibria else None
-    return report, equilibria
 
 
 # ----------------------------------------------------------------------
@@ -1928,48 +1840,20 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     version = Version.coerce(version_value)
     total = profile_space_size(game)
     ranks = _sampled_ranks(total, samples, seed, method)
-    resume_rec = ctx.resume_state if ctx is not None else None
-    if resume_rec is not None and resume_rec.next_rank <= lo:
-        resume_rec = None  # vacuous progress: run the shard fresh
-    count = 0
-    eq_count = 0
-    hist: "dict[str, int]" = {}
-    start = lo
-    if resume_rec is not None:
-        c = resume_rec.counters
-        count = int(c["count"] or 0)
-        eq_count = int(c["eq_count"] or 0)
-        for k, v in c.items():
-            if k.startswith("d:"):
-                hist[k] = int(v or 0)
-        start = resume_rec.next_rank
-
-    def counters() -> "dict[str, int | None]":
-        out: "dict[str, int | None]" = {"count": count, "eq_count": eq_count}
-        out.update(hist)
-        return out
-
-    def part() -> "dict[str, object]":
-        return dict(counters())
+    start, acc, _ = _shard_start(
+        ctx, lo, {"count": 0, "eq_count": 0}, _sampled_part_from_record
+    )
 
     def save(next_index: int, *, done: bool = False) -> None:
-        if ctx is None:
-            return
-        ctx.checkpoint(
-            lo=lo, hi=hi, next_rank=next_index, counters=counters(), done=done
-        )
+        if ctx is not None:
+            ctx.checkpoint(
+                lo=lo, hi=hi, next_rank=next_index, counters=dict(acc), done=done
+            )
 
-    if start >= hi:
-        if lo <= hi:
-            save(hi, done=True)
-        return part()
     combos, radices, rests = _profile_tables(game)
     tables = out_mask_tables(combos)
-    interval = ctx.interval if ctx is not None else 0
-    next_cp = start + interval if interval else None
-    i = start
-    while i < hi:
-        stop = min(hi, i + _EVAL_BATCH, next_cp or hi)
+
+    def evaluate(i: int, stop: int) -> None:
         rows = np.asarray(
             [_gray_digits(r, radices, rests) for r in ranks[i:stop]],
             dtype=np.int64,
@@ -1977,17 +1861,12 @@ def _sampled_census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
         is_nash, diam = evaluate_block(rows, tables, version)
         for d, eq in zip(diam.tolist(), is_nash.tolist()):
             hkey = f"d:{d}:{int(eq)}"
-            hist[hkey] = hist.get(hkey, 0) + 1
-        count += stop - i
-        eq_count += int(is_nash.sum())
-        i = stop
-        if ctx is not None:
-            ctx.tick(i - 1)
-            if i >= next_cp and i < hi:
-                save(i)
-                next_cp = i + interval
-    save(hi, done=True)
-    return part()
+            acc[hkey] = acc.get(hkey, 0) + 1
+        acc["count"] += stop - i
+        acc["eq_count"] += int(is_nash.sum())
+
+    _checkpointed_steps(ctx, start, hi, _EVAL_BATCH, evaluate, save)
+    return dict(acc)
 
 
 def _sampled_part_from_record(record) -> "dict[str, object]":
@@ -2302,53 +2181,20 @@ def exact_prices(
     version: "Version | str",
     *,
     max_profiles: int = 500_000,
-    incremental: bool = True,
     symmetry: bool = False,
     workers: int = 1,
 ) -> ExactPriceReport:
     """Exact PoA / PoS of a tiny game by full enumeration.
 
-    One pass over the profile space computes the optimal diameter and
-    the best/worst equilibrium diameters simultaneously. The default
-    incremental path (Gray-order walk + bitset evaluator, optionally
-    with ``symmetry`` orbit pruning and ``workers`` shards) returns a
-    report bit-identical to the ``incremental=False`` rebuild-per-profile
-    reference implementation.
+    The report of :func:`census_scan`: one pass of the Gray-order walk
+    and the bitset evaluator (optionally with ``symmetry`` orbit pruning
+    and ``workers`` shards) computes the optimal diameter and the
+    best/worst equilibrium diameters simultaneously.
     """
-    version = Version.coerce(version)
-    if incremental:
-        return census_scan(
-            game,
-            version,
-            max_profiles=max_profiles,
-            symmetry=symmetry,
-            workers=workers,
-        ).report
-    if symmetry or workers != 1:
-        raise GameError("symmetry/workers require the incremental census kernel")
-    _check_cap(game, max_profiles)
-    opt = None
-    best_eq = None
-    worst_eq = None
-    count = 0
-    eq_count = 0
-    for graph in enumerate_realizations(game, max_profiles=max_profiles):
-        count += 1
-        d = diameter(graph)
-        if opt is None or d < opt:
-            opt = d
-        if is_equilibrium(graph, version, method="exact"):
-            eq_count += 1
-            if best_eq is None or d < best_eq:
-                best_eq = d
-            if worst_eq is None or d > worst_eq:
-                worst_eq = d
-    assert opt is not None, "profile space is never empty"
-    return ExactPriceReport(
-        version=version,
-        num_profiles=count,
-        num_equilibria=eq_count,
-        opt_diameter=opt,
-        best_equilibrium_diameter=best_eq,
-        worst_equilibrium_diameter=worst_eq,
-    )
+    return census_scan(
+        game,
+        version,
+        max_profiles=max_profiles,
+        symmetry=symmetry,
+        workers=workers,
+    ).report

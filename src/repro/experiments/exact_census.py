@@ -6,18 +6,19 @@ enumerable: every equilibrium is found, every structure theorem is
 checked over the whole space rather than sampled. This is the
 strongest form of machine verification the paper admits.
 
-Runs on the incremental Gray-order census kernel
-(:func:`repro.core.enumeration.census_scan`): one bitset-evaluated pass
-per (instance, version) computes the prices *and* collects the
-equilibria, with symmetry orbit pruning on by default and optional
-sharded workers — the numbers are bit-identical to the rebuild-per-
-profile brute force, just fast enough to put unit ``n = 6`` in reach.
+Runs on :func:`repro.core.enumeration.census_scan`: a Gray-order walk
+of the profile space whose blocks of profiles go through the batched
+bitset evaluator of :mod:`repro.core.census_eval`. One pass per
+(instance, version) computes the prices *and* collects the equilibria,
+with symmetry orbit pruning on by default and optional sharded workers
+— the numbers are bit-identical to the rebuild-per-profile brute force,
+just fast enough to put unit ``n = 6`` in reach.
 
 ``weighted=True`` (CLI: ``--weighted``) additionally runs the Section 6
-battery: for each weighted instance the same Gray walk counts the
-profiles that are *weighted weak equilibria* (stable under weighted
-single-arc swaps) via :func:`repro.core.enumeration.weighted_census_scan`,
-with every distance query riding the distance engines' delta repairs.
+battery: for each weighted instance the same Gray walk and evaluator
+count the profiles that are *weighted weak equilibria* (stable under
+weighted single-arc swaps) via
+:func:`repro.core.enumeration.weighted_census_scan`.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ GOLDEN_INSTANCES: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 #: The default ``EXACT-tiny`` battery: the golden instances plus the
-#: games the incremental kernel unlocked — unit ``n = 6`` (15625
-#: profiles, infeasible on the rebuild-per-profile path, ~0.2 s with
-#: symmetry pruning) and a richer mixed-budget game (~2 s for the whole
-#: battery).
+#: games the Gray walk and bitset evaluator unlocked — unit ``n = 6``
+#: (15625 profiles, infeasible on the rebuild-per-profile path, ~0.2 s
+#: with symmetry pruning) and a richer mixed-budget game (~2 s for the
+#: whole battery).
 DEFAULT_INSTANCES: tuple[tuple[str, tuple[int, ...]], ...] = GOLDEN_INSTANCES + (
     ("unit n=6", (1, 1, 1, 1, 1, 1)),
     ("mixed n=5", (2, 2, 1, 1, 0)),

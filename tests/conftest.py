@@ -147,3 +147,66 @@ def naive_vertex_cost(g: OwnedDigraph, u: int, version: str) -> int:
     others = [d for v, d in enumerate(dist) if v != u]
     local_diam = max(others) if others else 0
     return local_diam + (kappa - 1) * n * n
+
+
+# ----------------------------------------------------------------------
+# Rebuild-per-profile census oracles
+# ----------------------------------------------------------------------
+def brute_exact_prices(game, version, *, max_profiles: int = 500_000):
+    """:class:`~repro.core.enumeration.ExactPriceReport` of a tiny game,
+    one fresh graph, diameter and exact best-response check per profile."""
+    from repro.core.costs import Version
+    from repro.core.deviations import is_equilibrium
+    from repro.core.enumeration import ExactPriceReport, enumerate_realizations
+    from repro.graphs.distances import diameter
+
+    version = Version.coerce(version)
+    diams = []
+    eq_diams = []
+    for graph in enumerate_realizations(game, max_profiles=max_profiles):
+        d = diameter(graph)
+        diams.append(d)
+        if is_equilibrium(graph, version, method="exact"):
+            eq_diams.append(d)
+    return ExactPriceReport(
+        version=version,
+        num_profiles=len(diams),
+        num_equilibria=len(eq_diams),
+        opt_diameter=min(diams),
+        best_equilibrium_diameter=min(eq_diams, default=None),
+        worst_equilibrium_diameter=max(eq_diams, default=None),
+    )
+
+
+def brute_weighted_census(game, weights, *, max_profiles: int = 500_000):
+    """``(WeightedCensusReport, sorted equilibrium profile keys)`` of a
+    tiny game: per profile a fresh graph, a fresh distance matrix and the
+    loop path of ``is_weighted_weak_equilibrium`` (no distance cache)."""
+    from repro.analysis.weighted import (
+        WeightedRealization,
+        is_weighted_weak_equilibrium,
+    )
+    from repro.core.enumeration import WeightedCensusReport, enumerate_realizations
+    from repro.graphs.distances import distance_matrix
+
+    w = np.asarray(weights, dtype=np.int64)
+    active = np.flatnonzero(w > 0)
+    diams, costs, eq = [], [], []
+    for graph in enumerate_realizations(game, max_profiles=max_profiles):
+        D = distance_matrix(graph)
+        diams.append(int(D.max()))
+        costs.append(int((D @ w)[active].sum()))
+        if is_weighted_weak_equilibrium(WeightedRealization(graph=graph, weights=w)):
+            eq.append((diams[-1], costs[-1], graph.profile_key()))
+    report = WeightedCensusReport(
+        weights=tuple(int(x) for x in w),
+        num_profiles=len(diams),
+        num_weak_equilibria=len(eq),
+        opt_diameter=min(diams),
+        opt_social_cost=min(costs),
+        best_equilibrium_diameter=min((d for d, _, _ in eq), default=None),
+        worst_equilibrium_diameter=max((d for d, _, _ in eq), default=None),
+        best_equilibrium_social_cost=min((c for _, c, _ in eq), default=None),
+        worst_equilibrium_social_cost=max((c for _, c, _ in eq), default=None),
+    )
+    return report, tuple(sorted(key for _, _, key in eq))

@@ -32,6 +32,7 @@ from repro.core import (
     satisfies_lemma_2_2,
     screen_best_responders,
 )
+from conftest import brute_exact_prices
 from repro.core.enumeration import _budget_symmetry_group, _OrbitKeys
 from repro.errors import GameError
 from repro.graphs import DistanceEngine, distance_matrix
@@ -394,7 +395,7 @@ def test_symmetry_capped_by_key_width():
 @pytest.mark.parametrize("version", ["sum", "max"])
 def test_exact_prices_golden_equivalence(label, budgets, version):
     game = BoundedBudgetGame(list(budgets))
-    brute = exact_prices(game, version, incremental=False)
+    brute = brute_exact_prices(game, version)
     assert exact_prices(game, version) == brute
     assert exact_prices(game, version, symmetry=True) == brute
     assert exact_prices(game, version, workers=2) == brute
@@ -422,7 +423,7 @@ def test_enumerate_equilibria_golden_equivalence(budgets, version):
     game = BoundedBudgetGame(list(budgets))
     brute = enumerate_equilibria(game, version, incremental=False)
     keys = tuple(g.profile_key() for g in brute)
-    report = exact_prices(game, version, incremental=False)
+    report = brute_exact_prices(game, version)
     for kwargs in ({}, {"symmetry": True}, {"workers": 2, "symmetry": True}):
         fast = enumerate_equilibria(game, version, **kwargs)
         assert [g.profile_key() for g in fast] == list(keys)
@@ -450,8 +451,6 @@ def test_census_scan_without_collection_has_no_equilibria_payload():
 
 def test_brute_force_path_rejects_kernel_knobs():
     game = BoundedBudgetGame([1, 1, 1])
-    with pytest.raises(GameError):
-        exact_prices(game, "sum", incremental=False, symmetry=True)
     with pytest.raises(GameError):
         enumerate_equilibria(game, "sum", incremental=False, workers=2)
 

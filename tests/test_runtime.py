@@ -376,6 +376,57 @@ def test_weighted_census_random_fault_plan(tmp_path):
     assert res == ref
 
 
+def test_weighted_census_checkpoints_at_interval_ranks(tmp_path):
+    """The weighted walk cuts its blocks at checkpoint ranks too, so
+    records land every ``checkpoint_interval`` ranks, then a done record
+    at ``hi``."""
+    game = BoundedBudgetGame([2, 1, 1, 1, 0])
+    weights = (3, 1, 1, 1, 1)
+    ref = weighted_census_scan(game, weights, collect_equilibria=True)
+    got = weighted_census_scan(
+        game,
+        weights,
+        collect_equilibria=True,
+        checkpoint_dir=tmp_path,
+        runtime_opts=dict(_RUNTIME_OPTS, checkpoint_interval=100),
+    )
+    assert got == ref
+    records = replay_journal(shard_journal_path(tmp_path, 0)).records
+    assert [r.next_rank for r in records] == [100, 200, 300, 384]
+    assert [r.done for r in records] == [False, False, False, True]
+
+
+def test_weighted_census_kill_inside_block_then_resume_bit_identical(tmp_path):
+    """A kill at a rank inside an evaluated block loses that block's
+    work; the resume restarts from the last record and matches the
+    uninterrupted weighted census exactly."""
+    game = BoundedBudgetGame([1] * 5)
+    weights = (1, 2, 3, 4, 5)
+    ref = weighted_census_scan(game, weights, collect_equilibria=True)
+    opts = dict(_RUNTIME_OPTS, checkpoint_interval=100, max_retries=0)
+    weighted_census_scan(
+        game,
+        weights,
+        collect_equilibria=True,
+        checkpoint_dir=tmp_path,
+        fault_plan=FaultPlan(faults=(Fault(kind="kill", shard_id=0, rank=150),)),
+        runtime_opts=opts,
+    )
+    assert en.LAST_CENSUS_RUNTIME_STATS["missing"] == [[0, 100, 1024]]
+    records = replay_journal(shard_journal_path(tmp_path, 0)).records
+    assert [r.next_rank for r in records] == [100]
+    healed = weighted_census_scan(
+        game,
+        weights,
+        collect_equilibria=True,
+        checkpoint_dir=tmp_path,
+        resume=True,
+        runtime_opts=opts,
+    )
+    assert healed == ref
+    assert en.LAST_CENSUS_RUNTIME_STATS["shards_resumed"] == 1
+
+
 def test_census_quarantine_degrades_then_resume_heals(tmp_path):
     game = BoundedBudgetGame([1] * 5)
     ref = _unit_ref(game, "max")
@@ -443,10 +494,6 @@ def test_census_checkpoint_kwargs_validation(tmp_path):
         census_scan(game, "max", fault_plan=FaultPlan())
     with pytest.raises(GameError):
         census_scan(game, "max", shard_count=2)
-    with pytest.raises(GameError):
-        weighted_census_scan(
-            game, (1, 1, 1), checkpoint_dir=tmp_path, incremental=False
-        )
 
 
 def test_census_cross_process_kill_and_resume(tmp_path):

@@ -6,14 +6,22 @@ paths, fold cascades, Lemma 6.4 graphs — is re-run here through a
 :class:`~repro.core.distance_cache.DistanceCache`, and every verdict,
 cost, fold sequence and report must be *bit-identical* to the retained
 loop path. The
-weighted census gets the same treatment: incremental Gray-walk vs
-rebuild-per-profile reference vs sharded workers.
+weighted census gets the same treatment: the bitset-evaluated Gray walk
+(one worker, sharded, checkpointed) vs the rebuild-per-profile oracle
+of ``conftest.py``.
 """
 
 from __future__ import annotations
 
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import brute_weighted_census
 
 from repro.analysis.weighted import (
     WeightedRealization,
@@ -209,9 +217,7 @@ def test_weight_zero_ghosts_bit_identical():
 )
 def test_weighted_census_incremental_equals_reference(budgets, weights):
     game = BoundedBudgetGame(list(budgets))
-    ref, eq_ref = weighted_census_scan(
-        game, weights, incremental=False, collect_equilibria=True
-    )
+    ref, eq_ref = brute_weighted_census(game, weights)
     inc, eq_inc = weighted_census_scan(game, weights, collect_equilibria=True)
     assert inc == ref
     assert eq_inc == eq_ref
@@ -245,8 +251,50 @@ def test_weighted_census_validates_inputs():
         weighted_census_scan(game, (1, -1, 2))
     with pytest.raises(GameError):
         weighted_census_scan(game, (1, 1, 1), workers=0)
-    with pytest.raises(GameError):
-        weighted_census_scan(game, (1, 1, 1), incremental=False, workers=2)
+    with pytest.raises(GameError, match="int64"):
+        weighted_census_scan(BoundedBudgetGame([0] * 64), (1,) * 64)
+
+
+@st.composite
+def _weighted_games(draw, cap: int = 200):
+    """``(budgets, weights)``, n = 1..6, at most ``cap`` profiles,
+    weights 0..4 (all-zero vectors included)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    budgets = []
+    size = 1
+    for _ in range(n):
+        fits = [b for b in range(n) if size * math.comb(n - 1, b) <= cap]
+        b = draw(st.sampled_from(fits))
+        budgets.append(b)
+        size *= math.comb(n - 1, b)
+    weights = draw(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n)
+    )
+    return budgets, tuple(weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_weighted_games())
+@example(case=([0], (1,)))
+@example(case=([1, 1], (0, 0)))
+# A weight-0 hub owning arcs to three heavy vertices: moving player 0's
+# arc onto it would pay, but folded ghosts are never swap targets.
+@example(case=([1, 3, 0, 0, 0], (1, 0, 4, 4, 4)))
+def test_weighted_census_matches_rebuild_oracle(case):
+    budgets, weights = case
+    game = BoundedBudgetGame(budgets)
+    expected = brute_weighted_census(game, weights)
+    got = weighted_census_scan(game, weights, collect_equilibria=True, workers=1)
+    assert got == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = weighted_census_scan(
+            game,
+            weights,
+            collect_equilibria=True,
+            checkpoint_dir=tmp,
+            runtime_opts={"checkpoint_interval": 3},
+        )
+    assert ckpt == expected
 
 
 def test_weighted_experiment_rows():
