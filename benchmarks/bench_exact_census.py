@@ -1,6 +1,6 @@
 """Incremental exact census vs rebuild-per-profile brute force.
 
-Eight claims, each asserted (not just timed):
+Seven claims, each asserted (not just timed):
 
 * the Gray-order incremental kernel with symmetry pruning beats the
   brute-force census on the unit n=5 instance by >= 5x, with a
@@ -25,10 +25,7 @@ Eight claims, each asserted (not just timed):
   evaluator in under a second;
 * the Monte Carlo sampled census covers the known exact equilibrium
   counts at n=6 and n=7 within its stated confidence intervals, in a
-  small fraction of the exhaustive walk's time;
-* a tree-like fold/dynamics workload repairs the unit engine with
-  **zero full rebuilds and zero whole-row recomputes** — every
-  deletion resolves in the pendant or affected-region tier.
+  small fraction of the exhaustive walk's time.
 
 Timings land in ``.bench_out/BENCH_census.json`` (see ``conftest.py``);
 the tracked ``BENCH_census.json`` at the repo root is the baseline.
@@ -40,7 +37,6 @@ import os
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -56,7 +52,7 @@ from repro.core import (
     weighted_census_scan,
 )
 from repro.core.enumeration import _census_shard, _gray_rank, _profile_tables
-from repro.graphs import DistanceEngine, OwnedDigraph, diameter
+from repro.graphs import diameter
 
 #: Wall-clock comparisons are meaningful on a quiet machine; on shared
 #: CI runners a noisy neighbour can invert margins with no code defect,
@@ -384,66 +380,6 @@ def test_sampled_census_covers_exact_counts(benchmark, bench_record):
     # must stay far below the exhaustive walks it stands in for.
     assert not _STRICT_TIMING or elapsed < 30.0, (
         f"sampled census sweep took {elapsed:.1f} s for 1800 samples"
-    )
-
-
-@pytest.mark.paper_artifact("distance engine / tree-like fold repairs")
-def test_treelike_fold_dynamics_zero_rebuilds(benchmark, bench_record):
-    """Tree-like fold/dynamics workload: every warm deletion repair in
-    the unit engine must resolve below row granularity — 0 full
-    rebuilds, 0 whole-row recomputes; only pendant column fixes and
-    affected-region relaxations — and stay bit-identical to a fresh
-    build. This is the ROADMAP 'deletions dirty whole rows on sparse
-    instances' item, closed."""
-    n = 128
-    rng = np.random.default_rng(42)
-
-    def build_tree():
-        g = OwnedDigraph(n)
-        for v in range(1, n):
-            g.add_arc(int(rng.integers(v)), v)
-        return g
-
-    def run():
-        graph = build_tree()
-        engine = DistanceEngine(graph.undirected_csr())
-        for key in engine.stats:
-            engine.stats[key] = 0
-        csr = graph.undirected_csr()
-        edges = [
-            (u, int(v)) for u in range(n) for v in csr.neighbors(u) if u < int(v)
-        ]
-        order = rng.permutation(len(edges))
-        for idx in order[:64]:
-            x, y = edges[int(idx)]
-            status = engine.remove_edge(x, y)
-            assert status == "delta"
-        return engine
-
-    t0 = time.perf_counter()
-    engine = run()
-    elapsed = time.perf_counter() - t0
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    stats = engine.stats
-    assert stats["rebuilds"] == 0, stats
-    assert stats["rows_recomputed"] == 0, stats
-    assert stats["pendant_fixes"] > 0, stats
-    assert stats["region_repairs"] > 0, stats
-    fresh = DistanceEngine(engine.csr)
-    assert np.array_equal(np.asarray(engine.matrix), np.asarray(fresh.matrix))
-    bench_record(
-        "treelike_fold",
-        {
-            "n": n,
-            "deletions": 64,
-            "elapsed_s": round(elapsed, 4),
-            "rebuilds": stats["rebuilds"],
-            "rows_recomputed": stats["rows_recomputed"],
-            "pendant_fixes": stats["pendant_fixes"],
-            "region_repairs": stats["region_repairs"],
-            "region_vertices": stats["region_vertices"],
-        },
     )
 
 

@@ -15,21 +15,20 @@ from the proof are implemented and empirically checkable here:
 * **Lemma 6.4** — any two rich leaves of a weighted weak equilibrium
   are within distance 2 of each other.
 
-Engine-backed path
-------------------
+Cache-backed path
+-----------------
 Every distance-consuming checker in this module takes an optional
 ``cache`` — a :class:`~repro.core.distance_cache.DistanceCache` bound to
-``wr.graph`` — and then routes all distance queries through the
-incrementally repaired hop-distance engines instead of fresh per-call
-BFS sweeps (vertex weights enter only the cost sums, never the
-distances): :func:`weighted_sum_cost` becomes one row·weights product,
-the swap check evaluates against the cached ``U(G - u)`` matrix via
-:class:`WeightedSwapEnvironment`, and :func:`fold_poor_leaf` /
-:func:`fold_all_poor_leaves` become a weight transfer plus a single-arc
-delta that the engine repairs with its pendant fast path (the folded
-leaf is, by definition, a pendant) instead of rebuilding a fresh graph
-per fold. Verdicts, fold sequences and reports are bit-identical to
-the retained loop path (``cache=None``); the cache only trades time.
+``wr.graph`` — and then reads distances from the cache's revision-synced
+hop-distance engines instead of fresh per-call BFS sweeps (vertex
+weights enter only the cost sums, never the distances):
+:func:`weighted_sum_cost` becomes one row·weights product, the swap
+check evaluates against the cached ``U(G - u)`` matrix via
+:class:`WeightedSwapEnvironment`, and :func:`fold_all_poor_leaves` runs
+the whole cascade in place on one working copy, each fold a weight
+transfer plus one arc removal (the engines rebuild on their next read).
+Verdicts, fold sequences and reports are bit-identical to the retained
+loop path (``cache=None``); the cache only trades time.
 Environments snapshot both the engine epoch and the realization's
 vertex-``weights_revision``, so reads after a weight transfer raise
 :class:`~repro.errors.StaleDistanceError` instead of pricing swaps
@@ -201,8 +200,7 @@ def _fold_in_place(wr: WeightedRealization, leaf: int) -> int:
     """Apply one fold to ``wr`` itself; returns the absorbing neighbour.
 
     The supporting arc is removed from the live graph (one revision
-    bump — exactly the pendant deletion the engine repairs with a
-    column/row write) and the weight moves by
+    bump) and the weight moves by
     :meth:`WeightedRealization.transfer_weight`.
     """
     owners = wr.graph.in_neighbors(leaf)
@@ -223,10 +221,9 @@ def fold_poor_leaf(
     equilibrium, so is the folded graph (checked empirically in tests).
 
     ``wr`` itself is never mutated. With ``cache`` (bound to
-    ``wr.graph``) the fold is a weight transfer plus an arc delta on a
-    fresh working copy that the cache is re-bound to, so the engines
-    repair one pendant deletion instead of rebuilding — subsequent
-    cached checks on the returned realization ride the same engines.
+    ``wr.graph``) the fold runs on a fresh working copy that the cache
+    is re-bound to, so subsequent cached checks on the returned
+    realization reuse the cache's engine buffers.
     """
     if not _is_poor_leaf(wr, leaf):
         raise GraphError(f"vertex {leaf} is not a poor leaf")
@@ -250,7 +247,7 @@ def fold_all_poor_leaves(
     The retained loop path (``cache=None``) re-copies the graph and
     re-scans for poor leaves every round. With ``cache`` the whole
     cascade runs in place on one working copy: each fold is an arc
-    delta plus a weight transfer, and the poor-leaf set is maintained
+    removal plus a weight transfer, and the poor-leaf set is maintained
     incrementally (a fold can only change the status of the absorbing
     neighbour). Both paths fold the same leaves in the same order and
     return identical realizations.
@@ -535,7 +532,7 @@ def _weighted_swap_improves(
     The retained reference path (no ``cache``/``env``) builds a fresh
     :class:`BestResponseEnvironment` — one all-pairs BFS of ``U(G - u)``
     per call. ``cache`` replaces that with the maintained ``U(G - u)``
-    engine (repaired, not rebuilt, across folds and swaps); ``env``
+    engine (rebuilt only when the graph changed); ``env``
     reuses a prebuilt :class:`WeightedSwapEnvironment` under its
     staleness contract. All three paths return identical verdicts.
 
@@ -653,9 +650,7 @@ def is_weighted_weak_equilibrium(
     """No active vertex can improve its weighted SUM cost by one swap.
 
     ``cache`` routes every player's check through the shared engines
-    (the verdict is identical either way); across a fold
-    cascade the engines repair one pendant arc per fold instead of
-    rebuilding ``n`` matrices per re-verification. Players at local
+    (the verdict is identical either way). Players at local
     diameter 1 are screened off the maintained ``U(G)`` matrix: the
     all-ones distance vector is the pointwise minimum of any strategy's,
     so it is optimal for *every* weight vector (the weighted survivor

@@ -536,7 +536,7 @@ def exact_best_response(
     NP-hard in general (Theorem 2.1); intended for certification and for
     the small budgets that dominate the paper's instances. Pass ``env``
     (e.g. from :class:`~repro.core.distance_cache.DistanceCache`) to
-    reuse an incrementally maintained distance substrate.
+    reuse a shared distance substrate.
     """
     env = _coerce_env(graph, u, version, env)
     current = _current_strategy(graph, u)

@@ -72,9 +72,10 @@ def best_response_for(
 ) -> BestResponseResult:
     """Dispatch to the requested best-response routine.
 
-    ``cache`` routes the evaluation through a shared
-    :class:`~repro.core.distance_cache.DistanceCache`, replacing the
-    per-call all-pairs BFS of ``U(G - u)`` with an incremental repair.
+    ``cache`` evaluates against the shared
+    :class:`~repro.core.distance_cache.DistanceCache` environment of
+    ``u``, reusing its ``U(G - u)`` matrix while the graph is unchanged;
+    without one, each call builds its own engine.
     """
     try:
         fn = _METHODS[method]

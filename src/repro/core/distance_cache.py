@@ -1,32 +1,27 @@
 """Shared distance engines kept coherent with one evolving realization.
 
-Best-response dynamics needs two families of distance matrices: the
-underlying graph ``U(G)`` (social cost, Lemma 2.2 skips) and, per
-deviating player ``u``, the punctured substrate ``U(G - u)`` that every
-candidate strategy of ``u`` is evaluated against. Both change by a few
-edges per dynamics step, so :class:`DistanceCache` keeps one
-:class:`~repro.graphs.engine.DistanceEngine` per substrate and repairs
-it lazily on access instead of recomputing all-pairs BFS from scratch.
+Serve and the Section 6 checkers need two families of distance
+matrices: the underlying graph ``U(G)`` (social cost, Lemma 2.2 skips)
+and, per player ``u``, the punctured substrate ``U(G - u)`` that every
+candidate strategy of ``u`` is evaluated against.
+:class:`DistanceCache` keeps one
+:class:`~repro.graphs.engine.DistanceEngine` per substrate and syncs it
+on access.
 
 Coherence is revision-driven, not notification-driven: every access
 compares the graph's mutation counter with the revision the engine last
-synced to, and on mismatch hands the engine the current CSR to diff.
+synced to, and on mismatch hands the engine the current CSR (the
+engine's sync rule is a no-op on an unchanged edge set, else a rebuild).
 Out-of-band mutations (callers poking the graph directly) are therefore
 picked up automatically — there is no way to read distances of a stale
 substrate, and a changed-then-rolled-back graph syncs as a no-op.
-
-Two structural facts make the per-player family cheap:
-
-* ``U(G - u)`` does not depend on ``u``'s own strategy, so a player's
-  engine survives that player's own moves untouched;
-* every other player's move rewires only edges incident to that mover,
-  which is exactly the single-pivot delta the engine repairs fastest.
+``U(G - u)`` does not depend on ``u``'s own strategy, so a player's
+engine survives that player's own moves untouched.
 
 Memory: each cached player engine holds an ``(n, n)`` matrix (int32
 for every realistic ``n``). ``max_player_engines`` (default: a ~256 MB
 budget) bounds the total; least-recently-used engines are evicted and
-rebuilt on re-entry, which degrades gracefully to the from-scratch
-cost, never worse.
+rebuilt on re-entry.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import numpy as np
 from ..errors import GraphError, VertexError
 from ..graphs.digraph import OwnedDigraph
 from ..graphs.distances import cinf
-from ..graphs.engine import DistanceEngine
+from ..graphs.engine import STAT_KEYS, DistanceEngine
 from .best_response import BestResponseEnvironment
 from .costs import Version
 
@@ -49,60 +44,8 @@ __all__ = ["DistanceCache"]
 _DEFAULT_CACHE_BYTES: int = 256 * 1024 * 1024
 
 
-class _StepHistory:
-    """Bounded replay log of small sync steps.
-
-    The cache forwards tiny deltas into lagging player engines by
-    replaying recorded ops instead of rebuilding punctured substrates.
-    ``token`` identifies the current sync generation; each
-    :meth:`advance` either records the ops of the step just crossed or
-    — for an unforwardable step — breaks every chain that would have to
-    cross it.
-    """
-
-    __slots__ = ("token", "_history", "_max_steps")
-
-    def __init__(self, max_steps: int) -> None:
-        self.token = 0
-        self._history: "OrderedDict[int, tuple[int, tuple]]" = OrderedDict()
-        self._max_steps = max_steps
-
-    def advance(self, ops: "tuple | None") -> None:
-        """Bump the token, recording ``ops`` (``None`` breaks chains)."""
-        if ops is None:
-            self._history.clear()
-        else:
-            self._history[self.token] = (self.token + 1, ops)
-            while len(self._history) > self._max_steps:
-                self._history.popitem(last=False)
-        self.token += 1
-
-    def chain(self, from_token: "int | None") -> "list[tuple] | None":
-        """Replayable op lists covering ``from_token -> token``.
-
-        ``None`` when any intermediate step is unknown (history
-        evicted, or a step too large to forward) — the caller then
-        falls back to the full substrate rebuild + diff.
-        """
-        if from_token is None:
-            return None
-        out: "list[tuple]" = []
-        t = from_token
-        while t != self.token:
-            nxt = self._history.get(t)
-            if nxt is None:
-                return None
-            out.append(nxt[1])
-            t = nxt[0]
-        return out
-
-    def clear(self) -> None:
-        """Forget every recorded step (token keeps counting)."""
-        self._history.clear()
-
-
 class DistanceCache:
-    """Lazily repaired :class:`DistanceEngine` pool for one graph.
+    """Revision-synced :class:`DistanceEngine` pool for one graph.
 
     Parameters
     ----------
@@ -111,10 +54,6 @@ class DistanceCache:
     max_player_engines:
         Cap on simultaneously cached per-player engines (LRU eviction).
         Defaults to whatever fits a ~256 MB matrix budget, at least one.
-    dirty_fraction:
-        Forwarded to every engine: the delta-vs-rebuild cutoff in
-        ``[0, 1]`` (``None`` keeps the engine default) — see
-        :mod:`repro.graphs.engine` for the policy.
     rows:
         Forwarded to every engine the cache builds: ``"lazy"`` starts
         each matrix unmaterialised with row-on-demand reads (the cold
@@ -122,22 +61,6 @@ class DistanceCache:
         then cost one bounded bidirectional search instead of a full
         build), ``None`` keeps the engines' default full
         materialisation.
-
-    Step forwarding
-    ---------------
-    When one revision bump changed at most two undirected edges — a
-    fold's single removal, or a census Gray step's remove-one-add-one
-    arc swap — the ops are recorded in a bounded step *history* and
-    replayed into lagging player engines through the diff-free
-    :meth:`~repro.graphs.engine.DistanceEngine.remove_edge` /
-    :meth:`~repro.graphs.engine.DistanceEngine.add_edge` entry points,
-    skipping the per-player punctured-substrate rebuild plus edge-set
-    diff entirely (ops incident to ``u`` are dropped — the puncture
-    removes those edges from ``U(G - u)`` on both sides of the step).
-    The history keeps the last few steps so engines that skipped a
-    revision (screened players) still catch up by replay; any engine
-    lagging across an unknown or oversized step falls back to the full
-    substrate diff of :meth:`player`.
     """
 
     def __init__(
@@ -145,30 +68,26 @@ class DistanceCache:
         graph: OwnedDigraph,
         *,
         max_player_engines: int | None = None,
-        dirty_fraction: "float | None" = None,
         rows: "str | None" = None,
     ) -> None:
         self._graph = graph
         self._max_players_requested = max_player_engines
         self._max_players = self._resolve_max_players(graph.n)
-        self._engine_kwargs = (
-            {} if dirty_fraction is None else {"dirty_fraction": dirty_fraction}
-        )
+        self._engine_kwargs = {} if rows is None else {"rows": rows}
         self._lazy_rows = rows == "lazy"
-        if rows is not None:
-            self._engine_kwargs["rows"] = rows  # engines validate the value
         self._base: DistanceEngine | None = None
         self._players: "OrderedDict[int, DistanceEngine]" = OrderedDict()
-        self._player_tokens: dict[int, int] = {}
         self._envs: dict[tuple[int, Version], tuple[BestResponseEnvironment, int]] = {}
         self._csr = None
         self._seen_revision: "int | None" = None
-        self._steps = _StepHistory(self._MAX_STEP_HISTORY)
-        self._base_token = -1
+        # Sync generation: bumped whenever _sync sees a new revision (or
+        # a rebound graph); engines stamped with an older one are stale.
+        self._generation = 0
+        self._base_generation = -1
+        self._player_generations: dict[int, int] = {}
         self._lock = threading.RLock()
         self.evictions = 0
         self.env_hits = 0
-        self.step_forwards = 0
 
     def _resolve_max_players(self, n: int) -> int:
         """Engine-count cap for instance size ``n`` (at least one).
@@ -194,82 +113,29 @@ class DistanceCache:
         return self._lazy_rows
 
     def rebind(self, graph: OwnedDigraph) -> None:
-        """Point the cache at another graph of the same size.
+        """Point the cache at another graph.
 
-        Engines (and their preallocated matrices) are kept, and so is
-        the previous substrate: the next access diffs content against
-        the new graph's — one arc apart (a fold onto a working copy)
-        even forwards as a single-op step, unrelated graphs degrade to
-        buffer-reusing rebuilds. Sweep workers use this to recycle
-        buffers across tasks.
+        Same-size engines (and their preallocated matrices) are kept:
+        the next access syncs them against the new graph, a no-op where
+        the edge set is unchanged and a buffer-reusing rebuild
+        elsewhere. A size change drops every engine.
         """
         if graph.n != self._graph.n:
             self._base = None
             self._players.clear()
-            self._player_tokens.clear()
-            self._steps.clear()
-            self._csr = None
-            self._base_token = -1
+            self._player_generations.clear()
             self._max_players = self._resolve_max_players(graph.n)
         self._graph = graph
         self._seen_revision = None
         self._envs.clear()
 
-    def trim(self) -> None:
-        """Drop the per-player engines (and environments), keep the base.
-
-        The per-player family dominates a cache's footprint (up to
-        ``max_player_engines`` full matrices); a cache parked for later
-        recycling — e.g. retired from the sweep pool — only needs its
-        base buffer to stay cheap to revive.
-        """
-        self._players.clear()
-        self._player_tokens.clear()
-        self._envs.clear()
-
-    #: Steps kept replayable; engines lagging further fall back to the
-    #: full substrate rebuild + diff of :meth:`player`.
-    _MAX_STEP_HISTORY: int = 8
-
-    #: The op detector is for the tiny-substrate census/dynamics regime;
-    #: above this many edges the per-sync set diff is not worth it.
-    _MAX_STEP_EDGES: int = 512
-
-    def _detect_step_ops(self, old, new) -> "tuple[tuple, ...] | None":
-        """Ops of one sync step when it is small enough to forward.
-
-        Returns ``(("rm"|"add", x, y), ...)`` (removals first) when the
-        step changed at most two undirected edges — exactly a fold's
-        single removal or a Gray step's arc swap — else ``None``.
-        """
-        from ..graphs.engine import _edge_ids
-
-        # indices holds two directed entries per undirected edge.
-        if old is None or max(old.indices.size, new.indices.size) > (
-            2 * self._MAX_STEP_EDGES
-        ):
-            return None
-        if abs(int(old.indices.size) - int(new.indices.size)) > 4:
-            return None  # more than two edges apart: never forwardable
-        old_set = set(_edge_ids(old).tolist())
-        new_set = set(_edge_ids(new).tolist())
-        removed = sorted(old_set - new_set)
-        added = sorted(new_set - old_set)
-        if not 1 <= len(removed) + len(added) <= 2:
-            return None
-        n = old.n
-        return tuple(("rm", eid // n, eid % n) for eid in removed) + tuple(
-            ("add", eid // n, eid % n) for eid in added
-        )
-
     def _sync(self):
-        """Refresh the ``U(G)`` substrate, the token and the step history."""
+        """Refresh the ``U(G)`` substrate and the sync generation."""
         rev = self._graph.revision
         if self._csr is None or self._seen_revision != rev:
-            new_csr = self._graph.undirected_csr()
-            self._steps.advance(self._detect_step_ops(self._csr, new_csr))
-            self._csr = new_csr
+            self._csr = self._graph.undirected_csr()
             self._seen_revision = rev
+            self._generation += 1
         return self._csr
 
     # ------------------------------------------------------------------
@@ -278,25 +144,24 @@ class DistanceCache:
         csr = self._sync()
         if self._base is None:
             self._base = DistanceEngine(csr, **self._engine_kwargs)
-        elif self._base_token != self._steps.token:
+        elif self._base_generation != self._generation:
             self._base.update(csr)
-        self._base_token = self._steps.token
+        self._base_generation = self._generation
         return self._base
 
     def base_if_fresh(self) -> DistanceEngine | None:
         """The ``U(G)`` engine only if it is already synced, else ``None``.
 
         Point reads (one lemma check, one eccentricity) are cheaper as a
-        single BFS than as a full matrix repair, so callers that only
+        single BFS than as a full matrix rebuild, so callers that only
         need a row use the maintained matrix when it happens to be
-        current — e.g. for every player of a converged round, right
-        after the round-boundary :meth:`base` sync — and fall back to
-        the direct computation otherwise, instead of forcing a sync.
+        current and fall back to the direct computation otherwise,
+        instead of forcing a sync.
         """
         if (
             self._base is not None
             and self._seen_revision == self._graph.revision
-            and self._base_token == self._steps.token
+            and self._base_generation == self._generation
         ):
             return self._base
         return None
@@ -311,7 +176,7 @@ class DistanceCache:
         """
         csr = self._sync()
         if self._lazy_rows or (
-            self._base is not None and self._base_token == self._steps.token
+            self._base is not None and self._base_generation == self._generation
         ):
             return self.base().query(u, v)
         from ..graphs.query import point_to_point
@@ -365,7 +230,7 @@ class DistanceCache:
                 )
             csr = self._sync()
             if self._lazy_rows or (
-                self._base is not None and self._base_token == self._steps.token
+                self._base is not None and self._base_generation == self._generation
             ):
                 engine = self.base()
                 engine.ensure_rows(np.unique(p[:, 0]))
@@ -392,7 +257,7 @@ class DistanceCache:
         engine = self._players.get(player)
         synced = (
             engine is not None
-            and self._player_tokens.get(player) == self._steps.token
+            and self._player_generations.get(player) == self._generation
         )
         if self._lazy_rows or synced:
             return self.player(player).query(u, v)
@@ -402,13 +267,7 @@ class DistanceCache:
         return point_to_point(csr, u, v, inf=cinf(csr.n))
 
     def player(self, u: int) -> DistanceEngine:
-        """Engine over ``U(G - u)``, synced to the current revision.
-
-        Lagging engines catch up by replaying the recorded step ops
-        (see the class docstring) when every intervening step is known
-        and small; otherwise by diffing the freshly built punctured
-        substrate.
-        """
+        """Engine over ``U(G - u)``, synced to the current revision."""
         if not 0 <= u < self._graph.n:
             raise VertexError(u, self._graph.n)
         self._sync()
@@ -420,31 +279,14 @@ class DistanceCache:
             self._players[u] = engine
             if len(self._players) > self._max_players:
                 evicted, _ = self._players.popitem(last=False)
-                self._player_tokens.pop(evicted, None)
+                self._player_generations.pop(evicted, None)
                 for version in Version:
                     self._envs.pop((evicted, version), None)
                 self.evictions += 1
-        elif self._player_tokens.get(u) != self._steps.token:
-            chain = self._steps.chain(self._player_tokens.get(u))
-            if chain is not None:
-                # Every step between the engine's token and now is a
-                # known small delta: replay them through the diff-free
-                # entry points. Ops incident to ``u`` are skipped — the
-                # puncture removes those edges from ``U(G - u)`` on both
-                # sides of the step, so they change nothing.
-                for ops in chain:
-                    for kind, x, y in ops:
-                        if x == u or y == u:
-                            continue
-                        if kind == "rm":
-                            engine.remove_edge(x, y)
-                        else:
-                            engine.add_edge(x, y)
-                self.step_forwards += 1
-            else:
-                engine.update(self._graph.undirected_csr_without(u))
+        elif self._player_generations.get(u) != self._generation:
+            engine.update(self._graph.undirected_csr_without(u))
         self._players.move_to_end(u)
-        self._player_tokens[u] = self._steps.token
+        self._player_generations[u] = self._generation
         return engine
 
     def environment(self, u: int, version: Version | str) -> BestResponseEnvironment:
@@ -471,51 +313,16 @@ class DistanceCache:
         return env
 
     # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        """Zero every engine's counters (and the cache's own).
-
-        Counters are cumulative over the cache's lifetime — including
-        across :meth:`rebind` — so callers that want per-run numbers
-        from a shared cache should reset before the run.
-        """
-        for engine in self._players.values():
-            for key in engine.stats:
-                engine.stats[key] = 0
-        if self._base is not None:
-            for key in self._base.stats:
-                self._base.stats[key] = 0
-        self.evictions = 0
-        self.env_hits = 0
-        self.step_forwards = 0
-
     def stats(self) -> dict[str, int]:
-        """Aggregated engine counters (rebuilds/deltas/noops/rows/evictions).
+        """Engine counters summed over the pool, plus the cache's own.
 
-        Cumulative since construction or the last :meth:`reset_stats` —
-        a cache shared across several dynamics runs reports the total,
-        not the last run's share.
+        Cumulative since construction, including across :meth:`rebind`.
         """
-        total = {
-            "rebuilds": 0,
-            "deltas": 0,
-            "noops": 0,
-            "rows_recomputed": 0,
-            "pendant_fixes": 0,
-            "region_repairs": 0,
-            "region_vertices": 0,
-            "lazy_rows": 0,
-            "lazy_invalidations": 0,
-            "promotions": 0,
-            "point_queries": 0,
-        }
         engines = list(self._players.values())
         if self._base is not None:
             engines.append(self._base)
-        for engine in engines:
-            for key in total:
-                total[key] += engine.stats[key]
+        total = {key: sum(e.stats[key] for e in engines) for key in STAT_KEYS}
         total["player_engines"] = len(self._players)
         total["evictions"] = self.evictions
         total["env_hits"] = self.env_hits
-        total["step_forwards"] = self.step_forwards
         return total

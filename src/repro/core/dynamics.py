@@ -19,13 +19,7 @@ from ..errors import DynamicsError
 from ..graphs.digraph import OwnedDigraph
 from ..rng import as_generator
 from .costs import Version, social_cost
-from .deviations import (
-    Method,
-    best_response_for,
-    deviation_improves,
-    satisfies_lemma_2_2,
-)
-from .distance_cache import DistanceCache
+from .deviations import Method, best_response_for, satisfies_lemma_2_2
 from .game import BoundedBudgetGame
 
 __all__ = ["Schedule", "MoveRecord", "DynamicsResult", "best_response_dynamics"]
@@ -71,10 +65,10 @@ class DynamicsResult:
     social_costs:
         Social cost (diameter) after each round, for convergence plots.
     engine_stats:
-        Distance-cache counters when the run used one (``None``
-        otherwise). For a cache passed in by the caller these are
-        cumulative over the cache's lifetime, not this run's share —
-        call ``cache.reset_stats()`` beforehand for per-run numbers.
+        Always ``None``: the dynamics keeps no distance cache. The field
+        stays only because ``perfbench/layers.py`` reads it; it goes
+        with that reader when the benchmark is refreshed (ROADMAP
+        item 2).
     """
 
     graph: OwnedDigraph
@@ -115,9 +109,6 @@ def best_response_dynamics(
     detect_cycles: bool = True,
     use_lemma: bool = True,
     record_moves: bool = True,
-    use_engine: bool = True,
-    cache: DistanceCache | None = None,
-    rows: "str | None" = None,
     **kwargs,
 ) -> DynamicsResult:
     """Run best-response dynamics from ``initial`` until stable.
@@ -152,24 +143,13 @@ def best_response_dynamics(
         Skip players certified stable by the paper's Lemma 2.2.
     record_moves:
         Keep the full move log (disable to save memory on long runs).
-    use_engine:
-        Route all distance queries through a shared
-        :class:`~repro.core.distance_cache.DistanceCache` that repairs
-        per-substrate distance matrices incrementally between moves
-        instead of recomputing all-pairs BFS per player per step. The
-        trajectory is bit-identical either way; this only changes speed
-        and memory.
-    cache:
-        Reuse an existing :class:`DistanceCache` (e.g. across sweep
-        tasks); it is rebound to this run's working graph. Implies
-        ``use_engine``.
-    rows:
-        Row policy for an internally built cache (ignored when
-        ``cache`` is passed): ``"lazy"`` starts every engine in
-        row-on-demand mode, so a long run on a cold instance
-        materialises only the rows its queries actually touch instead
-        of paying full all-pairs builds up front. The trajectory is
-        bit-identical to the eager path.
+    **kwargs:
+        Forwarded to the best-response routine of ``method``.
+
+    Every best-response call builds its own distance engine over
+    ``U(G - u)``: a move changes the substrate of every other player, so
+    at the sizes dynamics runs a cache would rebuild on nearly every
+    access anyway.
     """
     version = Version.coerce(version)
     if schedule not in ("round_robin", "random"):
@@ -179,63 +159,25 @@ def best_response_dynamics(
     game.validate_realization(initial)
     rng = as_generator(seed)
     graph = initial.copy()
-    if cache is not None:
-        cache.rebind(graph)
-    elif use_engine:
-        cache = DistanceCache(graph) if rows is None else DistanceCache(graph, rows=rows)
     seen: set[tuple[tuple[int, ...], ...]] = set()
     result = DynamicsResult(graph=graph, converged=False, cycled=False, rounds=0)
     if detect_cycles:
         seen.add(graph.profile_key())
     orders = _player_order(game.n, schedule, rng)
-    # Adaptive routing for the per-visit Lemma 2.2 checks: syncing the
-    # shared U(G) engine costs one delta per executed move, a BFS-free
-    # lemma check saves one BFS per visit. With k moves in the previous
-    # round that trades k deltas against ~n BFS, so eager sync wins
-    # exactly in the low-churn rounds; in heavy rounds the maintained
-    # matrix is used only when it happens to be current already.
-    eager_base_cap = max(8, game.n // 4)
-    prev_round_moves: int | None = None
     for round_index in range(max_rounds):
         moved = False
-        round_moves = 0
         for u in next(orders):
             u = int(u)
             if game.budget(u) == 0:
                 continue  # zero-budget players have a unique (empty) strategy
-            if use_lemma:
-                if cache is None:
-                    lemma_engine = None
-                elif cache.lazy_rows:
-                    # Lazy engines make the screen a row read, never a
-                    # full build — always worth syncing.
-                    lemma_engine = cache.base()
-                elif prev_round_moves is not None and prev_round_moves <= eager_base_cap:
-                    lemma_engine = cache.base()
-                else:
-                    lemma_engine = cache.base_if_fresh()
-                if satisfies_lemma_2_2(graph, u, engine=lemma_engine):
-                    continue
-            br = best_response_for(graph, u, version, method, cache=cache, **kwargs)
-            # The executed-move verdict goes through the same
-            # single-deviation predicate the analysis layer uses: on a
-            # cached run both costs come from the one shared player
-            # environment (no extra builds), so the decision is
-            # bit-identical to ``br.is_improving`` while keeping the
-            # whole per-step path on the cache — with ``rows="lazy"``
-            # a cold instance never pays a full all-pairs build.
-            if cache is not None:
-                improving = deviation_improves(
-                    graph, u, br.strategy, version, cache=cache, use_lemma=False
-                )
-            else:
-                improving = br.is_improving
-            if not improving:
+            if use_lemma and satisfies_lemma_2_2(graph, u):
+                continue
+            br = best_response_for(graph, u, version, method, **kwargs)
+            if not br.is_improving:
                 continue
             old = tuple(int(v) for v in graph.out_neighbors(u))
             graph.set_strategy(u, br.strategy)
             moved = True
-            round_moves += 1
             if record_moves:
                 result.moves.append(
                     MoveRecord(
@@ -247,11 +189,8 @@ def best_response_dynamics(
                         new_cost=br.cost,
                     )
                 )
-        prev_round_moves = round_moves
         result.rounds = round_index + 1
-        result.social_costs.append(
-            social_cost(graph, engine=cache.base() if cache is not None else None)
-        )
+        result.social_costs.append(social_cost(graph))
         if not moved:
             result.converged = True
             break
@@ -262,6 +201,4 @@ def best_response_dynamics(
                 break
             seen.add(key)
     result.graph = graph
-    if cache is not None:
-        result.engine_stats = cache.stats()
     return result

@@ -36,7 +36,7 @@ class StaleDistanceError(GraphError):
     """Raised when a distance view is read after its engine moved on.
 
     A :class:`~repro.graphs.engine.DistanceEngine` bumps its epoch on
-    every repair or rebuild; consumers that captured an earlier epoch
+    every rebuild; consumers that captured an earlier epoch
     get this error instead of silently reading distances of a substrate
     that no longer exists.
     """

@@ -69,17 +69,9 @@ def stabilize(
     equilibrium that greedy cannot refute).
     """
     version = Version.coerce(version)
-    # Process-local distance cache keyed by this graph's instance id:
-    # engines and their matrices survive across the alternating passes
-    # below, and retired caches' buffers are recycled across sweep tasks
-    # of the same size.
-    from ..parallel.sweep import shared_distance_cache
-
-    cache = shared_distance_cache(graph)
     if exact_is_feasible(game, exact_cap):
         res = best_response_dynamics(
-            game, graph, version, method="exact", max_rounds=max_rounds, seed=seed,
-            cache=cache,
+            game, graph, version, method="exact", max_rounds=max_rounds, seed=seed
         )
         return StabilizeOutcome(
             graph=res.graph,
@@ -93,13 +85,11 @@ def stabilize(
     cycled = False
     for _ in range(8):  # alternate passes; each pass is itself iterated
         greedy = best_response_dynamics(
-            game, current, version, method="greedy", max_rounds=max_rounds, seed=seed,
-            cache=cache,
+            game, current, version, method="greedy", max_rounds=max_rounds, seed=seed
         )
         rounds += greedy.rounds
         swap = best_response_dynamics(
-            game, greedy.graph, version, method="swap", max_rounds=max_rounds, seed=seed,
-            cache=cache,
+            game, greedy.graph, version, method="swap", max_rounds=max_rounds, seed=seed
         )
         rounds += swap.rounds
         cycled = cycled or greedy.cycled or swap.cycled

@@ -8,9 +8,7 @@ from .sweep import (
     SweepTask,
     aggregate_max,
     aggregate_mean,
-    clear_distance_caches,
     run_sweep,
-    shared_distance_cache,
 )
 
 __all__ = [
@@ -24,12 +22,10 @@ __all__ = [
     "SweepTask",
     "aggregate_max",
     "aggregate_mean",
-    "clear_distance_caches",
     "contiguous_shards",
     "cpu_workers",
     "fork_available",
     "parallel_map",
     "run_shards",
     "run_sweep",
-    "shared_distance_cache",
 ]

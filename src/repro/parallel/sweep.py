@@ -5,30 +5,15 @@ replication axis of seeds; each grid point becomes one task with a
 deterministic derived seed. The result is a flat list of records
 (dicts) ready for aggregation — the pattern every Table 1 experiment
 shares.
-
-Workers that run best-response dynamics should fetch their distance
-substrate via :func:`shared_distance_cache` instead of letting each
-task build its own. Two reuse layers compose, cheapest first:
-
-* **Live entries** — one :class:`DistanceCache` per graph *instance*
-  (keyed by the process-unique
-  :attr:`~repro.graphs.digraph.OwnedDigraph.instance_id`, so two
-  same-size instances can never alias each other's engines — the
-  keyed-by-size aliasing bug this replaces);
-* **Retired buffers** — engines of evicted entries are recycled by
-  rebinding, so matrices are reused across tasks of the same size.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from ..core.distance_cache import DistanceCache
 from ..errors import ReproError
-from ..graphs.digraph import OwnedDigraph
 from ..rng import derive_seed
 from .executor import parallel_map
 
@@ -38,73 +23,7 @@ __all__ = [
     "run_sweep",
     "aggregate_max",
     "aggregate_mean",
-    "shared_distance_cache",
-    "clear_distance_caches",
 ]
-
-#: Process-local pool of live distance caches, keyed by
-#: ``graph.instance_id``. Worker processes are forked per sweep, so
-#: entries never leak across runs with different configurations; serial
-#: runs reuse them across tasks, which is the point. LRU-bounded; the
-#: evicted caches' buffers survive in ``_RETIRED`` for recycling.
-_PROCESS_CACHES: "OrderedDict[int, tuple[DistanceCache, tuple]]" = OrderedDict()
-
-#: Evicted caches by ``(n, engine-kwargs key)``, ready to rebind to the
-#: next same-shaped instance (buffer reuse without aliasing live
-#: entries). Trimmed to their base engine on retirement, one per
-#: bucket, LRU-bounded.
-_RETIRED: "OrderedDict[tuple, DistanceCache]" = OrderedDict()
-
-#: Live cache entries kept per process. Deliberately small: a live
-#: entry stays bound to its instance (the no-aliasing contract), so
-#: only the instances a worker genuinely interleaves need live slots —
-#: everything older retires into ``_RETIRED`` for recycling.
-_MAX_LIVE_CACHES: int = 2
-
-#: Retired recycling buckets kept per process.
-_MAX_RETIRED: int = 4
-
-def shared_distance_cache(graph: OwnedDigraph, **kwargs) -> DistanceCache:
-    """Process-local :class:`DistanceCache` for exactly this ``graph``.
-
-    Entries are keyed by ``(instance id, engine kwargs)`` — instance
-    ids are process-unique and never reused, so the returned cache is
-    bound to this graph object until evicted and can never silently
-    alias another same-size instance (revision sync remains the cache's
-    own job, which is why the revision is not part of the key). Misses
-    try, in order: a retired same-shape cache (buffer-reusing rebind),
-    a fresh build. Least-recently-used entries
-    retire beyond ``_MAX_LIVE_CACHES``, trimmed to their base engine so
-    parked buffers stay cheap.
-    """
-    key = tuple(sorted(kwargs.items()))
-    iid = graph.instance_id
-    entry = _PROCESS_CACHES.get(iid)
-    if entry is not None and entry[1] == key:
-        cache = entry[0]
-    else:
-        retired = _RETIRED.pop((graph.n, key), None)
-        if retired is not None:
-            cache = retired
-            cache.rebind(graph)
-        else:
-            cache = DistanceCache(graph, **kwargs)
-        _PROCESS_CACHES[iid] = (cache, key)
-    _PROCESS_CACHES.move_to_end(iid)
-    while len(_PROCESS_CACHES) > _MAX_LIVE_CACHES:
-        _, (old_cache, old_key) = _PROCESS_CACHES.popitem(last=False)
-        old_cache.trim()  # drop player engines: park the base buffer only
-        _RETIRED[(old_cache.graph.n, old_key)] = old_cache
-        _RETIRED.move_to_end((old_cache.graph.n, old_key))
-        while len(_RETIRED) > _MAX_RETIRED:
-            _RETIRED.popitem(last=False)
-    return cache
-
-
-def clear_distance_caches() -> None:
-    """Drop all process-local distance caches (frees their matrices)."""
-    _PROCESS_CACHES.clear()
-    _RETIRED.clear()
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ def test_contiguous_shards_edge_cases():
 
 
 # ----------------------------------------------------------------------
-# Engine-repaired distances along the walk (hypothesis)
+# Cache-synced distances along the walk (hypothesis)
 # ----------------------------------------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(
@@ -262,16 +262,6 @@ def test_gray_walk_engine_distances_match_fresh_bfs(budgets, start_frac, data):
         assert np.array_equal(np.asarray(engine.matrix), distance_matrix(graph))
         steps += 1
     assert steps == stop - start
-
-
-def test_engine_rejects_bad_dirty_fraction_string():
-    from repro.errors import GraphError
-
-    g = OwnedDigraph(3)
-    g.add_arc(0, 1)
-    for bad in ("auto", "adaptive"):
-        with pytest.raises(GraphError):
-            DistanceEngine.from_graph(g, dirty_fraction=bad)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Conformance suite for :class:`~repro.graphs.engine.DistanceEngine`.
 
 The engine's contract, each case checked against an independent
-oracle or a fresh build: scipy/networkx-exact matrices, delta repairs
-indistinguishable from recomputation, a noop on rolled-back
-substrates, an epoch/staleness guard, read-only views and the lazy
-row-on-demand read tiers. ``test_graphs_engine.py`` keeps the
+oracle or a fresh build: scipy/networkx-exact matrices, batched BFS
+rows across source-chunk boundaries, updates indistinguishable from
+recomputation, a noop on rolled-back substrates, an epoch/staleness
+guard, read-only views and the lazy row-on-demand read tiers. ``test_graphs_engine.py`` keeps the
 ``from_graph`` construction surface.
 """
 
@@ -19,15 +19,17 @@ from repro.graphs import (
     DistanceEngine,
     OwnedDigraph,
     all_pairs_distances,
+    batched_pair_distances,
+    bfs_distances,
     cinf,
     csr_without_vertex,
 )
+from repro.graphs.engine import _BFS_CHUNK
 
 from conftest import (
     networkx_distance_oracle,
     random_owned_digraph,
     random_strategy_swap,
-    random_tree_digraph,
     scipy_distance_oracle,
 )
 
@@ -84,6 +86,29 @@ def test_distances_from_batched_rows_match_oracle(rng):
         assert np.array_equal(buf, rows)
 
 
+def test_batched_rows_across_source_chunks_match_per_source_bfs(rng):
+    """More sources than one BFS chunk: every row, on either side of
+    each chunk boundary, equals a single-source BFS."""
+    n = 2 * _BFS_CHUNK + 37
+    g = OwnedDigraph(n)
+    for u in range(n - 20):  # a random functional graph; 20 sinks
+        v = int(rng.integers(n - 1))
+        g.add_arc(u, v + (v >= u))
+    csr = g.undirected_csr()
+    engine = DistanceEngine(csr)
+    oracle = np.stack([bfs_distances(csr, s) for s in range(n)])
+    oracle[oracle == UNREACHABLE] = engine.inf
+    assert (oracle == engine.inf).any()  # several components
+    assert np.array_equal(np.asarray(engine.matrix), oracle)
+    sources = rng.permutation(n)
+    assert np.array_equal(engine.distances_from(sources), oracle[sources])
+    pairs = np.stack([sources, rng.integers(n, size=n)], axis=1)
+    assert np.array_equal(
+        batched_pair_distances(csr, pairs, inf=engine.inf),
+        oracle[pairs[:, 0], pairs[:, 1]],
+    )
+
+
 def test_isolated_substrate_matches_bfs_reference(rng):
     for _ in range(6):
         n = int(rng.integers(2, 14))
@@ -96,21 +121,17 @@ def test_isolated_substrate_matches_bfs_reference(rng):
 
 
 # ----------------------------------------------------------------------
-# Delta repair == recompute
+# update == recompute
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("dirty_fraction", [None, 1.0, 0.0])
-def test_update_tracks_random_swaps(rng, dirty_fraction):
-    kwargs = {} if dirty_fraction is None else {"dirty_fraction": dirty_fraction}
+def test_update_tracks_random_swaps(rng):
     for _ in range(5):
         n = int(rng.integers(3, 16))
         g = random_owned_digraph(rng, n, p=0.25)
-        engine = DistanceEngine(g.undirected_csr(), **kwargs)
+        engine = DistanceEngine(g.undirected_csr())
         for _ in range(8):
             random_strategy_swap(rng, g)
             status = engine.update(g.undirected_csr())
-            assert status in ("noop", "delta", "rebuild")
-            if dirty_fraction == 0.0:
-                assert status in ("noop", "rebuild")
+            assert status in ("noop", "rebuild")
             assert np.array_equal(engine.distances(), scipy_distance_oracle(g))
 
 
@@ -118,7 +139,7 @@ def test_update_handles_disconnection_and_reconnection():
     g = OwnedDigraph(6)
     for i in range(5):
         g.add_arc(i, i + 1)
-    engine = DistanceEngine(g.undirected_csr(), dirty_fraction=1.0)
+    engine = DistanceEngine(g.undirected_csr())
     # Cut the path in the middle: everything across the cut unreachable.
     g.remove_arc(2, 3)
     engine.update(g.undirected_csr())
@@ -129,115 +150,6 @@ def test_update_handles_disconnection_and_reconnection():
     engine.update(g.undirected_csr())
     assert np.array_equal(engine.distances(), scipy_distance_oracle(g))
     assert engine.distance(2, 3) == 5  # rerouted 2-1-0-5-4-3
-
-
-# ----------------------------------------------------------------------
-# Diff-free entry points + deletion repair hierarchy
-# ----------------------------------------------------------------------
-def test_remove_and_add_edge_equal_recompute(rng):
-    """remove_edge / add_edge (the diff-free op-forwarding entry
-    points) must be indistinguishable from a fresh build at every step."""
-    for _ in range(6):
-        n = int(rng.integers(3, 14))
-        g = random_owned_digraph(rng, n, p=float(rng.uniform(0.15, 0.45)))
-        engine = DistanceEngine(g.undirected_csr())
-        for _ in range(12):
-            csr = engine.csr
-            edges = [
-                (u, int(v)) for u in range(n) for v in csr.neighbors(u) if u < int(v)
-            ]
-            if edges and rng.random() < 0.6:
-                x, y = edges[int(rng.integers(len(edges)))]
-                status = engine.remove_edge(x, y)
-            else:
-                non = [
-                    (a, b)
-                    for a in range(n)
-                    for b in range(a + 1, n)
-                    if not csr.has_edge(a, b)
-                ]
-                if not non:
-                    continue
-                x, y = non[int(rng.integers(len(non)))]
-                status = engine.add_edge(x, y)
-            assert status in ("delta", "rebuild")
-            fresh = DistanceEngine(engine.csr)
-            assert np.array_equal(np.asarray(engine.matrix), np.asarray(fresh.matrix))
-
-
-def test_remove_edge_rejects_absent_and_add_rejects_present():
-    g = OwnedDigraph(4)
-    g.add_arc(0, 1)
-    engine = DistanceEngine(g.undirected_csr())
-    with pytest.raises(GraphError):
-        engine.remove_edge(0, 2)
-    with pytest.raises(GraphError):
-        engine.add_edge(0, 1)
-
-
-def test_pendant_removal_is_a_column_fix():
-    """Removing a degree-1 endpoint's edge must repair below row
-    granularity: no rebuild, no row recompute, a pendant-fix stat."""
-    g = OwnedDigraph(6)
-    for i in range(5):
-        g.add_arc(i, i + 1)
-    engine = DistanceEngine(g.undirected_csr())
-    rows_before = engine.stats["rows_recomputed"]
-    status = engine.remove_edge(4, 5)  # 5 is a leaf
-    assert status == "delta"
-    assert engine.stats["pendant_fixes"] == 1
-    assert engine.stats["rebuilds"] == 1  # only the constructor's
-    assert engine.stats["rows_recomputed"] == rows_before
-    assert engine.distance(0, 5) == UNREACHABLE
-    assert engine.distance(5, 5) == 0
-    fresh = DistanceEngine(engine.csr)
-    assert np.array_equal(np.asarray(engine.matrix), np.asarray(fresh.matrix))
-
-
-def test_isolated_k2_removal_isolates_both_endpoints():
-    """Deleting the edge of an isolated K2 leaves both endpoints of
-    degree 0: the pendant tier fixes both columns, no row recompute."""
-    g = OwnedDigraph(4)
-    g.add_arc(0, 1)
-    g.add_arc(2, 3)
-    engine = DistanceEngine(g.undirected_csr())
-    rows_before = engine.stats["rows_recomputed"]
-    g.remove_arc(2, 3)
-    status = engine.update(g.undirected_csr())
-    assert status == "delta"
-    assert engine.stats["pendant_fixes"] == 2
-    assert engine.stats["rows_recomputed"] == rows_before
-    assert engine.distance(2, 3) == UNREACHABLE
-    assert engine.distance(3, 2) == UNREACHABLE
-    assert engine.distance(0, 1) == 1
-    assert np.array_equal(engine.distances(), scipy_distance_oracle(g))
-
-
-def test_tree_deletions_use_affected_region_not_rows(rng):
-    """On tree-like substrates every deletion must resolve in the
-    pendant or affected-region tier — zero whole-row recomputes and
-    zero rebuilds — while staying bit-identical to a fresh build."""
-    g = random_tree_digraph(rng, 20)
-    engine = DistanceEngine(g.undirected_csr())
-    for key in engine.stats:
-        engine.stats[key] = 0
-    edges = [
-        (u, int(v))
-        for u in range(20)
-        for v in g.undirected_csr().neighbors(u)
-        if u < int(v)
-    ]
-    rng.shuffle(edges)
-    for x, y in edges:
-        status = engine.remove_edge(x, y)
-        assert status == "delta"
-        fresh = DistanceEngine(engine.csr)
-        assert np.array_equal(np.asarray(engine.matrix), np.asarray(fresh.matrix))
-    assert engine.stats["rebuilds"] == 0
-    assert engine.stats["rows_recomputed"] == 0
-    assert engine.stats["region_repairs"] > 0
-    assert engine.stats["pendant_fixes"] > 0
-    assert engine.stats["region_vertices"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +235,6 @@ def test_vertex_and_input_validation():
     with pytest.raises(VertexError):
         engine.distances_from([0, 5])
     with pytest.raises(GraphError):
-        DistanceEngine(g.undirected_csr(), dirty_fraction=1.5)
-    with pytest.raises(GraphError):
         DistanceEngine(g.undirected_csr(), inf=2)
 
 
@@ -380,6 +290,19 @@ def test_lazy_row_reads_materialise_on_demand(rng):
         got[0] = 7  # read-only view either way
 
 
+def test_lazy_engine_promotes_at_half_the_rows():
+    g = OwnedDigraph(10)
+    for i in range(9):
+        g.add_arc(i, i + 1)
+    lazy = DistanceEngine(g.undirected_csr(), rows="lazy")
+    assert lazy.promotion_threshold() == 5
+    lazy.ensure_rows([0, 1, 2, 3])
+    assert lazy.lazy
+    lazy.ensure_rows([4])
+    assert not lazy.lazy
+    assert lazy.stats["promotions"] == 1
+
+
 def test_lazy_matrix_read_promotes_to_full(rng):
     g = random_owned_digraph(rng, 9, p=0.3)
     full = DistanceEngine(g.undirected_csr())
@@ -392,14 +315,14 @@ def test_lazy_matrix_read_promotes_to_full(rng):
 
 
 def test_lazy_mutations_keep_hot_rows_exact(rng):
-    """Arbitrary remove/add/update sequences on a lazy engine: every
-    read (point query, row, promoted matrix) agrees with a fresh build
-    of the current substrate at every step."""
+    """Arbitrary swap sequences on a lazy engine: every read (point
+    query, row, promoted matrix) agrees with a fresh build of the
+    current substrate at every step."""
     for _ in range(4):
         n = int(rng.integers(4, 12))
         g = random_owned_digraph(rng, n, p=0.3)
         lazy = DistanceEngine(g.undirected_csr(), rows="lazy")
-        # Warm a few rows so repairs have hot state to maintain.
+        # Warm a few rows; a changed substrate must drop them.
         lazy.ensure_rows([0, n // 2])
         for _ in range(8):
             random_strategy_swap(rng, g)
@@ -409,6 +332,7 @@ def test_lazy_mutations_keep_hot_rows_exact(rng):
             u = int(rng.integers(n))
             v = int(rng.integers(n))
             assert lazy.query(u, v) == int(ref[u, v])
+            assert np.array_equal(lazy.row(u), ref[u])
             if lazy.lazy:
                 for s in lazy.hot_rows().tolist():
                     assert np.array_equal(lazy.row(s), ref[s])
@@ -423,11 +347,15 @@ def test_lazy_staleness_contract(rng):
     lazy = DistanceEngine(g.undirected_csr(), rows="lazy")
     seen = lazy.epoch
     lazy.ensure_epoch(seen)
-    csr = lazy.csr
-    edges = [(u, int(v)) for u in range(8) for v in csr.neighbors(u) if u < int(v)]
-    if not edges:
+    arcs = list(g.arcs())
+    if not arcs:
         return
-    lazy.remove_edge(*edges[0])
+    lazy.ensure_rows([0])
+    for u, v in arcs:
+        g.remove_arc(u, v)
+    # A changed edge set drops the hot rows instead of recomputing them.
+    assert lazy.update(g.undirected_csr()) == "rebuild"
+    assert lazy.lazy and lazy.hot_rows().size == 0
     assert lazy.epoch != seen
     with pytest.raises(StaleDistanceError):
         lazy.ensure_epoch(seen)

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.graphs import OwnedDigraph, all_pairs_distances
 from repro.parallel import (
     SweepSpec,
     SweepTask,
     aggregate_max,
     aggregate_mean,
-    clear_distance_caches,
     contiguous_shards,
     cpu_workers,
     parallel_map,
     run_sweep,
-    shared_distance_cache,
 )
 
 
@@ -112,90 +109,6 @@ def test_run_sweep_serial_parallel_identical():
     serial = run_sweep(_seeded_random, spec, processes=1)
     parallel = run_sweep(_seeded_random, spec, processes=2)
     assert serial == parallel
-
-
-# ----------------------------------------------------------------------
-# shared_distance_cache keying (regression: was keyed by instance size)
-# ----------------------------------------------------------------------
-def _path_graph(n: int) -> OwnedDigraph:
-    g = OwnedDigraph(n)
-    for i in range(n - 1):
-        g.add_arc(i, i + 1)
-    return g
-
-
-def _star_graph(n: int) -> OwnedDigraph:
-    g = OwnedDigraph(n)
-    for i in range(1, n):
-        g.add_arc(0, i)
-    return g
-
-
-def test_same_size_instances_get_distinct_caches():
-    """Regression: the cache pool was keyed by instance *size*, so two
-    same-size instances aliased one cache object — interleaved use kept
-    rebinding it back and forth, and a caller holding "its" cache could
-    silently find it bound to another task's graph."""
-    clear_distance_caches()
-    try:
-        path = _path_graph(6)
-        star = _star_graph(6)
-        c_path = shared_distance_cache(path)
-        c_star = shared_distance_cache(star)
-        assert c_path is not c_star
-        assert c_path.graph is path
-        assert c_star.graph is star
-        # Re-requesting either instance returns its own cache, still
-        # bound to it, with no rebind thrash in between.
-        assert shared_distance_cache(path) is c_path
-        assert c_path.graph is path
-        assert np.array_equal(
-            c_path.base().distances(), all_pairs_distances(path.undirected_csr())
-        )
-        assert np.array_equal(
-            c_star.base().distances(), all_pairs_distances(star.undirected_csr())
-        )
-    finally:
-        clear_distance_caches()
-
-
-def test_distinct_engine_kwargs_get_distinct_caches():
-    clear_distance_caches()
-    try:
-        g = _path_graph(5)
-        plain = shared_distance_cache(g)
-        tuned = shared_distance_cache(g, dirty_fraction=0.25)
-        assert plain is not tuned
-        assert shared_distance_cache(g, dirty_fraction=0.25) is tuned
-    finally:
-        clear_distance_caches()
-
-
-def test_evicted_cache_buffers_are_recycled():
-    """Beyond the LRU bound, evicted caches retire and rebind to the
-    next same-size request instead of being rebuilt from nothing."""
-    clear_distance_caches()
-    try:
-        from repro.parallel.sweep import _MAX_LIVE_CACHES
-
-        first = _path_graph(7)
-        c_first = shared_distance_cache(first)
-        c_first.base()
-        c_first.player(0)
-        # Push exactly one entry past the LRU bound: `first` retires.
-        for _ in range(_MAX_LIVE_CACHES):
-            shared_distance_cache(_star_graph(7))
-        recycled = shared_distance_cache(_path_graph(7))
-        assert recycled is c_first  # same object, rebound
-        # Retirement trimmed the per-player family; the base buffer
-        # survived and is resynced on access.
-        assert recycled.stats()["player_engines"] == 0
-        assert np.array_equal(
-            recycled.base().distances(),
-            all_pairs_distances(first.undirected_csr()),
-        )
-    finally:
-        clear_distance_caches()
 
 
 def test_aggregations():

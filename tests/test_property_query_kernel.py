@@ -1,21 +1,17 @@
 """Property-based tests for the bidirectional query kernel and the
 lazy row-on-demand engine mode.
 
-Four contracts, each driven by randomized instances:
+Three contracts, each driven by randomized instances:
 
 * **query == matrix** — a bidirectional point-to-point answer is
   bit-identical to the corresponding full-matrix entry (including the
   ``Cinf`` sentinel on disconnected pairs);
-* **lazy repair == recompute** — a lazy engine driven through an
+* **lazy update == recompute** — a lazy engine driven through an
   arbitrary arc-swap/deletion sequence answers every read exactly as a
   fresh full build of the final substrate would;
 * **staleness** — epochs advance on lazy-engine mutations exactly as
   on full engines, so ``ensure_epoch`` raises
-  :class:`~repro.errors.StaleDistanceError` for pre-mutation tokens;
-* **promotion monotonicity** — the number of distinct row touches a
-  lazy engine absorbs before promoting to full mode is nondecreasing
-  in ``dirty_fraction`` (the threshold is ``max(1, dirty_fraction *
-  n)`` under the fixed cost model).
+  :class:`~repro.errors.StaleDistanceError` for pre-mutation tokens.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ def test_unit_query_equals_matrix_entry(n, seed):
 
 
 # ----------------------------------------------------------------------
-# lazy repair == fresh recompute
+# lazy update == fresh recompute
 # ----------------------------------------------------------------------
 @_UNIT_ENGINE
 @given(
@@ -96,8 +92,8 @@ def test_lazy_repair_equals_recompute_under_swap_sequences(
 )
 @settings(max_examples=20, deadline=None)
 def test_lazy_repair_equals_recompute_under_deletions(engine_cls, n, seed):
-    """Pure deletion sequences exercise the pendant / affected-region /
-    dirty-row repair tiers on the hot subset."""
+    """Pure deletion sequences: after every update, each hot row equals
+    a fresh build's."""
     rng = np.random.default_rng(seed)
     g = random_owned_digraph(rng, n, p=0.4)
     lazy = engine_cls(g.undirected_csr(), rows="lazy")
@@ -112,7 +108,8 @@ def test_lazy_repair_equals_recompute_under_deletions(engine_cls, n, seed):
             g.remove_arc(x, y)
         if g.has_arc(y, x):  # a brace backs the same undirected edge
             g.remove_arc(y, x)
-        lazy.remove_edge(x, y)
+        lazy.update(g.undirected_csr())
+        lazy.ensure_rows([x, y])
         ref = np.asarray(DistanceEngine(g.undirected_csr()).matrix)
         if lazy.lazy:
             for s in lazy.hot_rows().tolist():
@@ -141,53 +138,11 @@ def test_lazy_engine_staleness_contract(engine_cls, n, seed):
     lazy.ensure_rows([0])
     lazy.ensure_epoch(token)
     # ...mutations always do.
-    csr = g.undirected_csr()
-    edges = [(u, int(v)) for u in range(n) for v in csr.neighbors(u) if u < int(v)]
-    if not edges:
+    arcs = list(g.arcs())
+    if not arcs:
         return
-    lazy.remove_edge(*edges[0])
+    g.remove_arc(*arcs[0])
+    if lazy.update(g.undirected_csr()) == "noop":
+        return  # a brace still backs the edge
     with pytest.raises(StaleDistanceError):
         lazy.ensure_epoch(token)
-
-
-# ----------------------------------------------------------------------
-# promotion threshold monotonicity
-# ----------------------------------------------------------------------
-def _touches_to_promote(engine_cls, csr, dirty_fraction: float) -> int:
-    """Distinct row touches absorbed before the engine leaves lazy mode."""
-    engine = engine_cls(csr, rows="lazy", dirty_fraction=dirty_fraction)
-    for touched in range(csr.n):
-        if not engine.lazy:
-            return touched
-        engine.ensure_rows([touched])
-    return csr.n
-
-
-@_UNIT_ENGINE
-@given(
-    n=st.integers(min_value=3, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**31),
-    fractions=st.lists(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        min_size=2,
-        max_size=4,
-    ),
-)
-@settings(max_examples=25, deadline=None)
-def test_promotion_touches_monotone_in_dirty_fraction(
-    engine_cls, n, seed, fractions
-):
-    """Under the fixed cost model the promotion threshold is
-    ``max(1, dirty_fraction * n)``, so the touches a lazy engine absorbs
-    before promoting never decrease as ``dirty_fraction`` grows."""
-    rng = np.random.default_rng(seed)
-    g = random_owned_digraph(rng, n, p=0.3)
-    csr = g.undirected_csr()
-    prev_f, prev_touches = None, None
-    for f in sorted(fractions):
-        touches = _touches_to_promote(engine_cls, csr, f)
-        engine = engine_cls(csr, rows="lazy", dirty_fraction=f)
-        assert engine.promotion_threshold() == max(1.0, f * n)
-        if prev_f is not None:
-            assert touches >= prev_touches, (prev_f, f)
-        prev_f, prev_touches = f, touches
