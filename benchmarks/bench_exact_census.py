@@ -1,25 +1,36 @@
-"""Incremental exact census vs rebuild-per-profile brute force.
+"""Exact census vs rebuild-per-profile brute force, and the unit
+census to n = 13.
 
-Seven claims, each asserted (not just timed):
+Symmetric censuses of unit-budget games run on the orbit generator
+(:mod:`repro.core.unit_orbits`): one labeled representative per
+``Sym(n)`` orbit, evaluated and weighted by its orbit size. Every other
+budget class walks the Gray order with symmetry pruning. Claims, each
+asserted (not just timed):
 
-* the Gray-order incremental kernel with symmetry pruning beats the
-  brute-force census on the unit n=5 instance by >= 5x, with a
-  bit-identical :class:`ExactPriceReport`;
+* the shipped symmetric census beats the brute-force census on the
+  unit n=5 instance by >= 5x, with a bit-identical
+  :class:`ExactPriceReport`;
 * sharded execution (``workers > 1``) returns the same report;
 * unit n=6 — 15625 profiles, far beyond what rebuild-per-profile
   affords in a smoke lane — completes in seconds under the cap, with
-  its exact equilibrium counts pinned as regression anchors;
-* unit n=7 — 279936 profiles, group order 5040 — completes in
-  single-digit seconds on the canonical-rep-only walk (probe keys +
-  vectorised block advance), with its exact counts pinned (they were
-  cross-validated once against the unpruned sharded walk, which takes
-  ~10 minutes);
-* unit n=8 — 5764801 profiles, group order 40320 — completes in well
-  under two minutes on the stabilizer-chain canonical walk (128-bit
-  orbit keys), and a Gray-rank window of the pruned run's collected
-  equilibria matches an unpruned shard walked over the same window
-  exactly (the cross-validation is a subrange because the full
-  unpruned space measures ~70 minutes);
+  its exact equilibrium counts pinned as regression anchors and the
+  unpruned walk agreeing bit for bit;
+* unit n=7 — 279936 profiles in 100 orbits — completes in well under a
+  second, with its exact counts pinned (they were cross-validated once
+  against the unpruned sharded walk, which takes ~10 minutes);
+* unit n=8 — 5764801 profiles in 291 orbits — completes in seconds,
+  and a Gray-rank window of its collected equilibria matches an
+  unpruned shard walked over the same window exactly (the
+  cross-validation is a subrange because the full unpruned space
+  measures ~70 minutes);
+* unit n = 9..13 (up to 12^13 ≈ 1.1e14 profiles in 51,916 orbits) pin
+  orbit counts, equilibrium counts and ``(opt, best, worst)``
+  diameters: SUM has n(n-1)(n-2) equilibria at every n, and MAX reaches
+  a worst equilibrium diameter of 4 at n = 10, on a witness the exact
+  :func:`~repro.core.deviations.is_equilibrium` confirms;
+* the generator matches the symmetric Gray walk on reports and
+  collected sets at n = 8 and on reports at n = 9, in both versions
+  (opt-in: the walk takes minutes there);
 * the weighted weak-equilibrium census of unit n=6 with all-ones
   weights (15625 profiles, 120 weak equilibria) runs on the bitset
   evaluator in under a second;
@@ -51,8 +62,17 @@ from repro.core import (
     sampled_census_scan,
     weighted_census_scan,
 )
-from repro.core.enumeration import _census_shard, _gray_rank, _profile_tables
+from repro.core.deviations import is_equilibrium
+from repro.core.enumeration import (
+    _census_shard,
+    _gray_rank,
+    _merge_unit_parts,
+    _profile_tables,
+)
+from repro.core.unit_orbits import unit_orbits
 from repro.graphs import diameter
+from repro.graphs.digraph import OwnedDigraph
+from repro.parallel.executor import contiguous_shards, parallel_map
 
 #: Wall-clock comparisons are meaningful on a quiet machine; on shared
 #: CI runners a noisy neighbour can invert margins with no code defect,
@@ -68,8 +88,8 @@ def test_incremental_census_beats_bruteforce_unit_n5(
     benchmark, version, bench_record
 ):
     """Unit n=5 (1024 profiles): the shipped census configuration
-    (Gray walk + bitset evaluator + symmetry orbit pruning) must be
-    >= 5x faster than the rebuild-per-profile baseline and bit-identical."""
+    (orbit generator + bitset evaluator) must be >= 5x faster than the
+    rebuild-per-profile baseline and bit-identical."""
     game = BoundedBudgetGame([1] * 5)
 
     def incremental():
@@ -195,11 +215,11 @@ def test_weighted_unit_n6_census_under_a_second(benchmark, bench_record):
 
 
 @pytest.mark.paper_artifact("exact census / unit n=7 unlocked")
-def test_unit_n7_census_single_digit_seconds(benchmark, bench_record):
-    """Unit n=7: 279936 profiles under the S7 budget symmetry group
-    (order 5040) — infeasible per-profile (the unpruned sharded walk
-    measures ~10 minutes), single-digit seconds on the canonical-rep-
-    only walk. Counts pinned; they match the unpruned walk exactly."""
+def test_unit_n7_census_under_a_second(benchmark, bench_record):
+    """Unit n=7: 279936 profiles in 100 Sym(7) orbits — infeasible
+    per-profile (the unpruned sharded walk measures ~10 minutes), well
+    under a second on the orbit generator. Counts pinned; they match
+    the unpruned walk exactly."""
     game = BoundedBudgetGame([1] * 7)
 
     def run():
@@ -223,38 +243,26 @@ def test_unit_n7_census_single_digit_seconds(benchmark, bench_record):
         "unit_n7",
         {
             "profiles": 6**7,
-            "group_order": 5040,
+            "orbits": 100,
             "equilibria": {"sum": 210, "max": 10212},
             "incremental_symmetry_s": round(elapsed, 4),
             "bruteforce_s": None,  # cross-validated once: ~625 s unpruned
         },
     )
-    assert not _STRICT_TIMING or elapsed < 10.0, (
-        f"unit n=7 sum+max census took {elapsed:.1f} s; the canonical-rep "
-        f"walk should land it in single-digit seconds"
+    assert not _STRICT_TIMING or elapsed < 1.0, (
+        f"unit n=7 sum+max census took {elapsed:.2f} s; the orbit "
+        f"generator should land it well under a second"
     )
 
 
-#: The n=8 census (~20 s for sum+max on one core) runs by default on a
-#: developer machine but is opt-in under CI: the ``census-n8`` lane
-#: (workflow_dispatch / nightly) sets ``RUN_N8=1``; the push/PR smoke
-#: lanes skip it to stay fast.
-_RUN_N8 = os.environ.get("RUN_N8") == "1" or not os.environ.get("CI")
-
-
-@pytest.mark.skipif(
-    not _RUN_N8, reason="n=8 census is opt-in under CI (set RUN_N8=1)"
-)
 @pytest.mark.paper_artifact("exact census / unit n=8 unlocked")
 def test_unit_n8_census_cross_validated(benchmark, bench_record):
-    """Unit n=8: 5764801 profiles under the S8 budget symmetry group
-    (order 40320). The stabilizer-chain canonical walk with two-word
-    128-bit orbit keys lands sum+max well under the 'minutes' bar; the
-    counts are pinned and cross-validated in-test: every collected
-    equilibrium of the pruned run that unranks into a 20000-rank Gray
-    window must be found — and nothing else — by an unpruned shard
-    walked over exactly that window (the full unpruned space measures
-    ~70 minutes, hence the subrange)."""
+    """Unit n=8: 5764801 profiles in 291 Sym(8) orbits, sum+max in
+    seconds on the orbit generator. The counts are pinned and
+    cross-validated in-test: every collected equilibrium that unranks
+    into a 20000-rank Gray window must be found — and nothing else — by
+    an unpruned shard walked over exactly that window (the full
+    unpruned space measures ~70 minutes, hence the subrange)."""
     game = BoundedBudgetGame([1] * 8)
     budgets = tuple(int(b) for b in game.budgets)
 
@@ -311,7 +319,7 @@ def test_unit_n8_census_cross_validated(benchmark, bench_record):
         "unit_n8",
         {
             "profiles": 7**8,
-            "group_order": 40320,
+            "orbits": 291,
             "equilibria": {"sum": 336, "max": 65632},
             "incremental_symmetry_s": round(elapsed, 4),
             "bruteforce_s": None,  # unpruned full space measures ~70 min
@@ -320,9 +328,144 @@ def test_unit_n8_census_cross_validated(benchmark, bench_record):
             "crossval_unpruned_s": round(unpruned_s, 4),
         },
     )
-    assert not _STRICT_TIMING or elapsed < 120.0, (
-        f"unit n=8 sum+max census took {elapsed:.1f} s; the stabilizer-"
-        f"chain walk should land it well under two minutes"
+    assert not _STRICT_TIMING or elapsed < 10.0, (
+        f"unit n=8 sum+max census took {elapsed:.1f} s; the orbit "
+        f"generator should land it in seconds"
+    )
+
+
+#: ``n -> (orbits, sum equilibria, max equilibria, max worst diameter)``
+#: of the unit game. Orbit counts are OEIS A001373; the optimal and the
+#: best equilibrium diameter are 2 in both versions at every n here,
+#: and the worst SUM equilibrium diameter is 2.
+_UNIT_TABLE = {
+    9: (797, 504, 332_208, 3),
+    10: (2_273, 720, 2_158_560, 4),
+    11: (6_389, 990, 35_551_340, 4),
+    12: (18_264, 1_320, 547_080_864, 4),
+    13: (51_916, 1_716, 6_473_121_096, 4),
+}
+
+
+@pytest.mark.paper_artifact("exact census / unit n = 9..13 on the orbit generator")
+def test_unit_census_n9_to_n13(benchmark, bench_record):
+    """The paper's unit-budget row (every equilibrium has diameter
+    Θ(1)) checked exactly to n = 13. SUM: n(n-1)(n-2) equilibria and
+    PoA 1 at every n. MAX: the worst equilibrium diameter rises to 4 at
+    n = 10 (PoA 2); the 5-cycle with one pendant per cycle vertex is
+    such an equilibrium, which the exact best-response check confirms."""
+
+    def run():
+        return {
+            (n, v): census_scan(
+                BoundedBudgetGame([1] * n), v, symmetry=True, max_profiles=(n - 1) ** n
+            ).report
+            for n in _UNIT_TABLE
+            for v in ("sum", "max")
+        }
+
+    t0 = time.perf_counter()
+    reports = run()
+    elapsed = time.perf_counter() - t0
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+    payload = {"seconds": round(elapsed, 4)}
+    for n, (orbits, sum_eq, max_eq, max_worst) in _UNIT_TABLE.items():
+        s, m = reports[(n, "sum")], reports[(n, "max")]
+        assert len(unit_orbits(n)[1]) == orbits
+        assert s.num_profiles == m.num_profiles == (n - 1) ** n
+        assert s.num_equilibria == sum_eq == n * (n - 1) * (n - 2)
+        assert m.num_equilibria == max_eq
+        diams = {
+            v: (r.opt_diameter, r.best_equilibrium_diameter, r.worst_equilibrium_diameter)
+            for v, r in (("sum", s), ("max", m))
+        }
+        assert diams == {"sum": (2, 2, 2), "max": (2, 2, max_worst)}
+        payload[f"n{n}"] = {
+            "orbits": orbits,
+            "equilibria": {"sum": sum_eq, "max": max_eq},
+            "diameters": {v: list(d) for v, d in diams.items()},
+        }
+
+    # The diameter-4 MAX equilibrium at n = 10, checked independently of
+    # the bitset evaluator.
+    witness = OwnedDigraph.from_strategies(
+        [(t,) for t in (1, 2, 3, 4, 0, 0, 1, 2, 3, 4)], 10
+    )
+    assert is_equilibrium(witness, "max", method="exact")
+    assert not is_equilibrium(witness, "sum", method="exact")
+    assert diameter(witness) == 4
+    bench_record("unit_orbits_n9_n13", payload)
+    assert not _STRICT_TIMING or elapsed < 60.0, (
+        f"unit n = 9..13 sum+max censuses took {elapsed:.1f} s"
+    )
+
+
+#: The generator-vs-walk cross-check runs the symmetric Gray walk over
+#: the whole unit space: seconds per version at n=8, ~80 s per version
+#: on two workers at n=9. n=8 runs by default on a developer machine and
+#: n=9 only with ``RUN_N8=1``; under CI both are opt-in through the
+#: ``census-n8`` lane (workflow_dispatch / nightly), which sets it.
+_RUN_N8_SET = os.environ.get("RUN_N8") == "1"
+_RUN_N8 = _RUN_N8_SET or not os.environ.get("CI")
+
+
+def _walk_unit_census(n: int, version: str, *, collect: bool, workers: int = 2):
+    """The symmetric Gray walk over the whole unit space, on ``workers``
+    contiguous shards: what ``census_scan`` ran for unit games before the
+    orbit generator."""
+    total = (n - 1) ** n
+    payloads = [
+        ((1,) * n, version, lo, hi, True, collect, total)
+        for lo, hi in contiguous_shards(total, workers)
+    ]
+    parts = parallel_map(_census_shard, payloads, processes=workers)
+    return _merge_unit_parts(
+        parts, version=Version.coerce(version), total=total, collect=collect
+    )
+
+
+@pytest.mark.skipif(
+    not _RUN_N8, reason="the walk cross-check is opt-in under CI (set RUN_N8=1)"
+)
+@pytest.mark.parametrize(
+    "n",
+    [
+        8,
+        pytest.param(
+            9,
+            marks=pytest.mark.skipif(
+                not _RUN_N8_SET, reason="the n=9 walk takes minutes (set RUN_N8=1)"
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("version", ["sum", "max"])
+def test_generator_matches_walk_n8_census(version, n, bench_record):
+    """The orbit generator and the symmetric Gray walk it replaced for
+    unit games agree on the report (and, at n=8, on the collected
+    equilibrium set)."""
+    collect = n <= 8
+    game = BoundedBudgetGame([1] * n)
+    t0 = time.perf_counter()
+    got = census_scan(
+        game, version, symmetry=True, collect_equilibria=collect, max_profiles=(n - 1) ** n
+    )
+    generator_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    report, equilibria = _walk_unit_census(n, version, collect=collect)
+    walk_s = time.perf_counter() - t0
+    assert got.report == report
+    assert got.equilibria == equilibria
+    bench_record(
+        f"generator_vs_walk_n{n}_{version}",
+        {
+            "equilibria": report.num_equilibria,
+            "generator_s": round(generator_s, 4),
+            "walk_s": round(walk_s, 4),
+            "workers": 2,
+            "collected": collect,
+        },
     )
 
 

@@ -2,10 +2,12 @@
 
 Three claims, each asserted (not just timed):
 
-* the checkpointed work-stealing runtime reproduces the plain census
-  **bit-identically** on unit n=6 (15625 profiles) — uninterrupted,
-  under injected worker kills recovered in-run, and across a
-  quarantine + resume cycle;
+* the checkpointed work-stealing runtime reproduces the plain
+  symmetric census **bit-identically** on the budget class
+  ``(2, 1, 1, 1, 1, 1)`` (31250 profiles) — uninterrupted, under
+  injected worker kills recovered in-run, and across a quarantine +
+  resume cycle (symmetric unit games run on the orbit generator, in
+  one process, so the walk is exercised on a non-unit class);
 * a weighted census (unit n=5, pairwise-distinct weights, 1024
   profiles) killed and resumed at injected fault points is
   bit-identical to its uninterrupted run;
@@ -49,12 +51,15 @@ def _kill_plan(shards, *, attempts=(0,)):
     )
 
 
-@pytest.mark.paper_artifact("fault tolerance / unit n=6 kill-and-resume")
-def test_unit_n6_kill_and_resume_bit_identical(benchmark, tmp_path, bench_record):
-    """Unit n=6, 15625 profiles: the checkpointed runtime must match
-    the plain census bit for bit — uninterrupted, with every shard's
-    worker killed once mid-range, and across quarantine + resume."""
-    game = BoundedBudgetGame([1] * 6)
+@pytest.mark.paper_artifact("fault tolerance / n=6 symmetric walk kill-and-resume")
+def test_n6_symmetric_walk_kill_and_resume_bit_identical(
+    benchmark, tmp_path, bench_record
+):
+    """Budgets ``(2, 1, 1, 1, 1, 1)``, 31250 profiles: the checkpointed
+    symmetric walk must match the plain census bit for bit —
+    uninterrupted, with every shard's worker killed once mid-range, and
+    across quarantine + resume."""
+    game = BoundedBudgetGame([2, 1, 1, 1, 1, 1])
     total = profile_space_size(game)
     shards = contiguous_shards(total, 4)
 
@@ -108,7 +113,7 @@ def test_unit_n6_kill_and_resume_bit_identical(benchmark, tmp_path, bench_record
 
     overhead = clean_s / plain_s
     bench_record(
-        "unit_n6_max",
+        "mixed_n6_max",
         {
             "profiles": total,
             "equilibria": ref.report.num_equilibria,
@@ -123,7 +128,7 @@ def test_unit_n6_kill_and_resume_bit_identical(benchmark, tmp_path, bench_record
         },
     )
     # The runtime forks workers and journals checkpoints; 25x over a
-    # 0.2 s in-process scan is a generous ceiling that still catches a
+    # ~0.1 s in-process scan is a generous ceiling that still catches a
     # runaway regression (e.g. re-walking resumed prefixes).
     assert not _STRICT_TIMING or overhead < 25.0, (
         f"checkpointed census took {clean_s:.2f}s vs plain {plain_s:.2f}s "

@@ -57,10 +57,9 @@ class DistanceCache:
     rows:
         Forwarded to every engine the cache builds: ``"lazy"`` starts
         each matrix unmaterialised with row-on-demand reads (the cold
-        single-verdict regime — :meth:`query` / :meth:`query_punctured`
-        then cost one bounded bidirectional search instead of a full
-        build), ``None`` keeps the engines' default full
-        materialisation.
+        single-verdict regime — :meth:`query` then costs one bounded
+        bidirectional search instead of a full build), ``None`` keeps
+        the engines' default full materialisation.
     """
 
     def __init__(
@@ -240,31 +239,6 @@ class DistanceCache:
             from ..graphs.query import batched_pair_distances
 
             return batched_pair_distances(csr, p, inf=cinf(csr.n))
-
-    def query_punctured(self, player: int, u: int, v: int) -> int:
-        """Single ``dist(u, v)`` in the punctured ``U(G - player)``.
-
-        The single-pair form of the per-player family — what one swap
-        check or Lemma 2.2 deviation screen needs. Same tiering as
-        :meth:`query`: a cached-and-synced (or lazy) player engine
-        answers directly, a cold full-mode cache runs one bounded
-        bidirectional search on the punctured substrate without
-        building the engine.
-        """
-        if not 0 <= player < self._graph.n:
-            raise VertexError(player, self._graph.n)
-        self._sync()
-        engine = self._players.get(player)
-        synced = (
-            engine is not None
-            and self._player_generations.get(player) == self._generation
-        )
-        if self._lazy_rows or synced:
-            return self.player(player).query(u, v)
-        from ..graphs.query import point_to_point
-
-        csr = self._graph.undirected_csr_without(player)
-        return point_to_point(csr, u, v, inf=cinf(csr.n))
 
     def player(self, u: int) -> DistanceEngine:
         """Engine over ``U(G - u)``, synced to the current revision."""

@@ -35,31 +35,40 @@ strategy axis (:func:`~repro.core.census_eval.evaluate_weighted_block`).
 
 **Symmetry pruning** (``symmetry=True``): players with equal budgets
 induce profile-space orbits under the budget-preserving relabeling
-group ``∏ Sym(budget class)``. A profile is *canonical* when its
-ownership-adjacency bit key is minimal over its orbit; the walk keeps
-a probe subset of the relabeled keys up to date a block of Gray steps
-at a time (:class:`_OrbitKeys`), evaluates only canonical
-representatives, and multiplies their contributions by the orbit size
-``|group| / |stabilizer|``. Diameter and equilibrium membership are
-orbit invariants, so the census is bit-identical with pruning on or
-off.
+group ``∏ Sym(budget class)``. Diameter and equilibrium membership are
+orbit invariants, so the census evaluates one representative per orbit,
+weights it by the orbit size, and is bit-identical with pruning on or
+off. Two paths find the representatives:
+
+* **Unit budgets** (every budget 1): the orbits under ``Sym(n)`` are
+  the unlabeled functional digraphs without fixed points, which
+  :mod:`repro.core.unit_orbits` generates directly, with their orbit
+  sizes and no canonicity test (:func:`_unit_orbit_census`). This path
+  runs in one process with no shards and no journal, for ``n <= 13``.
+* **Every other budget class** walks the Gray order. A profile is
+  *canonical* when its ownership-adjacency bit key is minimal over its
+  orbit; the walk keeps a probe subset of the relabeled keys up to date
+  a block of Gray steps at a time (:class:`_OrbitKeys`), evaluates only
+  canonical representatives, and multiplies their contributions by the
+  orbit size ``|group| / |stabilizer|``.
 
 **Block decoding**: the exhaustive walks unrank whole blocks of Gray
 ranks with numpy (:func:`_gray_blocks`) and read each step's player
 and ``(dropped, added)`` pair off the digit block, so ranks are
 ``int64`` and these walks refuse profile spaces of ``2**63`` or more.
 
-**Sharding** (``workers > 1``): the Gray rank space splits into
+**Sharding** (``workers > 1``): the Gray rank space of a walk splits into
 contiguous ranges (one unranking per shard, then stepping), dispatched
 through :func:`~repro.parallel.executor.parallel_map`; the merge of
 shard partials is order-independent, so reports are identical for any
 worker count.
 
-**Key format**: with symmetry pruning each relabeled profile is packed
+**Key format**: the symmetric walk packs each relabeled profile
 into a **two-word (128-bit) key** — cell ``(a, b)`` occupies the bit
 position :func:`~repro.core.isomorphism.chain_cell_positions` assigns
 it, word ``position >> 6``, bit ``position & 63`` — so ``n^2 <= 128``
-(``n <= 11``) works. The cell order is chain-aligned: cells the
+(``n <= 11``) works for the non-unit classes the walk serves. The
+orbit generator needs no key. The cell order is chain-aligned: cells the
 stabilizer-chain descent reveals first are most significant, so the
 incremental probe stage and the exact
 :class:`~repro.core.isomorphism.BudgetStabilizerChain` recheck decide
@@ -279,9 +288,11 @@ def _profile_tables(
 _ORBIT_BLOCK: int = 2048
 
 #: The symmetric walk buffers canonical rows until this many are pending,
-#: and the sampled census stacks this many drawn rows, to evaluate them
-#: in one batch: per-row evaluator calls cost milliseconds each, a batch
-#: of hundreds costs tens of milliseconds.
+#: the sampled census stacks this many drawn rows, and the unit orbit
+#: census cuts its representatives into blocks this large, to evaluate
+#: them in one batch: per-row evaluator calls cost milliseconds each, a
+#: batch of hundreds costs tens of milliseconds. (One call over all
+#: 51,916 orbits at n = 13 read ~25% slower than blocks of 512..4096.)
 _EVAL_BATCH: int = 512
 
 
@@ -871,6 +882,25 @@ def _bound(acc: dict, key: str, pick, values: np.ndarray) -> None:
     acc[key] = int(pick(values))
 
 
+def _tally(
+    acc: dict,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    tables: "Sequence[np.ndarray]",
+    version: Version,
+) -> np.ndarray:
+    """Census a block of digit rows into ``acc``, each row weighted by
+    its orbit size; returns the rows' Nash mask."""
+    is_nash, diam = evaluate_block(rows, tables, version)
+    acc["count"] += int(sizes.sum())
+    _bound(acc, "opt", np.min, diam)
+    if is_nash.any():
+        acc["eq_count"] += int(sizes[is_nash].sum())
+        _bound(acc, "best_eq", np.min, diam[is_nash])
+        _bound(acc, "worst_eq", np.max, diam[is_nash])
+    return is_nash
+
+
 def _checkpointed_steps(ctx, start: int, hi: int, step: int, run, save) -> None:
     """Drive ``run(i, stop)`` over ``[start, hi)`` in steps of at most ``step``.
 
@@ -964,16 +994,8 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     tables = out_mask_tables(combos)
 
     def evaluate(rows: np.ndarray, sizes: np.ndarray) -> None:
-        """Census a block of digit rows, each weighted by its orbit size."""
-        is_nash, diam = evaluate_block(rows, tables, version)
-        acc["count"] += int(sizes.sum())
-        _bound(acc, "opt", np.min, diam)
-        if not is_nash.any():
-            return
-        acc["eq_count"] += int(sizes[is_nash].sum())
-        _bound(acc, "best_eq", np.min, diam[is_nash])
-        _bound(acc, "worst_eq", np.max, diam[is_nash])
-        if collect:
+        is_nash = _tally(acc, rows, sizes, tables, version)
+        if collect and is_nash.any():
             for row, size in zip(rows[is_nash].tolist(), sizes[is_nash].tolist()):
                 key = tuple(tuple(sorted(combos[u][k])) for u, k in enumerate(row))
                 if perms is not None and size > 1:
@@ -1340,6 +1362,66 @@ def _run_census_shards(
     return parts, tuple(missing), covered
 
 
+#: Collected sets expand every equilibrium orbit over the whole
+#: ``Sym(n)``, ``n!`` relabelings each; 9! = 362,880 is the last size
+#: where that stays a matter of seconds.
+_MAX_UNIT_COLLECT_N: int = 9
+
+def _expand_unit_orbit(
+    targets: np.ndarray, perms: np.ndarray
+) -> "list[tuple[tuple[int, ...], ...]]":
+    """:func:`_expand_orbit` of a unit profile, vectorised over the group:
+    relabeling ``perm`` moves player ``i``'s arc to ``targets[i]`` onto
+    player ``perm[i]``, now aimed at ``perm[targets[i]]``."""
+    relabeled = np.empty_like(perms)
+    relabeled[np.arange(len(perms))[:, None], perms] = perms[:, targets]
+    return [
+        tuple((v,) for v in row) for row in np.unique(relabeled, axis=0).tolist()
+    ]
+
+
+def _unit_orbit_census(
+    game: BoundedBudgetGame, version: Version, *, collect: bool
+) -> CensusResult:
+    """Symmetric census of a unit-budget game over generated orbits.
+
+    :func:`~repro.core.unit_orbits.unit_orbits` lists one representative
+    per ``Sym(n)`` orbit; each becomes a digit row of
+    :func:`_profile_tables`, and the rows are evaluated
+    :data:`_EVAL_BATCH` at a time, weighted by orbit size. One process,
+    no shards, no journal.
+    """
+    from .unit_orbits import unit_orbits
+
+    n = game.n
+    if collect and n > _MAX_UNIT_COLLECT_N:
+        raise GameError(
+            f"collecting the equilibria of a symmetric unit census expands "
+            f"each orbit over all n! relabelings and is capped at n = "
+            f"{_MAX_UNIT_COLLECT_N}, got n = {n}"
+        )
+    targets, sizes = unit_orbits(n)
+    combos, _, _ = _profile_tables(game)
+    digit = np.zeros((n, n), dtype=np.int64)
+    for u, strategies in enumerate(combos):
+        for d, (v,) in enumerate(strategies):
+            digit[u, v] = d
+    rows = digit[np.arange(n), targets]
+    tables = out_mask_tables(combos)
+    perms = _budget_symmetry_group(game.budgets) if collect else None
+    acc = _empty_part(_UNIT_COUNTER_KEYS)
+    for lo in range(0, len(rows), _EVAL_BATCH):
+        block = slice(lo, lo + _EVAL_BATCH)
+        is_nash = _tally(acc, rows[block], sizes[block], tables, version)
+        if collect:
+            for rep in targets[block][is_nash]:
+                acc["eq_profiles"].extend(_expand_unit_orbit(rep, perms))
+    report, equilibria = _merge_unit_parts(
+        [acc], version=version, total=(n - 1) ** n, collect=collect
+    )
+    return CensusResult(report=report, equilibria=equilibria)
+
+
 def census_scan(
     game: BoundedBudgetGame,
     version: "Version | str",
@@ -1378,13 +1460,35 @@ def census_scan(
     supervisor's tuning knobs. Checkpointed results are bit-identical
     to the static path; only a run that quarantines poison shards
     degrades — explicitly, via :attr:`CensusResult.incomplete`.
+
+    ``symmetry=True`` on a unit-budget game takes the orbit generator
+    instead of the walk (:func:`_unit_orbit_census`): one process, no
+    shards, no journal, for ``2 <= n <= 13``. There ``workers``,
+    ``checkpoint_dir``, ``resume`` and ``runtime_opts`` are accepted and
+    unused (:func:`last_census_runtime_stats` reads ``{}``), while
+    ``fault_plan`` and ``shard_count`` name shards and raise
+    :class:`~repro.errors.GameError`. ``max_profiles`` still caps the
+    profile space ``(n-1)^n``, and ``collect_equilibria`` is refused
+    above ``n = 9``. The walk serves symmetric non-unit classes up to
+    ``n = 11``.
     """
     from ..parallel.executor import contiguous_shards, parallel_map
 
     _reset_census_stats()
     version = Version.coerce(version)
     _check_bitset_cap(game.n)
-    if symmetry:
+    generated = symmetry and game.is_unit_game
+    if generated:
+        from .unit_orbits import check_unit_orbit_cap
+
+        if fault_plan is not None or shard_count is not None:
+            raise GameError(
+                "fault_plan/shard_count name shards of the Gray walk; the "
+                "symmetric unit-budget census generates its orbits in one "
+                "process"
+            )
+        check_unit_orbit_cap(game.n)
+    elif symmetry:
         _check_symmetry_cap(game.n)
     _check_cap(game, max_profiles)
     _check_rank_width(profile_space_size(game))
@@ -1397,6 +1501,8 @@ def census_scan(
             "resume/fault_plan/shard_count require checkpoint_dir (the "
             "checkpointed runtime path)"
         )
+    if generated:
+        return _unit_orbit_census(game, version, collect=collect_equilibria)
     total = profile_space_size(game)
     budgets = tuple(int(b) for b in game.budgets)
 
@@ -2189,7 +2295,9 @@ def exact_prices(
     The report of :func:`census_scan`: one pass of the Gray-order walk
     and the bitset evaluator (optionally with ``symmetry`` orbit pruning
     and ``workers`` shards) computes the optimal diameter and the
-    best/worst equilibrium diameters simultaneously.
+    best/worst equilibrium diameters simultaneously. With ``symmetry``
+    on a unit-budget game the orbit generator replaces the walk and
+    ``workers`` is unused.
     """
     return census_scan(
         game,

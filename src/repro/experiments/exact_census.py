@@ -6,13 +6,15 @@ enumerable: every equilibrium is found, every structure theorem is
 checked over the whole space rather than sampled. This is the
 strongest form of machine verification the paper admits.
 
-Runs on :func:`repro.core.enumeration.census_scan`: a Gray-order walk
-of the profile space whose blocks of profiles go through the batched
-bitset evaluator of :mod:`repro.core.census_eval`. One pass per
-(instance, version) computes the prices *and* collects the equilibria,
-with symmetry orbit pruning on by default and optional sharded workers
-— the numbers are bit-identical to the rebuild-per-profile brute force,
-just fast enough to put unit ``n = 6`` in reach.
+Runs on :func:`repro.core.enumeration.census_scan`, whose profiles go
+through the batched bitset evaluator of :mod:`repro.core.census_eval`.
+One pass per (instance, version) computes the prices *and* collects
+the equilibria, with symmetry orbit pruning on by default: unit-budget
+instances then evaluate one generated representative per ``Sym(n)``
+orbit (:mod:`repro.core.unit_orbits`, in one process, so ``workers``
+and ``checkpoint_dir`` leave them untouched), and every other instance
+walks the Gray order with optional sharded workers. The numbers are
+bit-identical to the rebuild-per-profile brute force.
 
 ``weighted=True`` (CLI: ``--weighted``) additionally runs the Section 6
 battery: for each weighted instance the same Gray walk and evaluator
@@ -56,10 +58,9 @@ GOLDEN_INSTANCES: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 #: The default ``EXACT-tiny`` battery: the golden instances plus the
-#: games the Gray walk and bitset evaluator unlocked — unit ``n = 6``
-#: (15625 profiles, infeasible on the rebuild-per-profile path, ~0.2 s
-#: with symmetry pruning) and a richer mixed-budget game (~2 s for the
-#: whole battery).
+#: games the bitset evaluator unlocked — unit ``n = 6`` (15625
+#: profiles, infeasible on the rebuild-per-profile path, 40 orbits with
+#: symmetry pruning) and a richer mixed-budget game.
 DEFAULT_INSTANCES: tuple[tuple[str, tuple[int, ...]], ...] = GOLDEN_INSTANCES + (
     ("unit n=6", (1, 1, 1, 1, 1, 1)),
     ("mixed n=5", (2, 2, 1, 1, 0)),
@@ -107,9 +108,10 @@ def exact_census_experiment(
     ``weighted=True`` (CLI: ``--weighted``) appends the Section 6
     weighted weak-equilibrium census over :data:`WEIGHTED_INSTANCES`.
 
-    ``checkpoint_dir`` (CLI: ``--checkpoint-dir``) runs every scan on
-    the fault-tolerant checkpointed runtime, journaling each
-    (instance, version) scan into its own subdirectory so an
+    ``checkpoint_dir`` (CLI: ``--checkpoint-dir``) runs every walked
+    scan on the fault-tolerant checkpointed runtime (symmetric unit
+    instances run on the orbit generator and write nothing), journaling
+    each (instance, version) scan into its own subdirectory so an
     interrupted battery can be rerun with ``resume=True`` (CLI:
     ``--resume``): finished scans replay from their ``done`` records,
     the interrupted one continues mid-shard, and the reported numbers

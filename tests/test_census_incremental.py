@@ -372,8 +372,9 @@ def test_census_capped_by_bitset_width():
 
 def test_symmetry_capped_by_key_width():
     # n = 9..11 became legal with the two-word (128-bit) keys; the cap
-    # now binds at n = 12 (n^2 = 144 > 128).
-    game = BoundedBudgetGame([1] * 12)
+    # now binds at n = 12 (n^2 = 144 > 128). Unit games go to the orbit
+    # generator instead, so the walk's cap is probed on a non-unit class.
+    game = BoundedBudgetGame([2] + [1] * 11)
     with pytest.raises(GameError, match="128-bit"):
         census_scan(game, "sum", symmetry=True, max_profiles=10**12)
 

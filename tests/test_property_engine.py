@@ -207,10 +207,9 @@ def test_lru_eviction_bounds_cached_engines():
 )
 @settings(max_examples=25, deadline=None)
 def test_cache_query_matches_matrices_across_modes(n, seed, steps):
-    """DistanceCache.query / query_punctured must be bit-identical to
-    the corresponding maintained-matrix entries in every rows mode,
-    interleaved with strategy swaps — and a cold full-mode cache must
-    answer without building its engines."""
+    """DistanceCache.query must be bit-identical to the maintained-matrix
+    entries in every rows mode, interleaved with strategy swaps — and a
+    cold full-mode cache must answer without building its engines."""
     rng = np.random.default_rng(seed)
     g = _random_graph(rng, n)
     cold = DistanceCache(g)
@@ -225,11 +224,6 @@ def test_cache_query_matches_matrices_across_modes(n, seed, steps):
             assert c.query(u, v) == int(ref[u, v])
         # The cold cache answered by bounded search, not an engine build.
         assert cold.stats()["rebuilds"] == base_stats
-        player = int(rng.integers(n))
-        pref = all_pairs_distances(csr_without_vertex(g.undirected_csr(), player))
-        pref[pref == -1] = n * n
-        for c in (cold, full, lazy):
-            assert c.query_punctured(player, u, v) == int(pref[u, v])
         full.base()  # keep one cache fully synced for the next round
         u2 = int(rng.integers(n))
         others = [x for x in range(n) if x != u2]

@@ -283,9 +283,11 @@ def test_census_fault_matrix_bit_identical(tmp_path):
 
 
 def test_census_random_fault_plan_with_symmetry(tmp_path):
-    game = BoundedBudgetGame([1] * 5)
+    # A non-unit class: symmetric unit games run on the orbit generator,
+    # which has no shards to fault.
+    game = BoundedBudgetGame([2, 1, 1, 1, 1])
     ref = _unit_ref(game, "sum", symmetry=True)
-    plan = FaultPlan.random(seed=7, shards=contiguous_shards(1024, 4))
+    plan = FaultPlan.random(seed=7, shards=contiguous_shards(1536, 4))
     res = census_scan(
         game,
         "sum",
@@ -323,8 +325,9 @@ def test_unpruned_census_checkpoints_at_interval_ranks(tmp_path):
     "budgets,symmetry,interval,kill,journaled",
     [
         ((2, 1, 1, 1, 0), False, 100, 150, [100]),
-        # The symmetric walk checkpoints on Gray-block boundaries only.
-        ((1,) * 6, True, 2048, 5000, [2049, 4097]),
+        # The symmetric walk checkpoints on Gray-block boundaries only
+        # (a non-unit class: symmetric unit games skip the walk).
+        ((2, 1, 1, 1, 1, 1), True, 2048, 5000, [2049, 4097]),
     ],
 )
 def test_census_kill_inside_block_then_resume_bit_identical(

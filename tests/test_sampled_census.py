@@ -111,10 +111,22 @@ def test_wilson_interval_brackets_the_point_estimate():
 # ----------------------------------------------------------------------
 # Estimates vs the exact census
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("version", ["sum", "max"])
-def test_ci_covers_exact_count_unit_n5(version):
-    game = BoundedBudgetGame([1] * 5)
-    exact = census_scan(game, version, symmetry=True).report.num_equilibria
+@pytest.mark.parametrize(
+    "n, version",
+    [
+        pytest.param(5, "sum", id="sum"),
+        pytest.param(5, "max", id="max"),
+        # Exact unit n=9 counts (504 / 332,208 of 8^9 profiles) come
+        # from the orbit generator behind the symmetric unit census.
+        pytest.param(9, "sum", id="n9-sum"),
+        pytest.param(9, "max", id="n9-max"),
+    ],
+)
+def test_ci_covers_exact_count_unit_n5(n, version):
+    game = BoundedBudgetGame([1] * n)
+    exact = census_scan(
+        game, version, symmetry=True, max_profiles=(n - 1) ** n
+    ).report.num_equilibria
     rep = sampled_census_scan(
         game, version, samples=300, seed=11, method="stratified"
     )

@@ -129,9 +129,12 @@ def test_chain_rejects_oversized_n():
 
 
 def test_symmetry_cap_message_identical_at_both_call_sites():
-    """The 128-bit cap raises the same message from both entry points."""
+    """The 128-bit cap raises the same message from both entry points.
+
+    Probed on a non-unit class: symmetric unit games never reach the
+    walk (they run on the orbit generator)."""
     n = _MAX_SYMMETRY_N + 1
-    game = BoundedBudgetGame([1] * n)
+    game = BoundedBudgetGame([2] + [1] * (n - 1))
     with pytest.raises(GameError, match="128-bit") as via_scan:
         census_scan(game, "sum", symmetry=True, max_profiles=10**15)
     with pytest.raises(GameError, match="128-bit") as via_orbit:
