@@ -167,14 +167,24 @@ class BestResponseEnvironment:
         self._others_mask[u] = False
         # Component labels of G - u are only consumed by the MAX
         # version's kappa term; they are computed on first use so SUM
-        # evaluations never pay for the extra BFS sweep.
+        # evaluations never pay for them. A full engine reads them off
+        # its matrix; a lazy one pays a BFS sweep per component.
         self._comp: "np.ndarray | None" = None
         self._ncomp_others = 0
         self._in_labels = np.empty(0, dtype=np.int64)
 
     def _ensure_components(self) -> None:
         if self._comp is None:
-            comp, ncomp = connected_components(self._engine.csr)
+            if self._engine.lazy:
+                comp, ncomp = connected_components(self._engine.csr)
+            else:
+                # Each vertex's first reachable vertex is its component's
+                # smallest; renumbering those in increasing order gives
+                # connected_components' canonical labels.
+                reach = self._engine.matrix < self.cinf
+                first, comp = np.unique(reach.argmax(axis=1), return_inverse=True)
+                comp = comp.astype(np.int64, copy=False)
+                ncomp = first.size
             self._comp = comp
             # u is isolated in the substrate and forms a singleton
             # component, so the other n-1 vertices span ncomp - 1.

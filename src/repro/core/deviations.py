@@ -24,7 +24,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..errors import GameError, VertexError
-from ..graphs.bfs import UNREACHABLE, bfs_distances
+from ..graphs.csr import neighbor_offsets
 from ..graphs.digraph import OwnedDigraph
 from ..graphs.engine import DistanceEngine
 from .best_response import (
@@ -107,8 +107,11 @@ def satisfies_lemma_2_2(
     contained in any brace. In either case ``u`` plays a best response in
     both SUM and MAX versions, so the exponential search can be skipped.
 
-    ``engine`` (a maintained engine over ``U(G)``, e.g.
-    ``DistanceCache.base()``) turns the per-call BFS into a row read.
+    Without ``engine`` the screen never searches past depth 2: it
+    gathers the radius-2 ball of ``u`` and fails as soon as the ball
+    misses a vertex (local diameter at least 3, or ``Cinf``). ``engine``
+    (a maintained engine over ``U(G)``, e.g. ``DistanceCache.base()``)
+    reads ``u``'s row instead.
     """
     if graph.n == 1:
         return True
@@ -118,10 +121,17 @@ def satisfies_lemma_2_2(
             return False
         ecc = int(d.max())
     else:
-        d = bfs_distances(graph.undirected_csr(), u)
-        if (d == UNREACHABLE).any():
+        csr = graph.undirected_csr()
+        ring = csr.neighbors(u)
+        if ring.size == graph.n - 1:
+            return True
+        ball = np.zeros(graph.n, dtype=bool)
+        ball[u] = True
+        ball[ring] = True
+        ball[csr.indices[neighbor_offsets(csr.indptr, ring)[0]]] = True
+        if not ball.all():
             return False
-        ecc = int(d.max())
+        ecc = 2
     if ecc <= 1:
         return True
     if ecc == 2:

@@ -146,10 +146,14 @@ def best_response_dynamics(
     **kwargs:
         Forwarded to the best-response routine of ``method``.
 
-    Every best-response call builds its own distance engine over
-    ``U(G - u)``: a move changes the substrate of every other player, so
-    at the sizes dynamics runs a cache would rebuild on nearly every
-    access anyway.
+    One visit of player ``u`` costs a depth-2 Lemma 2.2 screen (two
+    neighbour gathers around ``u``, no search) and, unless the screen
+    certifies ``u``, one batched all-pairs BFS that builds a distance
+    engine over ``U(G - u)``; the MAX version's component count is read
+    off that matrix. Nothing is cached between visits: a move changes
+    the substrate of every other player, so at the sizes dynamics runs
+    a cache would rebuild on nearly every access anyway. Each round
+    ends with one more batched all-pairs BFS for the social cost.
     """
     version = Version.coerce(version)
     if schedule not in ("round_robin", "random"):

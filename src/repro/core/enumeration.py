@@ -846,15 +846,34 @@ class _OrbitKeys:
 
 def _expand_orbit(
     profile: "tuple[tuple[int, ...], ...]", perms: np.ndarray
-) -> "set[tuple[tuple[int, ...], ...]]":
-    """All distinct relabelings of a profile under the group."""
-    out = set()
-    for perm in perms:
-        relabeled = [()] * len(profile)
-        for i, strat in enumerate(profile):
-            relabeled[int(perm[i])] = tuple(sorted(int(perm[v]) for v in strat))
-        out.add(tuple(relabeled))
-    return out
+) -> "list[tuple[tuple[int, ...], ...]]":
+    """All distinct relabelings of a profile under the group.
+
+    Relabeling ``perm`` moves arc ``(i, v)`` to ``(perm[i], perm[v])``,
+    so the relabeled adjacency is ``adj[inv[:, None], inv[None, :]]``
+    with ``inv`` the inverse of ``perm``. ``perms`` is a whole group,
+    closed under inverses, so one gather through ``perms`` itself
+    relabels the ``(n, n)`` ownership adjacency under every element at
+    once; its rows are packed to bytes and one ``np.unique`` keeps the
+    distinct profiles. The group must preserve the profile's
+    out-degrees, as a budget symmetry group does for a census profile
+    (every player spends its whole budget).
+    """
+    n = len(profile)
+    adj = np.zeros((n, n), dtype=bool)
+    for i, strat in enumerate(profile):
+        adj[i, list(strat)] = True
+    relabeled = adj[perms[:, :, None], perms[:, None, :]]
+    packed = np.packbits(relabeled, axis=2, bitorder="little")
+    distinct = np.unique(packed.reshape(len(perms), -1), axis=0)
+    adjs = np.unpackbits(
+        distinct.reshape(-1, n, packed.shape[2]), axis=2, count=n, bitorder="little"
+    )
+    strategies = [
+        map(tuple, np.nonzero(adjs[:, i])[1].reshape(len(adjs), len(strat)).tolist())
+        for i, strat in enumerate(profile)
+    ]
+    return list(zip(*strategies))
 
 
 # ----------------------------------------------------------------------
@@ -1367,18 +1386,6 @@ def _run_census_shards(
 #: where that stays a matter of seconds.
 _MAX_UNIT_COLLECT_N: int = 9
 
-def _expand_unit_orbit(
-    targets: np.ndarray, perms: np.ndarray
-) -> "list[tuple[tuple[int, ...], ...]]":
-    """:func:`_expand_orbit` of a unit profile, vectorised over the group:
-    relabeling ``perm`` moves player ``i``'s arc to ``targets[i]`` onto
-    player ``perm[i]``, now aimed at ``perm[targets[i]]``."""
-    relabeled = np.empty_like(perms)
-    relabeled[np.arange(len(perms))[:, None], perms] = perms[:, targets]
-    return [
-        tuple((v,) for v in row) for row in np.unique(relabeled, axis=0).tolist()
-    ]
-
 
 def _unit_orbit_census(
     game: BoundedBudgetGame, version: Version, *, collect: bool
@@ -1414,8 +1421,10 @@ def _unit_orbit_census(
         block = slice(lo, lo + _EVAL_BATCH)
         is_nash = _tally(acc, rows[block], sizes[block], tables, version)
         if collect:
-            for rep in targets[block][is_nash]:
-                acc["eq_profiles"].extend(_expand_unit_orbit(rep, perms))
+            for rep in targets[block][is_nash].tolist():
+                acc["eq_profiles"].extend(
+                    _expand_orbit(tuple((v,) for v in rep), perms)
+                )
     report, equilibria = _merge_unit_parts(
         [acc], version=version, total=(n - 1) ** n, collect=collect
     )

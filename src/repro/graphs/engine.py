@@ -2,7 +2,7 @@
 
 A :class:`DistanceEngine` owns one CSR substrate and the ``(n, n)`` BFS
 distance matrix over it, computed by one batched flat-frontier BFS
-(:func:`_bfs_flat_frontier`).
+(:func:`repro.graphs.bfs._bfs_flat_frontier`).
 
 Sync rule
 ---------
@@ -64,8 +64,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GraphError, StaleDistanceError, VertexError
-from .bfs import UNREACHABLE
-from .csr import CSRAdjacency, csr_without_vertex, neighbor_offsets
+from .bfs import UNREACHABLE, _bfs_flat_frontier
+from .csr import CSRAdjacency, csr_without_vertex
 from .distances import cinf
 
 __all__ = ["DistanceEngine", "LazyRowGather"]
@@ -84,72 +84,6 @@ STAT_KEYS: "tuple[str, ...]" = (
     "promotions",
     "point_queries",
 )
-
-#: Sources expanded together by :func:`_bfs_flat_frontier`. Bounds the
-#: per-level frontier temporaries to ``_BFS_CHUNK * n`` labels.
-_BFS_CHUNK: int = 256
-
-
-def _bfs_flat_frontier(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n: int,
-    inf: int,
-    flat: np.ndarray,
-    slots: np.ndarray,
-    verts: np.ndarray,
-) -> None:
-    """Level-synchronous flat-frontier BFS over ``(slot, vertex)`` labels.
-
-    Writes levels into ``flat`` (the flattened ``(k, n)`` output buffer,
-    pre-filled with ``inf``) starting from ``flat[slots * n + verts] =
-    0``; ``slots`` must be distinct. Sources expand in chunks of
-    :data:`_BFS_CHUNK`, so the frontier temporaries stay bounded however
-    many rows are requested. Shared by the engine's batched kernel and
-    the cold-cache batched pair sweep of :mod:`repro.graphs.query`. The
-    ``slots``/``verts`` arrays are never written to, so callers may pass
-    views.
-    """
-    for lo in range(0, slots.size, _BFS_CHUNK):
-        _bfs_chunk(
-            indptr, indices, n, inf, flat,
-            slots[lo : lo + _BFS_CHUNK], verts[lo : lo + _BFS_CHUNK],
-        )
-
-
-def _bfs_chunk(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n: int,
-    inf: int,
-    flat: np.ndarray,
-    slots: np.ndarray,
-    verts: np.ndarray,
-) -> None:
-    """One chunk of :func:`_bfs_flat_frontier` (the loop rebinds fresh
-    arrays, so the inputs are never written to)."""
-    flat[slots * n + verts] = 0
-    level = 0
-    while verts.size:
-        level += 1
-        offsets, counts = neighbor_offsets(indptr, verts)
-        if offsets.size == 0:
-            break
-        idx = np.repeat(slots * n, counts)
-        idx += indices[offsets]
-        idx = idx[flat[idx] == inf]
-        if idx.size == 0:
-            break
-        # Dedupe via sort + run mask (same result as np.unique, much
-        # cheaper than its hash path on these small int ranges).
-        idx.sort(kind="stable")
-        keep = np.empty(idx.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(idx[1:], idx[:-1], out=keep[1:])
-        idx = idx[keep]
-        flat[idx] = level
-        slots = idx // n
-        verts = idx - slots * n
 
 
 class DistanceEngine:
@@ -395,10 +329,11 @@ class DistanceEngine:
         """Batched BFS: ``out[out_rows[i]] = dist(sources[i], .)`` in-place.
 
         Sources expand level-synchronously in a flat frontier of
-        ``(output row, vertex)`` pairs, up to :data:`_BFS_CHUNK` at a
-        time, so each level costs a handful of numpy gathers however many
-        sources are in flight. The output buffer is written through its
-        flat view — no per-source allocation.
+        ``(output row, vertex)`` pairs, up to
+        :data:`repro.graphs.bfs._BFS_CHUNK` at a time, so each level
+        costs a handful of numpy gathers however many sources are in
+        flight. The output buffer is written through its flat view — no
+        per-source allocation.
         """
         n = self._n
         k = sources.size

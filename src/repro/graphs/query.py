@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GraphError, VertexError
-from .bfs import UNREACHABLE, bfs_distances, multi_source_bfs
+from .bfs import UNREACHABLE, _bfs_flat_frontier, bfs_distances, multi_source_bfs
 from .csr import CSRAdjacency, neighbor_offsets
 
 __all__ = [
@@ -199,8 +199,6 @@ def batched_pair_distances(
         sources, inv, targets = src_v, inv_v, p[:, 0]
     else:
         sources, inv, targets = src_u, inv_u, p[:, 1]
-    from .engine import _bfs_flat_frontier
-
     rows = np.full((sources.size, n), int(inf), dtype=np.int64)
     _bfs_flat_frontier(
         csr.indptr,

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BestResponseEnvironment,
@@ -16,7 +18,14 @@ from repro.core import (
     vertex_cost,
 )
 from repro.errors import GameError
-from repro.graphs import OwnedDigraph, cycle_realization, path_realization, star_realization
+from repro.graphs import (
+    DistanceEngine,
+    OwnedDigraph,
+    connected_components,
+    cycle_realization,
+    path_realization,
+    star_realization,
+)
 
 from conftest import random_owned_digraph
 
@@ -224,3 +233,43 @@ def test_environment_kappa_penalty_for_disconnection():
     env_sum = BestResponseEnvironment(g, 4, "sum")
     # Linking 0: dist 1 to 0, 2 to 1, cinf to 2 and 3.
     assert env_sum.evaluate((0,)) == 1 + 2 + 2 * c
+
+
+@st.composite
+def _split_realizations(draw, max_n: int = 8):
+    """Realizations with at least two components: arcs stay inside the
+    blocks of a random split of the vertices."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1)))
+    block = np.searchsorted(cuts, np.arange(n), side="right")
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and block[u] == block[v]]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return OwnedDigraph.from_arcs(n, arcs)
+
+
+@given(_split_realizations())
+@settings(max_examples=60, deadline=None)
+def test_environment_components_match_connected_components(g):
+    """Full engines read the components of U(G - u) off their matrix,
+    lazy ones run connected_components; both give its labels, and the
+    MAX costs of every candidate equal the cost of the rewired graph."""
+    for u in range(g.n):
+        substrate = g.undirected_csr_without(u)
+        ref, kappa = connected_components(substrate)
+        b = g.out_degree(u)
+        combos = list(itertools.combinations([v for v in range(g.n) if v != u], b))
+        cands = np.asarray(combos, dtype=np.int64).reshape(len(combos), b)
+        costs = []
+        for rows in ("full", "lazy"):
+            env = BestResponseEnvironment(
+                g, u, "max", engine=DistanceEngine(substrate, rows=rows)
+            )
+            assert env.comp.dtype == np.int64
+            assert np.array_equal(env.comp, ref), rows
+            assert env.ncomp_others == kappa - 1
+            costs.append(env.evaluate_batch(cands))
+        assert np.array_equal(costs[0], costs[1])
+        for cand, cost in zip(cands, costs[0]):
+            h = g.copy()
+            h.set_strategy(u, cand.tolist())
+            assert cost == vertex_cost(h, u, "max"), (u, cand)

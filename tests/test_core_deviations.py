@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     find_improving_deviation,
@@ -13,7 +15,13 @@ from repro.core import (
     satisfies_lemma_2_2,
 )
 from repro.errors import GameError
-from repro.graphs import OwnedDigraph, path_realization, star_realization
+from repro.graphs import (
+    DistanceEngine,
+    OwnedDigraph,
+    local_diameter,
+    path_realization,
+    star_realization,
+)
 
 
 def test_lemma_2_2_local_diameter_one():
@@ -69,6 +77,45 @@ def test_lemma_2_2_consistent_with_exact(rng):
                 for version in ("sum", "max"):
                     dev = find_improving_deviation(g, u, version, use_lemma=False)
                     assert dev is None, (u, version)
+
+
+@st.composite
+def _realizations(draw, max_n: int = 8):
+    """Small realizations: any arc set, so braces, isolated vertices and
+    disconnected graphs all occur; hub arcs make local diameter 2 common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))) if pairs else set()
+    if n > 1 and draw(st.booleans()):
+        hub = draw(st.integers(min_value=0, max_value=n - 1))
+        leaves = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+        arcs |= {(hub, v) for v in leaves if v != hub}
+    return OwnedDigraph.from_arcs(n, sorted(arcs))
+
+
+def _lemma_2_2_definition(g: OwnedDigraph, u: int) -> bool:
+    ld = local_diameter(g, u)
+    brace = any(g.has_arc(int(v), u) for v in g.out_neighbors(u))
+    return ld <= 1 or (ld == 2 and not brace)
+
+
+@given(_realizations())
+@settings(max_examples=200, deadline=None)
+@example(OwnedDigraph(1))
+@example(OwnedDigraph(2))
+@example(OwnedDigraph.from_arcs(2, [(0, 1)]))
+@example(OwnedDigraph.from_arcs(2, [(0, 1), (1, 0)]))
+@example(OwnedDigraph.from_arcs(3, [(0, 1), (1, 0), (1, 2)]))
+@example(OwnedDigraph.from_arcs(5, [(0, 1), (2, 3)]))
+def test_lemma_2_2_screen_equals_definition(g):
+    """The depth-2 screen, and the engine row path, agree with the
+    lemma's statement: local diameter <= 1, or exactly 2 and no brace."""
+    engines = (DistanceEngine.from_graph(g), DistanceEngine.from_graph(g, rows="lazy"))
+    for u in range(g.n):
+        expected = _lemma_2_2_definition(g, u)
+        assert satisfies_lemma_2_2(g, u) == expected, u
+        for engine in engines:
+            assert satisfies_lemma_2_2(g, u, engine=engine) == expected, u
 
 
 def test_find_improving_deviation_path_end():

@@ -6,16 +6,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.analysis import check_unit_structure, optimal_diameter_bounds
 from repro.core import (
     BoundedBudgetGame,
+    census_scan,
     enumerate_equilibria,
     enumerate_realizations,
     exact_prices,
     profile_space_size,
 )
+from repro.core.enumeration import _budget_symmetry_group, _expand_orbit
 from repro.errors import GameError
 from repro.graphs import cinf, diameter
 
@@ -124,3 +127,42 @@ def test_equilibrium_sets_nested_across_versions_not_required():
     # (At n = 4 MAX tolerates structures SUM does not, or vice versa —
     # assert only that the census is internally consistent.)
     assert sum_eqs != max_eqs or sum_eqs == max_eqs  # census computed
+
+
+def _orbit_by_loop(profile, perms):
+    """Reference orbit: relabel the profile under each group element."""
+    out = set()
+    for perm in perms.tolist():
+        relabeled = [()] * len(profile)
+        for i, strat in enumerate(profile):
+            relabeled[perm[i]] = tuple(sorted(perm[v] for v in strat))
+        out.add(tuple(relabeled))
+    return out
+
+
+@pytest.mark.parametrize(
+    "budgets", [(0,), (1, 1), (2, 1, 1, 1, 0), (1, 1, 1, 1, 1), (2, 2, 1, 1, 0, 0)]
+)
+def test_expand_orbit_matches_relabeling_loop(budgets):
+    n = len(budgets)
+    perms = _budget_symmetry_group(budgets)
+    rng = np.random.default_rng(len(budgets))
+    for _ in range(5):
+        profile = tuple(
+            tuple(sorted(rng.choice([v for v in range(n) if v != i], b, replace=False).tolist()))
+            for i, b in enumerate(budgets)
+        )
+        got = _expand_orbit(profile, perms)
+        assert len(got) == len(set(got))
+        assert set(got) == _orbit_by_loop(profile, perms)
+        assert len(perms) % len(got) == 0
+
+
+@pytest.mark.parametrize("budgets", [(2, 1, 1, 1, 0), (2, 2, 1, 1, 1, 0)])
+@pytest.mark.parametrize("version", ["sum", "max"])
+def test_symmetric_collection_equals_plain(budgets, version):
+    game = BoundedBudgetGame(list(budgets))
+    sym = census_scan(game, version, symmetry=True, collect_equilibria=True)
+    plain = census_scan(game, version, collect_equilibria=True)
+    assert sym.report == plain.report
+    assert sym.equilibria == plain.equilibria

@@ -24,7 +24,7 @@ from repro.graphs import (
     cinf,
     csr_without_vertex,
 )
-from repro.graphs.engine import _BFS_CHUNK
+from repro.graphs.bfs import _BFS_CHUNK
 
 from conftest import (
     networkx_distance_oracle,

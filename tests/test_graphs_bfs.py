@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import VertexError
 from repro.graphs.bfs import (
+    _BFS_CHUNK,
     UNREACHABLE,
     all_pairs_distances,
     bfs_distances,
@@ -17,7 +18,7 @@ from repro.graphs.bfs import (
 )
 from repro.graphs.csr import build_csr
 
-from conftest import random_owned_digraph, to_networkx_undirected
+from conftest import random_owned_digraph, random_tree_digraph, to_networkx_undirected
 
 
 def _path_csr(n):
@@ -143,3 +144,63 @@ def test_symmetry_of_all_pairs(rng):
     g = random_owned_digraph(rng, 12, p=0.2)
     d = all_pairs_distances(g.undirected_csr())
     assert np.array_equal(d, d.T)
+
+
+# ----------------------------------------------------------------------
+# Batched all-pairs helpers against per-source multi_source_bfs
+# ----------------------------------------------------------------------
+def _per_source(csr, sources):
+    """Reference rows: one single-source BFS per entry of ``sources``."""
+    rows = [multi_source_bfs(csr, [int(s)]) for s in sources]
+    return np.stack(rows) if rows else np.empty((0, csr.n), dtype=np.int64)
+
+
+def _forest_with_isolated_vertex(rng, n):
+    """A random tree with chords on vertices ``0 .. n - 2``; ``n - 1`` is
+    isolated."""
+    tree = random_tree_digraph(rng, n - 1, extra_edges=n // 10)
+    return build_csr(n, *np.asarray(list(tree.arcs()), dtype=np.int64).T)
+
+
+def test_all_pairs_spans_source_chunks(rng):
+    n = 2 * _BFS_CHUNK + 45
+    csr = _forest_with_isolated_vertex(rng, n)
+    got = all_pairs_distances(csr)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _per_source(csr, range(n)))
+    lone = n - 1
+    assert got[lone, lone] == 0
+    assert (np.delete(got[lone], lone) == UNREACHABLE).all()
+    assert (np.delete(got[:, lone], lone) == UNREACHABLE).all()
+
+
+def test_distances_from_sources_across_chunks_with_duplicates(rng):
+    n = 60
+    csr = _forest_with_isolated_vertex(rng, n)
+    sources = rng.integers(0, n, size=_BFS_CHUNK + 100)
+    sources[:3] = [7, n - 1, 7]
+    got = distances_from_sources(csr, sources)
+    assert np.array_equal(got, _per_source(csr, sources))
+    assert np.array_equal(got[0], got[2])
+    for s in np.unique(sources):
+        rows = got[sources == s]
+        assert (rows == rows[0]).all()
+
+
+def test_distances_from_sources_empty_sources():
+    csr = _path_csr(5)
+    got = distances_from_sources(csr, [])
+    assert got.shape == (0, 5) and got.dtype == np.int64
+
+
+def test_distances_from_sources_isolated_vertex():
+    csr = build_csr(3, np.array([0]), np.array([1]))
+    got = distances_from_sources(csr, [2, 0])
+    assert got.tolist() == [[UNREACHABLE, UNREACHABLE, 0], [0, 1, UNREACHABLE]]
+
+
+def test_distances_from_sources_out_of_range_raises():
+    csr = _path_csr(4)
+    for bad in ([0, 4], [-1], [2, 7, 1]):
+        with pytest.raises(VertexError):
+            distances_from_sources(csr, bad)
