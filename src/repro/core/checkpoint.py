@@ -5,10 +5,9 @@ Long sharded census runs (unit ``n >= 7``, weighted batteries, future
 was a contiguous Gray-rank range with no persistent state, so any
 preemption threw away every profile already evaluated. This module
 gives each shard a small, **engine-free**, serialisable checkpoint
-record — the Gray rank cursor, the partial aggregates, and (for the
-symmetry walk) the :class:`~repro.core.enumeration._OrbitKeys` probe
-state — persisted into an append-only on-disk journal that survives
-worker kills, torn writes and record corruption.
+record — the Gray rank cursor and the partial aggregates — persisted
+into an append-only on-disk journal that survives worker kills, torn
+writes and record corruption.
 
 Journal format
 --------------
@@ -39,13 +38,16 @@ of framed records::
 Resume semantics
 ----------------
 A record with ``next_rank = r`` asserts "ranks ``[lo, r)`` of this
-shard are fully aggregated into these counters". Resuming rebuilds the
-walk state at rank ``r - 1`` (one O(n) Gray unranking plus one
-all-pairs build of that profile), restores the counters and orbit probe
-keys verbatim, and continues the swap stream over ``[r, hi)`` — no rank
-is ever double-counted, so the merged census is bit-identical to an
-uninterrupted run. ``done = True`` marks a finished shard whose final
-counters stand in for re-execution entirely.
+shard are fully aggregated into these counters". Resuming restores the
+counters verbatim, rebuilds the walk state at rank ``r - 1`` from one
+O(n) Gray unranking (the symmetry walk recomputes its orbit probe keys
+from that profile), and continues the swap stream over ``[r, hi)`` — no
+rank is ever double-counted, so the merged census is bit-identical to
+an uninterrupted run. Records hold no walk state beyond the rank, so
+their format does not depend on how a walk keys its profiles; decoding
+ignores unknown payload keys, which lets journals written with orbit
+state in them resume too. ``done = True`` marks a finished shard whose
+final counters stand in for re-execution entirely.
 """
 
 from __future__ import annotations
@@ -115,16 +117,10 @@ class ShardCheckpoint:
     ``counters`` holds the shard's partial aggregates exactly as its
     worker function returns them (JSON scalars only: ints or ``None``);
     ``eq_profiles`` the collected equilibrium profile keys so far (when
-    collecting); ``orbit_vals`` the symmetry walk's probe-key vector at
-    rank ``next_rank - 1`` (``None`` for unpruned/weighted walks). The
-    record is self-describing — decoding never needs the game.
-
-    ``orbit_key_format`` versions the ``orbit_vals`` encoding: format
-    ``1`` is the historical one-``uint64``-per-probe row-major packing,
-    format ``2`` (written by this code) interleaves the two 64-bit
-    words of each 128-bit key as ``(hi, lo)`` pairs. Journals written
-    before the field existed decode as format ``1``; the resuming walk
-    migrates them when ``n^2 <= 64`` and fails loudly otherwise.
+    collecting). The record is self-describing — decoding never needs
+    the game. It carries no orbit state: a resumed symmetry walk
+    recomputes its orbit probe keys from the profile at rank
+    ``next_rank - 1``.
     """
 
     shard_id: int
@@ -135,8 +131,6 @@ class ShardCheckpoint:
     done: bool = False
     counters: "Mapping[str, int | None]" = field(default_factory=dict)
     eq_profiles: "tuple[_ProfileKey, ...] | None" = None
-    orbit_vals: "tuple[int, ...] | None" = None
-    orbit_key_format: int = 2
 
     def __post_init__(self) -> None:
         if not self.lo <= self.next_rank <= self.hi:
@@ -158,10 +152,6 @@ def encode_record(record: ShardCheckpoint) -> bytes:
             "done": record.done,
             "counters": dict(record.counters),
             "eq_profiles": _thaw_profiles(record.eq_profiles),
-            "orbit_vals": None
-            if record.orbit_vals is None
-            else [int(v) for v in record.orbit_vals],
-            "orbit_key_format": int(record.orbit_key_format),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -216,12 +206,6 @@ def _decode_at(data: bytes, offset: int) -> "tuple[ShardCheckpoint | None, int]"
                 for k, v in obj["counters"].items()
             },
             eq_profiles=_freeze_profiles(obj["eq_profiles"]),
-            orbit_vals=None
-            if obj["orbit_vals"] is None
-            else tuple(int(v) for v in obj["orbit_vals"]),
-            # Journals written before the format field existed carry
-            # v1 (64-bit row-major) orbit keys.
-            orbit_key_format=int(obj.get("orbit_key_format", 1)),
         )
     except (ValueError, KeyError, TypeError, CheckpointError):
         return None, offset

@@ -64,17 +64,18 @@ shard partials is order-independent, so reports are identical for any
 worker count.
 
 **Key format**: the symmetric walk packs each relabeled profile
-into a **two-word (128-bit) key** — cell ``(a, b)`` occupies the bit
-position :func:`~repro.core.isomorphism.chain_cell_positions` assigns
-it, word ``position >> 6``, bit ``position & 63`` — so ``n^2 <= 128``
-(``n <= 11``) works for the non-unit classes the walk serves. The
-orbit generator needs no key. The cell order is chain-aligned: cells the
-stabilizer-chain descent reveals first are most significant, so the
-incremental probe stage and the exact
+into **one** ``uint64`` **key**: cell ``(a, b)`` is bit
+:func:`~repro.core.isomorphism.chain_cell_positions` ``[a, b]``, so the
+walk serves ``n^2 <= 64`` (``n <= 8``). That covers the non-unit
+budget classes it can finish: ``[2,1,1,1,1,1,1,1,1]`` already has
+28·8^8 ≈ 4.7e8 ranks. The orbit generator needs no key. The cell order
+is chain-aligned: cells the stabilizer-chain descent reveals first are
+most significant, so the incremental probe stage and the exact
 :class:`~repro.core.isomorphism.BudgetStabilizerChain` recheck decide
-minimality under the same total order. Checkpoint journals record the
-key format version; v1 (single-word row-major) journals migrate on
-resume when ``n^2 <= 64`` and fail loudly otherwise.
+minimality under the same total order. Checkpoint journals carry no
+orbit state: a resumed shard rebuilds its probe keys from the profile
+at rank ``next_rank - 1``, so the journal format does not depend on the
+key layout.
 
 **Sampled census** (:func:`sampled_census_scan`): beyond exhaustive
 reach, a seeded Monte Carlo draw of Gray ranks rides the same
@@ -109,13 +110,18 @@ from .census_eval import (
 from .costs import Version
 from .deviations import is_equilibrium
 from .game import BoundedBudgetGame
+from .isomorphism import (
+    BudgetStabilizerChain,
+    _check_symmetry_cap,
+    budget_class_transpositions,
+    chain_cell_positions,
+)
 
 __all__ = [
     "profile_space_size",
     "enumerate_realizations",
     "enumerate_equilibria",
     "revolving_door_combinations",
-    "gray_profile_walk",
     "CensusResult",
     "IncompletenessManifest",
     "census_scan",
@@ -128,29 +134,10 @@ __all__ = [
     "last_census_runtime_stats",
 ]
 
-#: Symmetry pruning packs the ownership adjacency into a two-word
-#: (128-bit) key per group element, which needs ``n^2 <= 128``.
-_MAX_SYMMETRY_N: int = 11
-
 #: Exact-stage survivor rechecks run through the stabilizer chain in
 #: batches this large — the chain's per-key cost is lowest on modest
 #: frontier sizes, so huge survivor sets are chunked, not one-shot.
 _EXACT_CHUNK: int = 512
-
-
-def _check_symmetry_cap(n: int) -> None:
-    """Single source of the symmetry-pruning size cap (and its message).
-
-    Both entry points — :func:`census_scan` up front and
-    :class:`_OrbitKeys` at construction — raise through here, so the
-    limit and its wording can never drift apart again.
-    """
-    if n > _MAX_SYMMETRY_N:
-        raise GameError(
-            f"symmetry pruning packs profiles into two-word 128-bit keys "
-            f"and is capped at n = {_MAX_SYMMETRY_N} (n^2 <= 128), "
-            f"got n = {n}"
-        )
 
 
 #: The unit and sampled censuses evaluate profiles on one ``int64``
@@ -383,52 +370,6 @@ def _gray_blocks(
         rank += count
 
 
-def gray_profile_walk(
-    game: BoundedBudgetGame,
-    *,
-    start: int = 0,
-    stop: "int | None" = None,
-    max_profiles: int = 2_000_000,
-) -> Iterator[tuple[int, OwnedDigraph, "tuple[int, int, int] | None"]]:
-    """Walk profile ranks ``[start, stop)`` in Gray order over ONE graph.
-
-    Yields ``(rank, graph, swap)`` where ``graph`` is the same mutable
-    :class:`OwnedDigraph` every time (snapshot with ``graph.copy()`` if
-    you need to keep a profile) and ``swap`` is ``None`` for the first
-    yield, then ``(player, dropped_target, added_target)`` — the single
-    arc swap that produced this profile from the previous one. Ranks
-    index the reflected-Gray order, not the lexicographic one;
-    restarting at any ``start`` is O(n) (one unranking), which is what
-    lets shards split the rank space. The swaps come from the block
-    decoder :func:`_gray_blocks`, one block of ranks at a time.
-    """
-    _check_cap(game, max_profiles)
-    n = game.n
-    combos, radices, rests = _profile_tables(game)
-    total = rests[0]
-    _check_rank_width(total)
-    stop = total if stop is None else stop
-    if not 0 <= start <= stop <= total:
-        raise GameError(f"bad walk range [{start}, {stop}) for {total} profiles")
-    if start == stop:
-        return
-    digits = _gray_digits(start, radices, rests)
-    graph = OwnedDigraph.from_strategies(
-        [combos[u][digits[u]] for u in range(n)], n
-    )
-    yield start, graph, None
-    table = _swap_table(combos)
-    for rank, _, js, drops, adds in _gray_blocks(
-        rests, table, start + 1, stop, digits
-    ):
-        for t, (j, dropped, added) in enumerate(
-            zip(js.tolist(), drops.tolist(), adds.tolist())
-        ):
-            graph.remove_arc(j, dropped)
-            graph.add_arc(j, added)
-            yield rank + t, graph, (j, dropped, added)
-
-
 # ----------------------------------------------------------------------
 # Symmetry pruning: orbit-canonical profiles under budget-preserving
 # relabelings
@@ -461,16 +402,15 @@ class _OrbitKeys:
     """Incrementally maintained canonical keys of one evolving profile.
 
     For a group element the ownership adjacency of the relabeled
-    profile is packed into a **two-word (128-bit) key**: cell ``(a, b)``
-    occupies bit position :func:`~repro.core.isomorphism.chain_cell_positions`
-    ``[a, b]`` — word ``position >> 6``, bit ``position & 63`` — so
-    ``n^2 <= 128`` works. Each present arc sets exactly one bit of one
-    word, hence per-word ``uint64`` addition/subtraction (and the block
-    cumulative sums below) stay exact with no cross-word carries; keys
-    compare lexicographically as ``(hi, lo)``. A profile is canonical
-    iff its own key (the identity element) is the orbit minimum; the
-    orbit size follows from the stabilizer count. Keys are injective on
-    directed graphs, so equal keys mean equal relabeled profiles.
+    profile is packed into **one** ``uint64`` **key**: cell ``(a, b)``
+    is bit :func:`~repro.core.isomorphism.chain_cell_positions`
+    ``[a, b]``, so ``n^2 <= 64`` (``n <= 8``). Each present arc sets
+    exactly one bit, hence ``uint64`` addition/subtraction (and the
+    block cumulative sums below) stay exact; keys compare as plain
+    integers. A profile is canonical iff its own key (the identity
+    element) is the orbit minimum; the orbit size follows from the
+    stabilizer count. Keys are injective on directed graphs, so equal
+    keys mean equal relabeled profiles.
 
     The cell order is the *chain-aligned* one — cells revealed early by
     the stabilizer-chain descent are most significant — shared verbatim
@@ -481,26 +421,29 @@ class _OrbitKeys:
     Two-stage evaluation keeps the per-profile cost sublinear in the
     group order: only a small **probe** subset — the identity plus
     every within-class transposition — is maintained incrementally,
-    from a per-word swap-delta table ``[j, drop, add] -> (probes,)``
-    precomputed at construction. A probe key below the identity key
-    certainly refutes canonicity; the rare survivors are collected
-    across a whole Gray block and settled in one batched
-    stabilizer-chain descent (:meth:`_exact_orbit_sizes`), whose cost
-    tracks the profiles' automorphisms instead of the group order —
-    the former whole-group gather (40320 rows at n = 8) survives only
-    as the test reference :meth:`_reference_orbit_size`. When the
-    group is no larger than the probe set the full group simply *is*
-    the probe set and the exact stage is skipped. Both stages decide
-    "is the identity key the orbit minimum" exactly, so the pruning
-    decision — and hence the census — is bit-identical to the
-    maintain-everything implementation it replaces.
+    from a swap-delta table ``[j, drop, add] -> (probes,)`` precomputed
+    at construction. A probe key below the identity key certainly
+    refutes canonicity; the rare survivors are collected across a whole
+    Gray block and settled in one batched stabilizer-chain descent
+    (:meth:`_exact_orbit_sizes`), whose cost tracks the profiles'
+    automorphisms instead of the group order — the former whole-group
+    gather (40320 rows at n = 8) survives only as the test reference
+    :meth:`_reference_orbit_size`. When the group is no larger than the
+    probe set the full group simply *is* the probe set and the exact
+    stage is skipped. Both stages decide "is the identity key the orbit
+    minimum" exactly, so the pruning decision — and hence the census —
+    is bit-identical to the maintain-everything implementation it
+    replaces.
 
     :meth:`advance_block` amortises the walk further: a whole block of
     Gray swaps becomes one table gather and one ``(block, probes)``
-    cumulative-sum pass per word, so the per-profile Python and scan
-    cost that used to dominate the n = 7 census collapses into a
-    handful of vectorised passes. The table holds ``n^3`` probe rows
-    per word, about 1.2 MB for both words at n = 11.
+    cumulative-sum pass, so the per-profile Python and scan cost
+    collapses into a handful of vectorised passes. The table holds
+    ``n^3`` probe rows, under 120 KB at n = 8.
+
+    The probe keys are a pure function of the current profile, so a
+    resumed walk rebuilds them with :meth:`toggle` and nothing about
+    them is journaled.
     """
 
     __slots__ = (
@@ -511,26 +454,16 @@ class _OrbitKeys:
         "_cellpos",
         "_pos_heads",
         "_pos_tails",
-        "_w_hi",
-        "_w_lo",
-        "_vals_hi",
-        "_vals_lo",
-        "_swap_hi",
-        "_swap_lo",
-        "_block_hi",
-        "_block_lo",
+        "_w",
+        "_vals",
+        "_swap",
+        "_block",
         "_exact",
         "_chain",
     )
 
     def __init__(self, n: int, perms: np.ndarray) -> None:
         _check_symmetry_cap(n)
-        from .isomorphism import (
-            BudgetStabilizerChain,
-            budget_class_transpositions,
-            chain_cell_positions,
-        )
-
         cellpos = chain_cell_positions(n)
 
         def slots(p: np.ndarray) -> np.ndarray:
@@ -550,16 +483,7 @@ class _OrbitKeys:
         self._pos_tails = np.empty(n * n, dtype=np.int64)
         self._pos_heads[flat] = np.repeat(np.arange(n, dtype=np.int64), n)
         self._pos_tails[flat] = np.tile(np.arange(n, dtype=np.int64), n)
-        # Per-word weights of each bit position (exactly one is nonzero
-        # per position, so per-word arithmetic never carries across).
-        self._w_hi = np.zeros(n * n, dtype=np.uint64)
-        self._w_lo = np.zeros(n * n, dtype=np.uint64)
-        pos = np.arange(n * n)
-        lo_mask = pos < 64
-        self._w_lo[lo_mask] = np.uint64(1) << pos[lo_mask].astype(np.uint64)
-        self._w_hi[~lo_mask] = np.uint64(1) << (
-            pos[~lo_mask].astype(np.uint64) - np.uint64(64)
-        )
+        self._w = np.uint64(1) << np.arange(n * n, dtype=np.uint64)
         # Budgets are recoverable from any group: every permutation in
         # ∏ Sym(class) preserves them, so the classes are the orbits of
         # the group's own action on players. Cheaper: the caller's
@@ -578,21 +502,17 @@ class _OrbitKeys:
             self._chain = BudgetStabilizerChain(orbits)
             assert self._chain.order == self._g
         p_count = self._probe_slot.shape[0]
-        self._vals_hi = np.zeros(p_count, dtype=np.uint64)
-        self._vals_lo = np.zeros(p_count, dtype=np.uint64)
-        # Swap-delta tables: row (j * n + drop) * n + add is the
+        self._vals = np.zeros(p_count, dtype=np.uint64)
+        # Swap-delta table: row (j * n + drop) * n + add is the
         # probe-key delta of arc j -> drop becoming j -> add, so a block
-        # advance is one gather per word. Differences wrap in uint64
-        # exactly like the keys themselves.
-        arc_hi = self._w_hi[self._probe_slot].transpose(1, 2, 0)
-        arc_lo = self._w_lo[self._probe_slot].transpose(1, 2, 0)
+        # advance is one gather. Differences wrap in uint64 exactly like
+        # the keys themselves.
+        arc = self._w[self._probe_slot].transpose(1, 2, 0)
         shape = (n * n * n, p_count)
-        self._swap_hi = (arc_hi[:, None, :, :] - arc_hi[:, :, None, :]).reshape(shape)
-        self._swap_lo = (arc_lo[:, None, :, :] - arc_lo[:, :, None, :]).reshape(shape)
-        # Reused block buffers: fresh (block, probes) arrays per call
+        self._swap = (arc[:, None, :, :] - arc[:, :, None, :]).reshape(shape)
+        # Reused block buffer: fresh (block, probes) arrays per call
         # cost more in page faults than the gather itself.
-        self._block_hi = np.empty((_ORBIT_BLOCK, p_count), dtype=np.uint64)
-        self._block_lo = np.empty((_ORBIT_BLOCK, p_count), dtype=np.uint64)
+        self._block = np.empty((_ORBIT_BLOCK, p_count), dtype=np.uint64)
 
     @staticmethod
     def _point_orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -613,22 +533,16 @@ class _OrbitKeys:
             nxt += 1
         return labels
 
-    def _adjs_from_keys(
-        self, his: np.ndarray, los: np.ndarray
-    ) -> np.ndarray:
+    def _adjs_from_keys(self, keys: np.ndarray) -> np.ndarray:
         """Ownership adjacencies ``(K, n, n)`` rebuilt from identity keys."""
         n = self._n
-        shifts = np.arange(64, dtype=np.uint64)
-        lo_bits = (los[:, None] >> shifts[None, :]) & np.uint64(1)
-        hi_bits = (his[:, None] >> shifts[None, :]) & np.uint64(1)
-        bits = np.concatenate([lo_bits, hi_bits], axis=1)[:, : n * n] != 0
-        adjs = np.zeros((his.size, n, n), dtype=bool)
+        shifts = np.arange(n * n, dtype=np.uint64)
+        bits = ((keys[:, None] >> shifts[None, :]) & np.uint64(1)) != 0
+        adjs = np.zeros((keys.size, n, n), dtype=bool)
         adjs[:, self._pos_heads, self._pos_tails] = bits
         return adjs
 
-    def _exact_orbit_sizes(
-        self, his: np.ndarray, los: np.ndarray
-    ) -> np.ndarray:
+    def _exact_orbit_sizes(self, keys: np.ndarray) -> np.ndarray:
         """Batched stabilizer-chain decision for probe-stage survivors.
 
         Rebuilds each survivor's adjacency from its identity key and
@@ -638,19 +552,15 @@ class _OrbitKeys:
         ``|G| / |stabilizer|``. Returns ``int64`` sizes with ``0`` for
         refuted (non-canonical) survivors.
         """
-        sizes = np.zeros(his.size, dtype=np.int64)
-        for s in range(0, his.size, _EXACT_CHUNK):
-            chunk_hi = his[s : s + _EXACT_CHUNK]
-            chunk_lo = los[s : s + _EXACT_CHUNK]
-            adjs = self._adjs_from_keys(chunk_hi, chunk_lo)
-            min_hi, min_lo, stab = self._chain.minimal_images(adjs)
-            canon = (min_hi == chunk_hi) & (min_lo == chunk_lo)
-            out = np.zeros(chunk_hi.size, dtype=np.int64)
-            out[canon] = self._g // stab[canon]
-            sizes[s : s + chunk_hi.size] = out
+        sizes = np.zeros(keys.size, dtype=np.int64)
+        for s in range(0, keys.size, _EXACT_CHUNK):
+            chunk = keys[s : s + _EXACT_CHUNK]
+            min_keys, stab = self._chain.minimal_images(self._adjs_from_keys(chunk))
+            canon = min_keys == chunk
+            sizes[s : s + chunk.size][canon] = self._g // stab[canon]
         return sizes
 
-    def _reference_orbit_size(self, key_hi: int, key_lo: int) -> "int | None":
+    def _reference_orbit_size(self, key: int) -> "int | None":
         """Whole-group gather decision for one survivor (test reference).
 
         The pre-chain implementation of the exact stage: rebuild the
@@ -659,141 +569,32 @@ class _OrbitKeys:
         so the suites can pit the chain against it; the census itself
         never calls this.
         """
-        key_hi = np.uint64(key_hi)
-        key_lo = np.uint64(key_lo)
-        adj = self._adjs_from_keys(
-            np.asarray([key_hi]), np.asarray([key_lo])
-        )[0]
-        heads, tails = (idx.astype(np.int64) for idx in np.nonzero(adj))
+        key = np.uint64(key)
+        adj = self._adjs_from_keys(np.asarray([key]))[0]
+        heads, tails = np.nonzero(adj)
         inv = np.argsort(self._perms, axis=1)
-        if heads.size:
-            slot = self._cellpos[inv[:, heads], inv[:, tails]]
-            vals_hi = self._w_hi[slot].sum(axis=1, dtype=np.uint64)
-            vals_lo = self._w_lo[slot].sum(axis=1, dtype=np.uint64)
-        else:
-            vals_hi = np.zeros(self._g, dtype=np.uint64)
-            vals_lo = np.zeros(self._g, dtype=np.uint64)
-        lt = (vals_hi < key_hi) | ((vals_hi == key_hi) & (vals_lo < key_lo))
-        if lt.any():
+        slot = self._cellpos[inv[:, heads], inv[:, tails]]
+        vals = self._w[slot].sum(axis=1, dtype=np.uint64)
+        if (vals < key).any():
             return None
-        eq = (vals_hi == key_hi) & (vals_lo == key_lo)
-        return self._g // int(eq.sum())
-
-    def export_state(self) -> "tuple[int, ...]":
-        """Probe-key vector as JSON-safe ints (checkpoint payload).
-
-        Format 2 (the current one): the two words of each probe key,
-        interleaved ``(hi, lo)`` per probe — tuple length is twice the
-        probe count. The vector is a pure function of the current
-        profile (each present arc contributes one weight per probe), so
-        a resumed walk could equally recompute it from the rebuilt
-        graph — storing it verbatim keeps the checkpoint self-contained
-        and the restore O(probes).
-        """
-        out = []
-        for hi, lo in zip(self._vals_hi, self._vals_lo):
-            out.append(int(hi))
-            out.append(int(lo))
-        return tuple(out)
-
-    def _migrate_v1_key(self, key: int) -> "tuple[int, int]":
-        """Re-encode one v1 (row-major uint64) key as ``(hi, lo)``.
-
-        v1 keys put arc ``(a, b)`` at bit ``a*n + b``; the two-word
-        format puts it at the chain cell position. Only meaningful when
-        every cell fits a v1 key, i.e. ``n^2 <= 64`` — the caller
-        guards.
-        """
-        n = self._n
-        hi = lo = 0
-        for p_old in range(n * n):
-            if (key >> p_old) & 1:
-                a, b = divmod(p_old, n)
-                p = int(self._cellpos[a, b])
-                if p >= 64:
-                    hi |= 1 << (p - 64)
-                else:
-                    lo |= 1 << p
-        return hi, lo
-
-    def restore_state(
-        self, vals: "Sequence[int]", *, key_format: int = 2
-    ) -> None:
-        """Adopt a probe-key vector exported by :meth:`export_state`.
-
-        ``key_format=2`` expects the interleaved two-word vector this
-        code writes. ``key_format=1`` migrates a 64-bit (row-major)
-        vector journalled by the pre-128-bit code — valid only when
-        ``n^2 <= 64``; otherwise (or for an unknown format) the resume
-        fails loudly rather than silently miscounting.
-        """
-        p_count = self._vals_hi.shape[0]
-        ints = [int(v) for v in vals]
-        if key_format == 2:
-            if len(ints) != 2 * p_count:
-                raise CheckpointError(
-                    f"orbit state has {len(ints)} words, walk maintains "
-                    f"{p_count} probe keys ({2 * p_count} words)"
-                )
-            arr = np.asarray(ints, dtype=np.uint64)
-            self._vals_hi = arr[0::2].copy()
-            self._vals_lo = arr[1::2].copy()
-            return
-        if key_format == 1:
-            if self._n * self._n > 64:
-                raise CheckpointError(
-                    f"checkpoint carries v1 (64-bit) orbit keys but "
-                    f"n = {self._n} needs the two-word format; this "
-                    f"journal cannot have been written for this game — "
-                    f"delete the checkpoint directory and rerun"
-                )
-            if len(ints) != p_count:
-                raise CheckpointError(
-                    f"v1 orbit state has {len(ints)} probe keys, walk "
-                    f"maintains {p_count}"
-                )
-            pairs = [self._migrate_v1_key(v) for v in ints]
-            self._vals_hi = np.asarray(
-                [hi for hi, _ in pairs], dtype=np.uint64
-            )
-            self._vals_lo = np.asarray(
-                [lo for _, lo in pairs], dtype=np.uint64
-            )
-            return
-        raise CheckpointError(
-            f"unknown orbit key format {key_format!r} (this build reads "
-            f"formats 1 and 2)"
-        )
+        return self._g // int((vals == key).sum())
 
     def toggle(self, i: int, j: int, present: bool) -> None:
         """Record that arc ``i -> j`` was added (or removed)."""
-        slot = self._probe_slot[:, i, j]
-        delta_hi = self._w_hi[slot]
-        delta_lo = self._w_lo[slot]
+        delta = self._w[self._probe_slot[:, i, j]]
         if present:
-            self._vals_hi += delta_hi
-            self._vals_lo += delta_lo
+            self._vals += delta
         else:
-            self._vals_hi -= delta_hi
-            self._vals_lo -= delta_lo
+            self._vals -= delta
 
     def canonical_orbit_size(self) -> "int | None":
         """Orbit size if the current profile is canonical, else ``None``."""
-        key_hi = self._vals_hi[0]  # identity relabeling = the profile
-        key_lo = self._vals_lo[0]
-        lt = (self._vals_hi < key_hi) | (
-            (self._vals_hi == key_hi) & (self._vals_lo < key_lo)
-        )
-        if lt.any():
+        key = self._vals[0]  # identity relabeling = the profile
+        if (self._vals < key).any():
             return None
         if not self._exact:
-            eq = (self._vals_hi == key_hi) & (self._vals_lo == key_lo)
-            return self._g // int(eq.sum())
-        size = int(
-            self._exact_orbit_sizes(
-                np.asarray([key_hi]), np.asarray([key_lo])
-            )[0]
-        )
+            return self._g // int((self._vals == key).sum())
+        size = int(self._exact_orbit_sizes(self._vals[:1])[0])
         return size if size else None
 
     def advance_block(
@@ -804,43 +605,30 @@ class _OrbitKeys:
         Step ``t`` replaces arc ``js[t] -> drops[t]`` with
         ``js[t] -> adds[t]``. Returns an ``int64`` array with the orbit
         size at each post-swap profile for canonical profiles and ``0``
-        for non-canonical ones. One cumulative-sum pass per word
-        maintains every probe key across the whole block (``uint64``
-        wrap-around is exact: all true partial sums are valid keys);
-        survivors of the probe minimum test are settled together in one
-        batched stabilizer-chain recheck, so the exact-stage cost stops
-        scaling with the group order.
+        for non-canonical ones. One cumulative-sum pass maintains every
+        probe key across the whole block (``uint64`` wrap-around is
+        exact: all true partial sums are valid keys); survivors of the
+        probe minimum test are settled together in one batched
+        stabilizer-chain recheck, so the exact-stage cost stops scaling
+        with the group order.
         """
         steps = js.size
-        if steps > self._block_hi.shape[0]:
-            self._block_hi = np.empty((steps, self._vals_hi.size), dtype=np.uint64)
-            self._block_lo = np.empty((steps, self._vals_lo.size), dtype=np.uint64)
+        if steps > self._block.shape[0]:
+            self._block = np.empty((steps, self._vals.size), dtype=np.uint64)
         rows = (js * self._n + drops) * self._n + adds
-        block_hi = np.take(self._swap_hi, rows, axis=0, out=self._block_hi[:steps])
-        block_lo = np.take(self._swap_lo, rows, axis=0, out=self._block_lo[:steps])
-        np.cumsum(block_hi, axis=0, out=block_hi)
-        np.cumsum(block_lo, axis=0, out=block_lo)
-        block_hi += self._vals_hi
-        block_lo += self._vals_lo
-        self._vals_hi = block_hi[-1].copy()
-        self._vals_lo = block_lo[-1].copy()
-        keys_hi = block_hi[:, 0]
-        keys_lo = block_lo[:, 0]
-        lt = (block_hi < keys_hi[:, None]) | (
-            (block_hi == keys_hi[:, None]) & (block_lo < keys_lo[:, None])
-        )
-        candidates = ~lt.any(axis=1)
-        sizes = np.zeros(js.size, dtype=np.int64)
-        hits = np.flatnonzero(candidates)
+        block = np.take(self._swap, rows, axis=0, out=self._block[:steps])
+        np.cumsum(block, axis=0, out=block)
+        block += self._vals
+        self._vals = block[-1].copy()
+        keys = block[:, 0]
+        hits = np.flatnonzero(~(block < keys[:, None]).any(axis=1))
+        sizes = np.zeros(steps, dtype=np.int64)
         if not hits.size:
             return sizes
         if not self._exact:
-            eq = (block_hi[hits] == keys_hi[hits, None]) & (
-                block_lo[hits] == keys_lo[hits, None]
-            )
-            sizes[hits] = self._g // eq.sum(axis=1)
+            sizes[hits] = self._g // (block[hits] == keys[hits, None]).sum(axis=1)
             return sizes
-        sizes[hits] = self._exact_orbit_sizes(keys_hi[hits], keys_lo[hits])
+        sizes[hits] = self._exact_orbit_sizes(keys[hits])
         return sizes
 
 
@@ -963,8 +751,9 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
     ``ctx`` (a :class:`~repro.parallel.runtime.ShardContext`) makes the
     shard checkpointable: progress records go to the shard journal at
     ``ctx.interval`` rank spacing, and ``ctx.resume_state`` restarts
-    the walk mid-range — counters and orbit probe keys restored
-    verbatim — without re-counting any rank. ``ctx=None`` is the plain
+    the walk mid-range — counters restored verbatim, orbit probe keys
+    rebuilt from the profile at ``next_rank - 1`` — without re-counting
+    any rank. ``ctx=None`` is the plain
     :func:`~repro.parallel.executor.parallel_map` path, bit-identical
     to the checkpointed one.
     """
@@ -999,7 +788,6 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
             next_rank=next_rank,
             counters=dict(acc),
             eq_profiles=tuple(eq_profiles) if collect else None,
-            orbit_vals=orbit.export_state() if orbit is not None else None,
             done=done,
         )
 
@@ -1042,19 +830,15 @@ def _census_shard(payload: tuple, ctx=None) -> "dict[str, object]":
 
     # Canonical-rep-only walk: advance all probe keys per decoded block
     # in one vectorised pass and buffer the (rare) canonical rows for
-    # batched evaluation. Checkpoints land on block boundaries after a
-    # flush: the probe keys then describe the block's last rank, exactly
-    # the ``next_rank - 1`` state a resume restarts from.
+    # batched evaluation. The walk starts from the probe keys of the
+    # cursor profile — rank ``lo`` fresh, ``next_rank - 1`` on resume —
+    # built arc by arc from its Gray digits. Checkpoints follow a flush,
+    # so the journaled counters cover every rank below ``next_rank``.
     cursor = start - 1 if resume_rec is not None else lo
     digits = _gray_digits(cursor, radices, rests)
-    if resume_rec is not None and resume_rec.orbit_vals is not None:
-        orbit.restore_state(
-            resume_rec.orbit_vals, key_format=resume_rec.orbit_key_format
-        )
-    else:
-        for u in range(n):
-            for v in combos[u][digits[u]]:
-                orbit.toggle(u, v, True)
+    for u in range(n):
+        for v in combos[u][digits[u]]:
+            orbit.toggle(u, v, True)
     pending: "list[tuple[np.ndarray, np.ndarray]]" = []
 
     def flush() -> None:
@@ -1479,7 +1263,7 @@ def census_scan(
     :class:`~repro.errors.GameError`. ``max_profiles`` still caps the
     profile space ``(n-1)^n``, and ``collect_equilibria`` is refused
     above ``n = 9``. The walk serves symmetric non-unit classes up to
-    ``n = 11``.
+    ``n = 8``, where its keys fill one ``uint64``.
     """
     from ..parallel.executor import contiguous_shards, parallel_map
 

@@ -52,6 +52,27 @@ _MAX_N = 9
 _PERM_CHUNK = 8192
 
 
+#: Symmetry pruning packs the ownership adjacency into one ``uint64``
+#: key per group element, which needs ``n^2 <= 64``.
+_MAX_SYMMETRY_N: int = 8
+
+
+def _check_symmetry_cap(n: int) -> None:
+    """Single source of the symmetry-pruning size cap (and its message).
+
+    Every entry point — :func:`~repro.core.enumeration.census_scan` up
+    front, the census's orbit keys and :class:`BudgetStabilizerChain` at
+    construction — raises through here, so the limit and its wording
+    can never drift apart.
+    """
+    if n > _MAX_SYMMETRY_N:
+        raise GameError(
+            f"symmetry pruning packs profiles into one 64-bit key "
+            f"and is capped at n = {_MAX_SYMMETRY_N} (n^2 <= 64), "
+            f"got n = {n}"
+        )
+
+
 def _check_size(graph: OwnedDigraph) -> None:
     if graph.n > _MAX_N:
         raise GameError(f"exact isomorphism is capped at n = {_MAX_N}")
@@ -102,7 +123,8 @@ def chain_cell_positions(n: int) -> np.ndarray:
     exact survivor recheck so both stages decide minimality under the
     *same* total order.
 
-    Positions run ``0 .. n*n - 1`` with higher = more significant; the
+    Positions run ``0 .. n*n - 1`` with higher = more significant, so
+    for ``n <= 8`` every cell is one bit of a single ``uint64`` key; the
     array is read-only (cached).
     """
     cells = [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -129,11 +151,12 @@ class BudgetStabilizerChain:
     *not yet used* members of ``β``'s class, and the transversal
     elements are the corresponding transpositions. The chain supports
     the census's exact survivor recheck without ever materialising the
-    group: :meth:`minimal_images` finds the orbit-minimal adjacency key
-    (under the :func:`chain_cell_positions` bit order) by descending the
-    chain level by level, carrying only the partial images that are
-    still tied for the minimum — cost bounded by the automorphisms of
-    the profile, not the group order.
+    group: :meth:`minimal_images` finds the orbit-minimal one-word
+    adjacency key (under the :func:`chain_cell_positions` bit order) by
+    descending the chain level by level, carrying only the partial
+    images that are still tied for the minimum — cost bounded by the
+    automorphisms of the profile, not the group order. Keys are one
+    ``uint64``, so the chain takes ``n <= 8`` players.
 
     ``labels`` is any per-player class labelling (budgets work; so do
     the point-orbit labels the census derives from a permutation
@@ -146,11 +169,7 @@ class BudgetStabilizerChain:
     def __init__(self, labels) -> None:
         labels = [int(x) for x in labels]
         n = len(labels)
-        if n * n > 128:
-            raise GameError(
-                f"stabilizer-chain keys are two 64-bit words (n^2 <= 128); "
-                f"got n = {n}"
-            )
+        _check_symmetry_cap(n)
         self._n = n
         self._labels = labels
         classes: "dict[int, list[int]]" = {}
@@ -171,25 +190,16 @@ class BudgetStabilizerChain:
         """Group order: the product of the class factorials."""
         return self._order
 
-    def key_of(self, adj: np.ndarray) -> "tuple[int, int]":
-        """``(hi, lo)`` two-word key of one adjacency under the cell order."""
+    def key_of(self, adj: np.ndarray) -> int:
+        """Key of one adjacency under the cell order."""
         pos = self.cell_positions[np.asarray(adj, dtype=bool)]
-        hi = lo = 0
-        for p in pos:
-            p = int(p)
-            if p >= 64:
-                hi |= 1 << (p - 64)
-            else:
-                lo |= 1 << p
-        return hi, lo
+        return sum(1 << int(p) for p in pos)
 
-    def minimal_images(
-        self, adjs: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    def minimal_images(self, adjs: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Orbit-minimal keys and stabilizer orders of a key batch.
 
         ``adjs`` is ``(K, n, n)`` boolean ownership adjacencies. Returns
-        ``(min_hi, min_lo, stab)`` — per key the minimal two-word
+        ``(min_key, stab)`` — per key the minimal ``uint64``
         relabeled-adjacency key over the whole group (under the
         :func:`chain_cell_positions` order) and the number of group
         elements achieving it (``= |Aut|``, so the orbit size is
@@ -213,8 +223,7 @@ class BudgetStabilizerChain:
             )
         k_count = adjs.shape[0]
         if k_count == 0:
-            empty = np.zeros(0, dtype=np.uint64)
-            return empty, empty.copy(), np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
         # Frontier: per surviving partial assignment one row of images
         # (unassigned = -1), a used-target mask, and its owning key id.
         images = np.full((k_count, n), -1, dtype=np.int64)
@@ -241,7 +250,7 @@ class BudgetStabilizerChain:
                 col = adjs[src_kid[:, None], pi_s, targets[:, None]]
                 row = adjs[src_kid[:, None], targets[:, None], pi_s]
                 bits = np.concatenate([col, row], axis=1)
-                # Pack (<= 2n <= 22 bits) for one lexicographic compare.
+                # Pack (<= 2n <= 16 bits) for one lexicographic compare.
                 weights = np.uint64(1) << np.arange(bits.shape[1])[
                     ::-1
                 ].astype(np.uint64)
@@ -269,19 +278,12 @@ class BudgetStabilizerChain:
         # occupy one contiguous run of the key, most significant level
         # first — so the minimal key is just the concatenation of the
         # per-level minima, no relabeled-adjacency gather needed.
-        min_hi = np.zeros(k_count, dtype=np.uint64)
-        min_lo = np.zeros(k_count, dtype=np.uint64)
+        min_key = np.zeros(k_count, dtype=np.uint64)
         top = n * n  # next unplaced bit position (exclusive)
         for width, best in level_best:
             top -= width
-            if top >= 64:
-                min_hi |= best << np.uint64(top - 64)
-            elif top + width <= 64:
-                min_lo |= best << np.uint64(top)
-            else:  # run straddles the word boundary
-                min_lo |= best << np.uint64(top)  # high bits drop off
-                min_hi |= best >> np.uint64(64 - top)
-        return min_hi, min_lo, stab
+            min_key |= best << np.uint64(top)
+        return min_key, stab
 
 
 def refined_vertex_colors(graph: OwnedDigraph) -> list[int]:

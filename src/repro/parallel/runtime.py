@@ -162,8 +162,6 @@ class ShardContext:
         next_rank: int,
         counters: "dict[str, int | None]",
         eq_profiles: "tuple | None" = None,
-        orbit_vals: "tuple[int, ...] | None" = None,
-        orbit_key_format: int = 2,
         done: bool = False,
     ) -> None:
         """Append one progress record (subject to injected write faults)."""
@@ -180,8 +178,6 @@ class ShardContext:
             done=done,
             counters=counters,
             eq_profiles=eq_profiles,
-            orbit_vals=orbit_vals,
-            orbit_key_format=orbit_key_format,
         )
         data = encode_record(record)
         if index in self._corrupt_cps:

@@ -26,14 +26,22 @@ from repro.core import (
     census_scan,
     enumerate_equilibria,
     exact_prices,
-    gray_profile_walk,
     profile_space_size,
     revolving_door_combinations,
     satisfies_lemma_2_2,
     screen_best_responders,
 )
 from conftest import brute_exact_prices
-from repro.core.enumeration import _budget_symmetry_group, _OrbitKeys
+from repro.core.enumeration import (
+    _budget_symmetry_group,
+    _check_cap,
+    _check_rank_width,
+    _gray_blocks,
+    _gray_digits,
+    _OrbitKeys,
+    _profile_tables,
+    _swap_table,
+)
 from repro.errors import GameError
 from repro.graphs import DistanceEngine, distance_matrix
 from repro.graphs.digraph import OwnedDigraph
@@ -45,6 +53,39 @@ from repro.experiments.exact_census import DEFAULT_INSTANCES, GOLDEN_INSTANCES
 # ----------------------------------------------------------------------
 # Gray-order machinery
 # ----------------------------------------------------------------------
+def _gray_profile_walk(game, *, start=0, stop=None, max_profiles=2_000_000):
+    """Walk profile ranks ``[start, stop)`` in Gray order over ONE graph.
+
+    Yields ``(rank, graph, swap)`` where ``graph`` is the same mutable
+    :class:`OwnedDigraph` every time and ``swap`` is ``None`` for the
+    first yield, then ``(player, dropped_target, added_target)`` — the
+    single arc swap that produced this profile from the previous one.
+    The swaps come from the census's block decoder, so this walk is the
+    oracle that the decoder's steps really are one-arc swaps.
+    """
+    _check_cap(game, max_profiles)
+    n = game.n
+    combos, radices, rests = _profile_tables(game)
+    total = rests[0]
+    _check_rank_width(total)
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise GameError(f"bad walk range [{start}, {stop}) for {total} profiles")
+    if start == stop:
+        return
+    digits = _gray_digits(start, radices, rests)
+    graph = OwnedDigraph.from_strategies([combos[u][digits[u]] for u in range(n)], n)
+    yield start, graph, None
+    blocks = _gray_blocks(rests, _swap_table(combos), start + 1, stop, digits)
+    for rank, _, js, drops, adds in blocks:
+        for t, (j, dropped, added) in enumerate(
+            zip(js.tolist(), drops.tolist(), adds.tolist())
+        ):
+            graph.remove_arc(j, dropped)
+            graph.add_arc(j, added)
+            yield rank + t, graph, (j, dropped, added)
+
+
 @pytest.mark.parametrize("m,t", [(m, t) for m in range(8) for t in range(m + 1)])
 def test_revolving_door_complete_and_adjacent(m, t):
     combos = revolving_door_combinations(range(m), t)
@@ -59,7 +100,7 @@ def test_gray_walk_covers_profile_space_once():
     game = BoundedBudgetGame([2, 1, 1, 0])
     seen = set()
     last_key = None
-    for rank, graph, swap in gray_profile_walk(game):
+    for rank, graph, swap in _gray_profile_walk(game):
         key = graph.profile_key()
         assert key not in seen
         seen.add(key)
@@ -77,7 +118,7 @@ def test_gray_walk_covers_profile_space_once():
 def test_gray_walk_sharding_is_a_partition():
     game = BoundedBudgetGame([1, 1, 1, 1])
     total = profile_space_size(game)
-    full = [g.profile_key() for _, g, _ in gray_profile_walk(game)]
+    full = [g.profile_key() for _, g, _ in _gray_profile_walk(game)]
     for parts in (1, 2, 3, 7):
         shards = contiguous_shards(total, parts)
         assert shards[0][0] == 0 and shards[-1][1] == total
@@ -85,7 +126,7 @@ def test_gray_walk_sharding_is_a_partition():
         stitched = []
         for lo, hi in shards:
             stitched.extend(
-                g.profile_key() for _, g, _ in gray_profile_walk(game, start=lo, stop=hi)
+                g.profile_key() for _, g, _ in _gray_profile_walk(game, start=lo, stop=hi)
             )
         assert stitched == full
 
@@ -140,7 +181,7 @@ def test_orbit_advance_block_matches_per_step_scan(budgets):
     ref_sizes = []
     swaps = []
     orbit = None
-    for rank, graph, swap in gray_profile_walk(game):
+    for rank, graph, swap in _gray_profile_walk(game):
         keys = _OrbitKeys(n, perms)
         for a, b in graph.arcs():
             keys.toggle(a, b, True)
@@ -164,33 +205,31 @@ def test_orbit_advance_block_matches_per_step_scan(budgets):
     assert total == profile_space_size(game)
 
 
-def test_orbit_advance_block_two_word_keys_n9():
-    """At n = 9 (n^2 = 81 > 64) probe keys use the hi word: the block
+def test_orbit_advance_block_one_word_keys_n8():
+    """At n = 8 (n^2 = 64) the probe keys fill a whole uint64: the block
     advance must match freshly toggled keys at every profile of a Gray
-    window near the middle of the rank space, and the whole-group
+    window in the middle of the rank space, and the whole-group
     reference must confirm every probe-stage survivor."""
     from repro.core.enumeration import _ORBIT_BLOCK
 
-    budgets = [1] * 8 + [0]
+    budgets = [2, 1, 1, 1, 1, 1, 1, 0]
     game = BoundedBudgetGame(budgets)
     n = game.n
     perms = _budget_symmetry_group(budgets)
     total = profile_space_size(game)
-    # 76125 ranks below total // 2; this window holds probe survivors
-    # and a canonical profile.
-    start = 8_312_483
+    # This window holds probe survivors and canonical profiles.
+    start = total // 2
     stop = start + 3000
-    assert abs(start - total // 2) < total // 100
     fresh = _OrbitKeys(n, perms)
     orbit = None
     keys, ref, swaps = [], [], []
-    for rank, graph, swap in gray_profile_walk(
+    for rank, graph, swap in _gray_profile_walk(
         game, start=start, stop=stop, max_profiles=total
     ):
-        fresh.restore_state([0] * len(fresh.export_state()))
+        fresh._vals[:] = 0
         for a, b in graph.arcs():
             fresh.toggle(a, b, True)
-        keys.append((fresh._vals_hi.copy(), fresh._vals_lo.copy()))
+        keys.append(fresh._vals.copy())
         ref.append(fresh.canonical_orbit_size() or 0)
         if swap is None:
             orbit = _OrbitKeys(n, perms)
@@ -204,30 +243,31 @@ def test_orbit_advance_block_two_word_keys_n9():
         chunk = steps[s : s + _ORBIT_BLOCK]
         got.extend(orbit.advance_block(chunk[:, 0], chunk[:, 1], chunk[:, 2]).tolist())
     assert got == ref[1:]
-    assert np.array_equal(orbit._vals_hi, keys[-1][0])
-    assert np.array_equal(orbit._vals_lo, keys[-1][1])
-    assert sum(1 for hi, _ in keys if hi[0]) > len(keys) // 2  # hi word in use
+    assert np.array_equal(orbit._vals, keys[-1])
+    assert sum(1 for k in keys if k[0] >> np.uint64(56)) > len(keys) // 2  # top byte in use
     survivors = 0
-    for (his, los), size in zip(keys, ref):
-        lt = (his < his[0]) | ((his == his[0]) & (los < los[0]))
-        if lt.any():
+    for k, size in zip(keys, ref):
+        if (k < k[0]).any():
             assert size == 0
             continue
         survivors += 1
-        assert (fresh._reference_orbit_size(int(his[0]), int(los[0])) or 0) == size
+        assert (fresh._reference_orbit_size(int(k[0])) or 0) == size
     assert survivors >= 1 and any(ref)
 
 
 def test_exact_walk_rejects_ranks_beyond_int64():
     """252^11 profiles overflow the block decoder's int64 ranks: the
-    census must refuse with a typed error instead of wrapping."""
+    census must refuse with a typed error instead of wrapping. The
+    symmetric walk stops at its n <= 8 key cap first; no game that
+    small reaches 2^63 ranks (35^8 ≈ 2.3e12)."""
     game = BoundedBudgetGame([5] * 11)
     assert profile_space_size(game) >= 2**63
-    for symmetry in (False, True):
-        with pytest.raises(GameError, match=r"int64.*2\*\*63 - 1"):
-            census_scan(game, "sum", symmetry=symmetry, max_profiles=10**40)
+    with pytest.raises(GameError, match=r"int64.*2\*\*63 - 1"):
+        census_scan(game, "sum", symmetry=False, max_profiles=10**40)
+    with pytest.raises(GameError, match="64-bit key.*capped at n = 8"):
+        census_scan(game, "sum", symmetry=True, max_profiles=10**40)
     with pytest.raises(GameError, match="int64"):
-        next(gray_profile_walk(game, max_profiles=10**40))
+        next(_gray_profile_walk(game, max_profiles=10**40))
 
 
 def test_contiguous_shards_edge_cases():
@@ -255,7 +295,7 @@ def test_gray_walk_engine_distances_match_fresh_bfs(budgets, start_frac, data):
     stop = min(total, start + data.draw(st.integers(min_value=1, max_value=40)))
     cache = None
     steps = 0
-    for rank, graph, swap in gray_profile_walk(game, start=start, stop=stop):
+    for rank, graph, swap in _gray_profile_walk(game, start=start, stop=stop):
         if cache is None:
             cache = DistanceCache(graph)
         engine = cache.base()
@@ -350,7 +390,7 @@ def test_orbit_decomposition_partitions_profile_space():
     perms = _budget_symmetry_group((1, 1, 1, 1))
     total = 0
     reps = 0
-    for rank, graph, swap in gray_profile_walk(game):
+    for rank, graph, swap in _gray_profile_walk(game):
         orbit = _OrbitKeys(game.n, perms)
         for a, b in graph.arcs():
             orbit.toggle(a, b, True)
@@ -371,11 +411,11 @@ def test_census_capped_by_bitset_width():
 
 
 def test_symmetry_capped_by_key_width():
-    # n = 9..11 became legal with the two-word (128-bit) keys; the cap
-    # now binds at n = 12 (n^2 = 144 > 128). Unit games go to the orbit
-    # generator instead, so the walk's cap is probed on a non-unit class.
-    game = BoundedBudgetGame([2] + [1] * 11)
-    with pytest.raises(GameError, match="128-bit"):
+    # Keys are one uint64, so the cap binds at n = 9 (n^2 = 81 > 64).
+    # Unit games go to the orbit generator instead, so the walk's cap is
+    # probed on a non-unit class.
+    game = BoundedBudgetGame([2] + [1] * 8)
+    with pytest.raises(GameError, match="64-bit"):
         census_scan(game, "sum", symmetry=True, max_profiles=10**12)
 
 

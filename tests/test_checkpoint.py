@@ -40,7 +40,6 @@ def _record(next_rank: int = 40, **kwargs) -> ShardCheckpoint:
         done=False,
         counters={"count": 30, "eq_count": 4, "opt": None},
         eq_profiles=(((0,), (1, 2), ()), ((2,), (), (0, 1))),
-        orbit_vals=(7, 11, 13),
     )
     base.update(kwargs)
     return ShardCheckpoint(**base)
@@ -57,39 +56,38 @@ def test_record_round_trip():
 def test_record_round_trip_minimal():
     rec = ShardCheckpoint(shard_id=0, lo=0, hi=5, next_rank=5, done=True)
     assert decode_record(encode_record(rec)) == rec
-    assert rec.eq_profiles is None and rec.orbit_vals is None
+    assert rec.eq_profiles is None
 
 
-def test_record_orbit_key_format_round_trips():
-    rec = _record(orbit_key_format=2)
-    assert decode_record(encode_record(rec)).orbit_key_format == 2
-    rec1 = _record(orbit_key_format=1)
-    assert decode_record(encode_record(rec1)).orbit_key_format == 1
-
-
-def test_record_without_format_field_decodes_as_v1():
-    """Journals written before key-format versioning are v1 (64-bit)."""
+def test_record_with_legacy_orbit_fields_decodes():
+    """Journals once carried the symmetry walk's orbit probe keys
+    (``orbit_vals``, versioned by ``orbit_key_format`` from format 2
+    on). Records carry no orbit state now; decoding ignores those keys,
+    so old journals still decode to the same record."""
+    import binascii
     import json
+    import struct
 
     rec = _record()
     data = encode_record(rec)
     start = data.index(b"{")
     obj = json.loads(data[start : data.rindex(b"}") + 1])
-    assert obj["orbit_key_format"] == 2
-    del obj["orbit_key_format"]
-    # Re-frame the stripped payload exactly as append_record would.
-    import binascii
-    import struct
-
-    payload = json.dumps(obj, separators=(",", ":")).encode()
-    frame = (
-        data[:4]
-        + struct.pack("<I", len(payload))
-        + struct.pack("<I", binascii.crc32(payload) & 0xFFFFFFFF)
-        + payload
-        + b"\n"
-    )
-    assert decode_record(frame).orbit_key_format == 1
+    assert "orbit_vals" not in obj and "orbit_key_format" not in obj
+    for extra in (
+        {"orbit_vals": [0, 7, 0, 11], "orbit_key_format": 2},
+        {"orbit_vals": [7, 11]},  # v1: no format field
+        {"orbit_vals": None, "orbit_key_format": 2},
+    ):
+        # Re-frame the extended payload exactly as append_record would.
+        payload = json.dumps({**obj, **extra}, separators=(",", ":")).encode()
+        frame = (
+            data[:4]
+            + struct.pack("<I", len(payload))
+            + struct.pack("<I", binascii.crc32(payload) & 0xFFFFFFFF)
+            + payload
+            + b"\n"
+        )
+        assert decode_record(frame) == rec
 
 
 def test_record_rank_outside_shard_rejected():

@@ -4,7 +4,7 @@ Two families of properties:
 
 * **Frame round-trip** — ``decode_record(encode_record(r)) == r`` for
   randomly drawn records spanning every optional field (``None``
-  counters, collected profiles, orbit probe vectors).
+  counters, collected profiles).
 * **Crash-shaped journals** — a journal of random records subjected to
   a random suffix truncation or byte corruption always replays to a
   prefix of what was written, and replay/compaction recover the
@@ -47,13 +47,6 @@ _eq_profiles = st.one_of(
     st.none(), st.lists(_profile_key, max_size=4).map(tuple)
 )
 
-_orbit_vals = st.one_of(
-    st.none(),
-    st.lists(
-        st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8
-    ).map(tuple),
-)
-
 
 @st.composite
 def _records(draw) -> ShardCheckpoint:
@@ -70,7 +63,6 @@ def _records(draw) -> ShardCheckpoint:
         done=draw(st.booleans()),
         counters=draw(_counters),
         eq_profiles=draw(_eq_profiles),
-        orbit_vals=draw(_orbit_vals),
     )
 
 

@@ -6,28 +6,31 @@ recheck — against two independent oracles: a brute-force enumeration
 of the budget-preserving group (tiny ``n``) and the retained
 whole-group gather reference inside :class:`_OrbitKeys`. Also pins the
 chain-aligned cell order contract, the single-source symmetry-cap
-message at both call sites, and the v1 -> v2 orbit-key checkpoint
-migration (including its loud-failure paths).
+message at every call site, and resuming symmetric shards from
+journals whose records still carry orbit probe keys.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.enumeration import (
-    _MAX_SYMMETRY_N,
-    _budget_symmetry_group,
-    _OrbitKeys,
-    census_scan,
-)
+from repro.core.checkpoint import RECORD_MAGIC, ShardCheckpoint, encode_record
+from repro.core.enumeration import _budget_symmetry_group, _OrbitKeys, census_scan
 from repro.core.game import BoundedBudgetGame
-from repro.core.isomorphism import BudgetStabilizerChain, chain_cell_positions
-from repro.errors import CheckpointError, GameError
+from repro.core.isomorphism import (
+    _MAX_SYMMETRY_N,
+    BudgetStabilizerChain,
+    chain_cell_positions,
+)
+from repro.errors import GameError
 
 
 def _label_group(labels: "list[int]") -> "list[np.ndarray]":
@@ -68,13 +71,13 @@ def test_minimal_images_match_brute_force(case):
     chain = BudgetStabilizerChain(labels)
     perms = _label_group(labels)
     assert chain.order == len(perms)
-    min_hi, min_lo, stab = chain.minimal_images(adjs)
+    min_key, stab = chain.minimal_images(adjs)
     for k in range(adjs.shape[0]):
         keys = {chain.key_of(_relabel(adjs[k], p)) for p in perms}
         distinct = {
             tuple(map(tuple, _relabel(adjs[k], p))) for p in perms
         }
-        assert min(keys) == (int(min_hi[k]), int(min_lo[k]))
+        assert min(keys) == int(min_key[k])
         assert chain.order // int(stab[k]) == len(distinct)
 
 
@@ -97,14 +100,9 @@ def test_exact_stage_matches_whole_group_reference(budgets, seed):
     for _ in range(5):
         adj = rng.random((n, n)) < 0.4
         np.fill_diagonal(adj, False)
-        hi, lo = chain.key_of(adj)
-        ref = orbit._reference_orbit_size(hi, lo)
-        got = int(
-            orbit._exact_orbit_sizes(
-                np.asarray([hi], dtype=np.uint64),
-                np.asarray([lo], dtype=np.uint64),
-            )[0]
-        )
+        key = chain.key_of(adj)
+        ref = orbit._reference_orbit_size(key)
+        got = int(orbit._exact_orbit_sizes(np.asarray([key], dtype=np.uint64))[0])
         assert got == (0 if ref is None else ref)
 
 
@@ -124,94 +122,39 @@ def test_chain_cell_positions_contract(n):
 
 
 def test_chain_rejects_oversized_n():
-    with pytest.raises(GameError, match="two 64-bit words"):
-        BudgetStabilizerChain([0] * 12)
+    with pytest.raises(GameError, match="64-bit"):
+        BudgetStabilizerChain([0] * 9)
 
 
 def test_symmetry_cap_message_identical_at_both_call_sites():
-    """The 128-bit cap raises the same message from both entry points.
+    """The one-word key cap raises the same message from every entry
+    point: the census, the orbit keys and the chain.
 
     Probed on a non-unit class: symmetric unit games never reach the
     walk (they run on the orbit generator)."""
     n = _MAX_SYMMETRY_N + 1
+    assert n == 9
     game = BoundedBudgetGame([2] + [1] * (n - 1))
-    with pytest.raises(GameError, match="128-bit") as via_scan:
+    with pytest.raises(GameError, match="64-bit") as via_scan:
         census_scan(game, "sum", symmetry=True, max_profiles=10**15)
-    with pytest.raises(GameError, match="128-bit") as via_orbit:
+    with pytest.raises(GameError, match="64-bit") as via_orbit:
         _OrbitKeys(n, np.arange(n, dtype=np.int64)[None, :])
-    assert str(via_scan.value) == str(via_orbit.value)
+    with pytest.raises(GameError, match="64-bit") as via_chain:
+        BudgetStabilizerChain(game.budgets)
+    assert str(via_scan.value) == str(via_orbit.value) == str(via_chain.value)
     assert f"capped at n = {_MAX_SYMMETRY_N}" in str(via_scan.value)
 
 
 # ----------------------------------------------------------------------
-# Orbit-key checkpoint format migration (v1 -> v2)
+# Journals whose records carry orbit probe keys
 # ----------------------------------------------------------------------
-def _toggled_orbit(budgets: "list[int]") -> _OrbitKeys:
-    game = BoundedBudgetGame(budgets)
-    orbit = _OrbitKeys(game.n, _budget_symmetry_group(budgets))
-    rng = np.random.default_rng(7)
-    for a in range(game.n):
-        for b in range(game.n):
-            if a != b and rng.random() < 0.4:
-                orbit.toggle(a, b, True)
-    return orbit
-
-
-def _v1_vector(orbit: _OrbitKeys) -> "tuple[int, ...]":
-    """The row-major 64-bit probe vector the pre-128-bit code wrote."""
-    n = orbit._n
-    state = orbit.export_state()
-    out = []
-    for hi, lo in zip(state[0::2], state[1::2]):
-        adj = orbit._adjs_from_keys(
-            np.asarray([hi], dtype=np.uint64),
-            np.asarray([lo], dtype=np.uint64),
-        )[0]
-        out.append(
-            sum(1 << (int(a) * n + int(b)) for a, b in zip(*np.nonzero(adj)))
-        )
-    return tuple(out)
-
-
-def test_v1_state_migrates_to_identical_probe_keys():
-    orbit = _toggled_orbit([1, 1, 1, 1])
-    fresh = _OrbitKeys(4, _budget_symmetry_group([1, 1, 1, 1]))
-    fresh.restore_state(_v1_vector(orbit), key_format=1)
-    assert np.array_equal(fresh._vals_hi, orbit._vals_hi)
-    assert np.array_equal(fresh._vals_lo, orbit._vals_lo)
-
-
-def test_v2_state_round_trips():
-    orbit = _toggled_orbit([2, 2, 1, 1, 0])
-    fresh = _OrbitKeys(5, _budget_symmetry_group([2, 2, 1, 1, 0]))
-    fresh.restore_state(orbit.export_state(), key_format=2)
-    assert np.array_equal(fresh._vals_hi, orbit._vals_hi)
-    assert np.array_equal(fresh._vals_lo, orbit._vals_lo)
-
-
-def test_v1_state_fails_loudly_when_keys_cannot_fit():
-    budgets = [1] * 8 + [0]  # n = 9: n^2 = 81 > 64
-    orbit = _OrbitKeys(9, _budget_symmetry_group(budgets))
-    probes = orbit._vals_hi.shape[0]
-    with pytest.raises(CheckpointError, match="v1 \\(64-bit\\) orbit keys"):
-        orbit.restore_state((0,) * probes, key_format=1)
-
-
-def test_restore_state_rejects_unknown_format_and_bad_lengths():
-    orbit = _OrbitKeys(4, _budget_symmetry_group([1, 1, 1, 1]))
-    probes = orbit._vals_hi.shape[0]
-    with pytest.raises(CheckpointError, match="unknown orbit key format"):
-        orbit.restore_state((0,) * (2 * probes), key_format=3)
-    with pytest.raises(CheckpointError, match="words"):
-        orbit.restore_state((0,) * (2 * probes + 1), key_format=2)
-    with pytest.raises(CheckpointError, match="probe keys"):
-        orbit.restore_state((0,) * (probes + 1), key_format=1)
-
-
 #: The first mid-range record the per-rank Gray stream walk (before the
 #: block decoder) journalled for the unit n = 6 max census shard
 #: ``[0, 15625)`` at checkpoint interval 4000: counters and probe keys
-#: after rank 4096, the end of the walk's second orbit block.
+#: after rank 4096, the end of the walk's second orbit block. Its
+#: ``orbit_vals`` are format 2, the interleaved ``(hi, lo)`` words of
+#: each probe key, as journals carried them before the walk stopped
+#: journaling orbit state.
 _STREAM_WALK_RECORD = dict(
     next_rank=4097,
     counters={"best_eq": 2, "count": 4920, "eq_count": 480, "opt": 2, "worst_eq": 3},
@@ -224,11 +167,36 @@ _STREAM_WALK_RECORD = dict(
 )
 
 
+_STREAM_WALK_SHARD = dict(shard_id=0, lo=0, hi=15625)
+
+
+def _frame(payload: dict) -> bytes:
+    """One journal frame around ``payload``, laid out as encode_record's."""
+    data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return RECORD_MAGIC + struct.pack("<II", len(data), zlib.crc32(data)) + data + b"\n"
+
+
+def _v1_orbit_vals(vals: "tuple[int, ...]", n: int = 6) -> "tuple[int, ...]":
+    """Format-2 probe keys as v1 ones: one row-major word per probe, arc
+    ``(a, b)`` at bit ``a*n + b`` (the hi words are 0 at n = 6)."""
+    pos = chain_cell_positions(n)
+    return tuple(
+        sum(
+            1 << (a * n + b)
+            for a in range(n)
+            for b in range(n)
+            if (lo >> int(pos[a, b])) & 1
+        )
+        for lo in vals[1::2]
+    )
+
+
 def test_stream_walk_journal_resumes_bit_identically(tmp_path):
-    """A symmetric shard journal written mid-range by the per-rank
-    stream walk resumes on the block decoder to the uninterrupted
-    run's result and journal."""
-    from repro.core.checkpoint import ShardCheckpoint, replay_journal
+    """Symmetric shard journals written mid-range with orbit probe keys
+    in them (format 2, and v1 with no format field) resume on the block
+    decoder to the uninterrupted run's result and journal: decoding
+    drops the orbit fields and the walk recomputes its probe keys."""
+    from repro.core.checkpoint import replay_journal
     from repro.core.enumeration import _ORBIT_BLOCK, _census_shard
     from repro.parallel.runtime import ShardContext
 
@@ -245,17 +213,30 @@ def test_stream_walk_journal_resumes_bit_identically(tmp_path):
         )
         part = _census_shard(payload, ctx)
         rows = [
-            (r.next_rank, r.done, dict(r.counters), r.orbit_vals)
+            (r.next_rank, r.done, dict(r.counters))
             for r in replay_journal(ctx_path).records
         ]
         return part, rows
 
     fresh, fresh_rows = journal(tmp_path / "fresh.journal")
-    record = ShardCheckpoint(shard_id=0, lo=0, hi=15625, **_STREAM_WALK_RECORD)
-    resumed, resumed_rows = journal(tmp_path / "resumed.journal", record)
-    assert fresh_rows[0] == (
-        record.next_rank, False, dict(record.counters), record.orbit_vals
+    record = ShardCheckpoint(
+        **_STREAM_WALK_SHARD,
+        next_rank=_STREAM_WALK_RECORD["next_rank"],
+        counters=_STREAM_WALK_RECORD["counters"],
     )
-    assert resumed == fresh
-    assert resumed_rows == fresh_rows[1:]
+    assert fresh_rows[0] == (record.next_rank, False, dict(record.counters))
+    vals = _STREAM_WALK_RECORD["orbit_vals"]
+    base = json.loads(encode_record(record)[len(RECORD_MAGIC) + 8 : -1])
+    frames = {
+        "format2": {**base, "orbit_vals": list(vals), "orbit_key_format": 2},
+        "v1": {**base, "orbit_vals": list(_v1_orbit_vals(vals))},
+    }
+    for name, obj in frames.items():
+        old = tmp_path / f"{name}.old.journal"
+        old.write_bytes(_frame(obj))
+        decoded = replay_journal(old).last
+        assert decoded == record, name
+        resumed, resumed_rows = journal(tmp_path / f"{name}.journal", decoded)
+        assert resumed == fresh, name
+        assert resumed_rows == fresh_rows[1:], name
     assert fresh["count"] == 15625 and fresh["eq_count"] == 480
