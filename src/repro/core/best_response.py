@@ -110,11 +110,13 @@ class BestResponseEnvironment:
     engine:
         Optional shared :class:`~repro.graphs.engine.DistanceEngine`
         over ``U(G - u)`` (as handed out by
-        :class:`~repro.core.distance_cache.DistanceCache`). When given,
-        its matrix is used zero-copy and the engine's epoch is
-        snapshotted: evaluations after the engine moves on raise
-        :class:`~repro.errors.StaleDistanceError`. When omitted, a
-        private engine is built from scratch.
+        :class:`~repro.core.distance_cache.DistanceCache`), read
+        zero-copy. When omitted, a private engine is built from scratch.
+
+    The environment snapshots ``graph.revision``: once the graph has
+    mutated, every evaluation raises
+    :class:`~repro.errors.StaleDistanceError` — rebuild the environment
+    for the new graph.
     """
 
     def __init__(
@@ -148,7 +150,6 @@ class BestResponseEnvironment:
                 f"engine with the default inf"
             )
         self._engine = engine
-        self._epoch = engine.epoch
         self._graph = graph
         self._revision = graph.revision
         # D[w, v] = dist_{G-u}(w, v); unreachable pairs carry the engine's
@@ -215,55 +216,12 @@ class BestResponseEnvironment:
         """The realization this environment evaluates against."""
         return self._graph
 
-    def is_fresh(self) -> bool:
-        """Whether this environment still describes the current graph.
-
-        True while the backing engine serves the epoch captured at
-        construction and, if the graph has mutated since, both the
-        substrate ``U(G - u)`` and the player's in-neighbourhood are
-        verifiably unchanged. The player's own moves keep all of these
-        invariants (``U(G - u)`` and ``In(u)`` do not depend on ``u``'s
-        strategy), so an environment survives its own player's
-        deviations by design.
-        """
-        try:
-            self._check_fresh()
-        except StaleDistanceError:
-            return False
-        return True
-
     def _check_fresh(self) -> None:
-        if self._engine.epoch != self._epoch:
+        if self._graph.revision != self._revision:
             raise StaleDistanceError(
-                f"environment for player {self.u} was built at engine epoch "
-                f"{self._epoch}, but the engine is now at epoch "
-                f"{self._engine.epoch}; rebuild the environment"
+                f"graph mutated since the environment for player {self.u} "
+                f"was built; rebuild the environment"
             )
-        rev = self._graph.revision
-        if rev != self._revision:
-            # The graph mutated since this environment was built. The
-            # evaluation is still exact iff the substrate U(G - u) and
-            # the player's in-neighbourhood both survived — the engine
-            # epoch alone cannot witness this, because a lazily-synced
-            # engine only bumps it when someone hands it the new CSR.
-            cur = self._graph.undirected_csr_without(self.u)
-            eng_csr = self._engine.csr
-            if not (
-                cur.indices.size == eng_csr.indices.size
-                and np.array_equal(cur.indptr, eng_csr.indptr)
-                and np.array_equal(cur.indices, eng_csr.indices)
-            ):
-                raise StaleDistanceError(
-                    f"substrate U(G - {self.u}) changed since this environment "
-                    f"was built and its engine was not re-synced; rebuild the "
-                    f"environment"
-                )
-            if not np.array_equal(self._graph.in_neighbors(self.u), self.in_nbrs):
-                raise StaleDistanceError(
-                    f"in-neighbourhood of player {self.u} changed since this "
-                    f"environment was built; rebuild the environment"
-                )
-            self._revision = rev
 
     def candidate_pool(self) -> np.ndarray:
         """All legal link targets for the player (everyone but itself)."""

@@ -81,7 +81,7 @@ def social_cost(graph: OwnedDigraph, *, engine=None) -> int:
     """The paper's social cost: the diameter of ``U(G)`` (``Cinf`` if
     disconnected).
 
-    ``engine`` (a maintained :class:`~repro.graphs.engine.DistanceEngine`
+    ``engine`` (a :class:`~repro.graphs.engine.DistanceEngine` built
     over ``U(G)``) replaces the all-pairs BFS with a matrix reduction.
     """
     if engine is not None:

@@ -74,8 +74,8 @@ def best_response_for(
 
     ``cache`` evaluates against the shared
     :class:`~repro.core.distance_cache.DistanceCache` environment of
-    ``u``, reusing its ``U(G - u)`` matrix while the graph is unchanged;
-    without one, each call builds its own engine.
+    ``u``, reusing its ``U(G - u)`` matrix; without one, each call
+    builds its own engine.
     """
     try:
         fn = _METHODS[method]
@@ -93,8 +93,8 @@ def _check_cache_graph(cache: "DistanceCache", graph: OwnedDigraph) -> None:
     state into one answer — refuse instead."""
     if cache.graph is not graph:
         raise GameError(
-            "distance cache is bound to a different graph object; call "
-            "cache.rebind(graph) first"
+            "distance cache is bound to a different graph object; build "
+            "a cache for this graph"
         )
 
 
@@ -110,8 +110,8 @@ def satisfies_lemma_2_2(
     Without ``engine`` the screen never searches past depth 2: it
     gathers the radius-2 ball of ``u`` and fails as soon as the ball
     misses a vertex (local diameter at least 3, or ``Cinf``). ``engine``
-    (a maintained engine over ``U(G)``, e.g. ``DistanceCache.base()``)
-    reads ``u``'s row instead.
+    (an engine over ``U(G)`` of this very graph, e.g. the frozen
+    graph's ``DistanceCache.base()``) reads ``u``'s row instead.
     """
     if graph.n == 1:
         return True
@@ -142,7 +142,7 @@ def satisfies_lemma_2_2(
 
 
 def screen_best_responders(graph: OwnedDigraph, engine: DistanceEngine) -> np.ndarray:
-    """Vectorized Lemma 2.2 over a maintained distance matrix.
+    """Vectorized Lemma 2.2 over an all-pairs distance matrix.
 
     Returns a boolean mask: ``mask[u]`` is ``True`` when player ``u`` is
     *certified* to play a best response (local diameter 1, or local
@@ -150,9 +150,9 @@ def screen_best_responders(graph: OwnedDigraph, engine: DistanceEngine) -> np.nd
     pass over ``engine``'s all-pairs matrix instead of one BFS each.
     ``False`` entries are merely unscreened — they still need a search.
 
-    ``engine`` must be synced to ``graph`` (e.g. ``DistanceCache.base()``);
-    the result then agrees with :func:`satisfies_lemma_2_2` player by
-    player.
+    ``engine`` must be built over ``U(G)`` of this very graph (e.g. the
+    frozen graph's ``DistanceCache.base()``); the result then agrees
+    with :func:`satisfies_lemma_2_2` player by player.
     """
     n = graph.n
     if n == 1:
@@ -169,18 +169,16 @@ def screen_best_responders(graph: OwnedDigraph, engine: DistanceEngine) -> np.nd
 
 
 def _lemma_screen_engine(cache: "DistanceCache | None") -> "DistanceEngine | None":
-    """The cheapest maintained ``U(G)`` engine for a Lemma 2.2 screen.
+    """The cache's ``U(G)`` engine when a Lemma 2.2 screen may use it.
 
-    A lazy cache syncs for one row's worth of work, so its base engine
-    is always worth routing through; a full-mode cache is only used
-    when already fresh — forcing a cold all-pairs build to answer one
-    row would invert the economics the screen exists for.
+    A lazy cache pays one row for the screen, so its base engine is
+    always worth routing through; a full-mode cache's is not —
+    forcing a cold all-pairs build to answer one row would invert the
+    economics the screen exists for.
     """
-    if cache is None:
+    if cache is None or not cache.lazy_rows:
         return None
-    if cache.lazy_rows:
-        return cache.base()
-    return cache.base_if_fresh()
+    return cache.base()
 
 
 def deviation_improves(
@@ -205,9 +203,9 @@ def deviation_improves(
     makes cold-instance swap checks cheap.
 
     ``use_lemma`` first applies the Lemma 2.2 sufficient condition
-    (via the cache's maintained matrix when that is free): a certified
-    best responder has no improving deviation, so the evaluation is
-    skipped entirely.
+    (through a lazy cache's ``U(G)`` engine, else the depth-2 ball): a
+    certified best responder has no improving deviation, so the
+    evaluation is skipped entirely.
     """
     if not 0 <= u < graph.n:
         raise VertexError(u, graph.n)
@@ -295,9 +293,9 @@ def is_equilibrium(
     ``players`` restricts the check (useful for symmetric constructions
     where one representative per orbit suffices). ``cache`` routes every
     player through a shared :class:`DistanceCache` and screens all
-    players at once with :func:`screen_best_responders` on the
-    maintained ``U(G)`` matrix before any per-player search runs — the
-    census fast path. The answer is identical with or without a cache.
+    players at once with :func:`screen_best_responders` on the cache's
+    ``U(G)`` matrix before any per-player search runs. The answer is
+    identical with or without a cache.
     """
     todo = range(graph.n) if players is None else players
     screened = None

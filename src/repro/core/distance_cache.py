@@ -1,22 +1,18 @@
-"""Shared distance engines kept coherent with one evolving realization.
+"""Shared distance engines over one frozen realization.
 
-Serve and the Section 6 checkers need two families of distance
-matrices: the underlying graph ``U(G)`` (social cost, Lemma 2.2 skips)
-and, per player ``u``, the punctured substrate ``U(G - u)`` that every
-candidate strategy of ``u`` is evaluated against.
-:class:`DistanceCache` keeps one
-:class:`~repro.graphs.engine.DistanceEngine` per substrate and syncs it
-on access.
+Serve needs two families of distance matrices: the underlying graph
+``U(G)`` (social cost, Lemma 2.2 skips) and, per player ``u``, the
+punctured substrate ``U(G - u)`` that every candidate strategy of ``u``
+is evaluated against. :class:`DistanceCache` keeps one
+:class:`~repro.graphs.engine.DistanceEngine` per substrate, built on
+first access.
 
-Coherence is revision-driven, not notification-driven: every access
-compares the graph's mutation counter with the revision the engine last
-synced to, and on mismatch hands the engine the current CSR (the
-engine's sync rule is a no-op on an unchanged edge set, else a rebuild).
-Out-of-band mutations (callers poking the graph directly) are therefore
-picked up automatically — there is no way to read distances of a stale
-substrate, and a changed-then-rolled-back graph syncs as a no-op.
-``U(G - u)`` does not depend on ``u``'s own strategy, so a player's
-engine survives that player's own moves untouched.
+Coherence comes from immutability: the constructor freezes the graph
+(:meth:`~repro.graphs.digraph.OwnedDigraph.freeze`), so every later
+mutation raises :class:`~repro.errors.GraphError` and an engine, once
+built, describes its substrate for the cache's whole life. Code that
+evolves a realization works on a ``copy()`` and builds its own engines
+or environments for the graph it holds.
 
 Memory: each cached player engine holds an ``(n, n)`` matrix (int32
 for every realistic ``n``). ``max_player_engines`` (default: a ~256 MB
@@ -45,12 +41,12 @@ _DEFAULT_CACHE_BYTES: int = 256 * 1024 * 1024
 
 
 class DistanceCache:
-    """Revision-synced :class:`DistanceEngine` pool for one graph.
+    """:class:`DistanceEngine` pool for one frozen graph.
 
     Parameters
     ----------
     graph:
-        The realization to track. The cache never mutates it.
+        The realization to serve. The constructor freezes it.
     max_player_engines:
         Cap on simultaneously cached per-player engines (LRU eviction).
         Defaults to whatever fits a ~256 MB matrix budget, at least one.
@@ -69,41 +65,35 @@ class DistanceCache:
         max_player_engines: int | None = None,
         rows: "str | None" = None,
     ) -> None:
+        graph.freeze()
         self._graph = graph
-        self._max_players_requested = max_player_engines
-        self._max_players = self._resolve_max_players(graph.n)
+        self._max_players = self._resolve_max_players(graph.n, max_player_engines)
         self._engine_kwargs = {} if rows is None else {"rows": rows}
         self._lazy_rows = rows == "lazy"
         self._base: DistanceEngine | None = None
         self._players: "OrderedDict[int, DistanceEngine]" = OrderedDict()
-        self._envs: dict[tuple[int, Version], tuple[BestResponseEnvironment, int]] = {}
-        self._csr = None
-        self._seen_revision: "int | None" = None
-        # Sync generation: bumped whenever _sync sees a new revision (or
-        # a rebound graph); engines stamped with an older one are stale.
-        self._generation = 0
-        self._base_generation = -1
-        self._player_generations: dict[int, int] = {}
+        self._envs: dict[tuple[int, Version], BestResponseEnvironment] = {}
         self._lock = threading.RLock()
         self.evictions = 0
         self.env_hits = 0
 
-    def _resolve_max_players(self, n: int) -> int:
+    @staticmethod
+    def _resolve_max_players(n: int, requested: "int | None") -> int:
         """Engine-count cap for instance size ``n`` (at least one).
 
         With no explicit request, sized so the matrices fit the ~256 MB
         budget: engines store int32 whenever the sentinel arithmetic
         fits (every realistic ``n``), int64 otherwise.
         """
-        if self._max_players_requested is not None:
-            return max(1, int(self._max_players_requested))
+        if requested is not None:
+            return max(1, int(requested))
         itemsize = 4 if 2 * cinf(n) < 2**31 else 8
         per_engine = max(1, n * n * itemsize)
         return max(1, min(n, _DEFAULT_CACHE_BYTES // per_engine))
 
     @property
     def graph(self) -> OwnedDigraph:
-        """The tracked realization."""
+        """The (frozen) realization the engines describe."""
         return self._graph
 
     @property
@@ -111,75 +101,28 @@ class DistanceCache:
         """Whether cache-built engines start in row-on-demand mode."""
         return self._lazy_rows
 
-    def rebind(self, graph: OwnedDigraph) -> None:
-        """Point the cache at another graph.
-
-        Same-size engines (and their preallocated matrices) are kept:
-        the next access syncs them against the new graph, a no-op where
-        the edge set is unchanged and a buffer-reusing rebuild
-        elsewhere. A size change drops every engine.
-        """
-        if graph.n != self._graph.n:
-            self._base = None
-            self._players.clear()
-            self._player_generations.clear()
-            self._max_players = self._resolve_max_players(graph.n)
-        self._graph = graph
-        self._seen_revision = None
-        self._envs.clear()
-
-    def _sync(self):
-        """Refresh the ``U(G)`` substrate and the sync generation."""
-        rev = self._graph.revision
-        if self._csr is None or self._seen_revision != rev:
-            self._csr = self._graph.undirected_csr()
-            self._seen_revision = rev
-            self._generation += 1
-        return self._csr
-
     # ------------------------------------------------------------------
     def base(self) -> DistanceEngine:
-        """Engine over ``U(G)``, synced to the graph's current revision."""
-        csr = self._sync()
+        """Engine over ``U(G)``, built on first access."""
         if self._base is None:
-            self._base = DistanceEngine(csr, **self._engine_kwargs)
-        elif self._base_generation != self._generation:
-            self._base.update(csr)
-        self._base_generation = self._generation
+            self._base = DistanceEngine(
+                self._graph.undirected_csr(), **self._engine_kwargs
+            )
         return self._base
-
-    def base_if_fresh(self) -> DistanceEngine | None:
-        """The ``U(G)`` engine only if it is already synced, else ``None``.
-
-        Point reads (one lemma check, one eccentricity) are cheaper as a
-        single BFS than as a full matrix rebuild, so callers that only
-        need a row use the maintained matrix when it happens to be
-        current and fall back to the direct computation otherwise,
-        instead of forcing a sync.
-        """
-        if (
-            self._base is not None
-            and self._seen_revision == self._graph.revision
-            and self._base_generation == self._generation
-        ):
-            return self._base
-        return None
 
     def query(self, u: int, v: int) -> int:
         """Single ``dist(u, v)`` in ``U(G)`` (``Cinf`` across components).
 
-        Tier-1 read: a fresh (or lazy, hence cheap to sync) base engine
+        Tier-1 read: a built (or lazy, hence free to build) base engine
         answers from whatever it has materialised; a cold full-mode
         cache answers with one bounded bidirectional search on the
         substrate — never a full all-pairs build.
         """
-        csr = self._sync()
-        if self._lazy_rows or (
-            self._base is not None and self._base_generation == self._generation
-        ):
+        if self._lazy_rows or self._base is not None:
             return self.base().query(u, v)
         from ..graphs.query import point_to_point
 
+        csr = self._graph.undirected_csr()
         return point_to_point(csr, u, v, inf=cinf(csr.n))
 
     @property
@@ -189,7 +132,7 @@ class DistanceCache:
         The cache's engines are single-threaded state machines; an
         asyncio server hands them between the event loop and its
         per-instance compute thread. :meth:`batch_query` takes this
-        lock itself; callers composing multi-call sequences (sync +
+        lock itself; callers composing multi-call sequences (engine +
         environment + evaluate) hold it around the whole sequence —
         reentrancy makes nesting with :meth:`batch_query` safe.
         """
@@ -227,10 +170,7 @@ class DistanceCache:
                 return np.asarray(
                     [self.query(int(p[0, 0]), int(p[0, 1]))], dtype=np.int64
                 )
-            csr = self._sync()
-            if self._lazy_rows or (
-                self._base is not None and self._base_generation == self._generation
-            ):
+            if self._lazy_rows or self._base is not None:
                 engine = self.base()
                 engine.ensure_rows(np.unique(p[:, 0]))
                 return np.asarray(
@@ -238,13 +178,13 @@ class DistanceCache:
                 )
             from ..graphs.query import batched_pair_distances
 
+            csr = self._graph.undirected_csr()
             return batched_pair_distances(csr, p, inf=cinf(csr.n))
 
     def player(self, u: int) -> DistanceEngine:
-        """Engine over ``U(G - u)``, synced to the current revision."""
+        """Engine over ``U(G - u)``, built on first access (LRU-cached)."""
         if not 0 <= u < self._graph.n:
             raise VertexError(u, self._graph.n)
-        self._sync()
         engine = self._players.get(u)
         if engine is None:
             engine = DistanceEngine(
@@ -253,45 +193,32 @@ class DistanceCache:
             self._players[u] = engine
             if len(self._players) > self._max_players:
                 evicted, _ = self._players.popitem(last=False)
-                self._player_generations.pop(evicted, None)
                 for version in Version:
                     self._envs.pop((evicted, version), None)
                 self.evictions += 1
-        elif self._player_generations.get(u) != self._generation:
-            engine.update(self._graph.undirected_csr_without(u))
         self._players.move_to_end(u)
-        self._player_generations[u] = self._generation
         return engine
 
     def environment(self, u: int, version: Version | str) -> BestResponseEnvironment:
         """Engine-backed evaluation substrate for player ``u``.
 
-        The environment snapshots the engine's epoch; if the graph moves
-        on afterwards, its evaluation calls raise
-        :class:`~repro.errors.StaleDistanceError` instead of silently
-        using outdated distances.
-
-        Environments are themselves cached per ``(player, version)``:
-        while the graph revision is unchanged, the previous round's
-        in-neighbour sets and component labels are still exact, so the
-        whole object is reused without touching the graph.
+        Environments are cached per ``(player, version)`` next to the
+        player engine: the graph is frozen, so a built environment's
+        in-neighbour set and component labels stay exact.
         """
         version = Version.coerce(version)
         key = (int(u), version)
-        cached = self._envs.get(key)
-        if cached is not None and cached[1] == self._graph.revision:
+        env = self._envs.get(key)
+        if env is not None:
             self.env_hits += 1
-            return cached[0]
+            return env
         env = BestResponseEnvironment(self._graph, u, version, engine=self.player(u))
-        self._envs[key] = (env, self._graph.revision)
+        self._envs[key] = env
         return env
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
-        """Engine counters summed over the pool, plus the cache's own.
-
-        Cumulative since construction, including across :meth:`rebind`.
-        """
+        """Engine counters summed over the pool, plus the cache's own."""
         engines = list(self._players.values())
         if self._base is not None:
             engines.append(self._base)

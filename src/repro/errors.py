@@ -33,12 +33,12 @@ class GraphError(ReproError):
 
 
 class StaleDistanceError(GraphError):
-    """Raised when a distance view is read after its engine moved on.
+    """Raised when an evaluation environment is used after its graph mutated.
 
-    A :class:`~repro.graphs.engine.DistanceEngine` bumps its epoch on
-    every rebuild; consumers that captured an earlier epoch
-    get this error instead of silently reading distances of a substrate
-    that no longer exists.
+    Best-response and weighted swap environments snapshot the graph's
+    revision when they are built; evaluating after any later mutation
+    raises this instead of pricing strategies on distances of a
+    substrate that no longer exists.
     """
 
 

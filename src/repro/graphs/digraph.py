@@ -10,12 +10,13 @@ edge.
 
 :class:`OwnedDigraph` stores the out-set of every vertex and lazily
 materialises (and caches) the undirected CSR adjacency used by the BFS
-kernels. Mutations invalidate the cache.
+kernels. Mutations invalidate the cache. :meth:`OwnedDigraph.freeze`
+makes a graph read-only, which is what lets a distance cache hold
+engines over it that never need a resync.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,13 +48,8 @@ class OwnedDigraph:
         "_csr_cache",
         "_csr_without_cache",
         "_revision",
-        "_instance_id",
+        "_frozen",
     )
-
-    #: Process-wide monotonic source of :attr:`instance_id` values. Ids
-    #: are never reused (unlike ``id()``, which the allocator recycles),
-    #: so an id observed once always denotes the same graph object.
-    _INSTANCE_COUNTER = itertools.count()
 
     def __init__(self, n: int) -> None:
         if n <= 0:
@@ -63,7 +59,7 @@ class OwnedDigraph:
         self._csr_cache: CSRAdjacency | None = None
         self._csr_without_cache: dict[int, CSRAdjacency] = {}
         self._revision = 0
-        self._instance_id = next(OwnedDigraph._INSTANCE_COUNTER)
+        self._frozen = False
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -92,7 +88,8 @@ class OwnedDigraph:
         return g
 
     def copy(self) -> "OwnedDigraph":
-        """Deep copy (cache is not carried over)."""
+        """Deep, mutable copy (neither the CSR cache nor a freeze is
+        carried over)."""
         g = OwnedDigraph(self._n)
         g._out = [set(s) for s in self._out]
         return g
@@ -109,23 +106,15 @@ class OwnedDigraph:
     def revision(self) -> int:
         """Mutation counter, bumped on every arc/strategy change.
 
-        Distance caches key their coherence checks on this: equal
-        revisions guarantee the graph is unchanged since the cache last
-        synced, so the (cheap but not free) CSR diff can be skipped.
+        Best-response and weighted swap environments snapshot it when
+        they are built and refuse to evaluate once it has moved on.
         """
         return self._revision
 
-    @property
-    def instance_id(self) -> int:
-        """Process-unique identity of this graph object, never reused.
-
-        ``(instance_id, revision)`` identifies one graph *state*:
-        distance pools and per-process caches key on it so two distinct
-        same-size instances can never alias each other's engines, while
-        a graph mutated and rolled back still reads as the same state.
-        A :meth:`copy` is a new instance and gets a fresh id.
-        """
-        return self._instance_id
+    def freeze(self) -> None:
+        """Make the graph read-only: every later mutation raises
+        :class:`~repro.errors.GraphError`. A :meth:`copy` is mutable."""
+        self._frozen = True
 
     @property
     def num_arcs(self) -> int:
@@ -225,6 +214,13 @@ class OwnedDigraph:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise GraphError(
+                "graph is frozen (a distance cache holds engines over it); "
+                "mutate a copy() instead"
+            )
+
     def _invalidate(self) -> None:
         self._csr_cache = None
         self._csr_without_cache.clear()
@@ -232,6 +228,7 @@ class OwnedDigraph:
 
     def add_arc(self, u: int, v: int) -> None:
         """Add the owned arc ``u -> v``."""
+        self._check_mutable()
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
@@ -243,6 +240,7 @@ class OwnedDigraph:
 
     def remove_arc(self, u: int, v: int) -> None:
         """Remove the owned arc ``u -> v``."""
+        self._check_mutable()
         self._check_vertex(u)
         self._check_vertex(v)
         if v not in self._out[u]:
@@ -252,6 +250,7 @@ class OwnedDigraph:
 
     def set_strategy(self, u: int, targets: Iterable[int]) -> None:
         """Replace the whole out-set of player ``u``."""
+        self._check_mutable()
         self._check_vertex(u)
         new = set()
         for v in targets:

@@ -4,21 +4,9 @@ A :class:`DistanceEngine` owns one CSR substrate and the ``(n, n)`` BFS
 distance matrix over it, computed by one batched flat-frontier BFS
 (:func:`repro.graphs.bfs._bfs_flat_frontier`).
 
-Sync rule
----------
-``update(new_csr)`` returns the path it took as a status string:
-
-* ``"noop"`` — the edge sets are identical; distances and the epoch are
-  untouched (a strategy change that was rolled back, or a swap between a
-  brace and its surviving single edge);
-* ``"rebuild"`` — anything else. A full-mode engine recomputes every
-  row in one batched BFS into its preallocated matrix; a lazy engine
-  drops its hot rows, which re-materialise on demand against the new
-  substrate.
-
-At the sizes this library runs (n in the low hundreds for dynamics),
-a batched rebuild costs about as much as repairing a single deleted
-edge, so the engine keeps no incremental repair.
+An engine is built once over one substrate and never changes it: a
+distance cache only serves frozen graphs, and every other consumer
+builds a fresh engine for the graph it holds.
 
 Three-tier read path
 --------------------
@@ -26,13 +14,12 @@ Reads escalate through three tiers, each materialising more state:
 
 1. **Bidirectional query** — :meth:`query` answers a single ``(u, v)``
    distance. On a lazy engine with both rows cold it runs one bounded
-   forward-backward search (:mod:`repro.graphs.query`) on the current
+   forward-backward search (:mod:`repro.graphs.query`) on the
    substrate and materialises nothing.
 2. **Lazy rows** — constructing with ``rows="lazy"`` starts the matrix
    unmaterialised; :meth:`row` / :meth:`distance` (and the explicit
    :meth:`ensure_rows`) compute single rows on first touch and mark
-   them *hot*. A substrate change drops the hot set, so a mutation
-   costs nothing until the consumer reads again.
+   them *hot*.
 3. **Full matrix** — :attr:`matrix` (or enough hot rows) promotes the
    engine to the fully-materialised mode. The promotion threshold is
    half the rows (:data:`_PROMOTE_FRACTION`): past it, computing the
@@ -42,12 +29,6 @@ Reads escalate through three tiers, each materialising more state:
 All three tiers produce bit-identical answers (including the ``inf``
 sentinel for unreachable pairs); they only trade how much state is
 built.
-
-Every path that may change distances bumps the ``epoch`` counter;
-consumers snapshot the epoch at read time and revalidate with
-:meth:`ensure_epoch`, so a stale view raises
-:class:`~repro.errors.StaleDistanceError` instead of silently serving
-distances of a substrate that no longer exists.
 
 Unreachable pairs are stored as the finite sentinel ``inf`` (the paper's
 ``Cinf = n^2`` by default); :meth:`distances` converts back to the BFS
@@ -63,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import GraphError, StaleDistanceError, VertexError
+from ..errors import GraphError, VertexError
 from .bfs import UNREACHABLE, _bfs_flat_frontier
 from .csr import CSRAdjacency, csr_without_vertex
 from .distances import cinf
@@ -77,10 +58,8 @@ _PROMOTE_FRACTION: float = 0.5
 #: Counters every engine keeps in ``stats``.
 STAT_KEYS: "tuple[str, ...]" = (
     "rebuilds",
-    "noops",
     "rows_recomputed",
     "lazy_rows",
-    "lazy_invalidations",
     "promotions",
     "point_queries",
 )
@@ -92,7 +71,7 @@ class DistanceEngine:
     Parameters
     ----------
     csr:
-        The initial substrate (an undirected CSR adjacency).
+        The substrate (an undirected CSR adjacency).
     inf:
         Finite sentinel stored for unreachable pairs. Defaults to the
         paper's ``Cinf = n^2``, which the best-response environment
@@ -100,9 +79,9 @@ class DistanceEngine:
     rows:
         ``"full"`` (default) materialises the all-pairs matrix up
         front. ``"lazy"`` starts unmaterialised: rows are computed and
-        marked hot on first touch, a substrate change drops them, and
-        the engine promotes itself to full mode once the hot count
-        reaches :meth:`promotion_threshold` — see *Three-tier read
+        marked hot on first touch, and the engine promotes itself to
+        full mode once the hot count reaches
+        :meth:`promotion_threshold` — see *Three-tier read
         path* in the module docstring.
     """
 
@@ -112,7 +91,6 @@ class DistanceEngine:
         "_inf",
         "_dtype",
         "_D",
-        "_epoch",
         "_lazy",
         "_hot",
         "stats",
@@ -139,7 +117,6 @@ class DistanceEngine:
         self._dtype = np.int32 if 2 * self._inf < 2**31 else np.int64
         self._csr = csr
         self._D = np.empty((self._n, self._n), dtype=self._dtype)
-        self._epoch = 0
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         if rows not in ("full", "lazy"):
             raise GraphError(f'rows must be "full" or "lazy", got {rows!r}')
@@ -173,18 +150,13 @@ class DistanceEngine:
 
     @property
     def csr(self) -> CSRAdjacency:
-        """The substrate the current matrix describes."""
+        """The substrate the matrix describes."""
         return self._csr
 
     @property
     def inf(self) -> int:
         """Finite sentinel stored for unreachable pairs."""
         return self._inf
-
-    @property
-    def epoch(self) -> int:
-        """Counter bumped whenever the distance content may have changed."""
-        return self._epoch
 
     @property
     def lazy(self) -> bool:
@@ -203,17 +175,12 @@ class DistanceEngine:
         return max(1.0, _PROMOTE_FRACTION * self._n)
 
     def promote(self) -> None:
-        """Materialise the remaining cold rows and leave lazy mode.
-
-        Distance content does not change for any row a reader could
-        have observed (hot rows are kept, cold rows were never handed
-        out), so the epoch does not advance.
-        """
+        """Materialise the remaining cold rows and leave lazy mode."""
         if not self._lazy:
             return
         cold = np.flatnonzero(~self._hot)
         if cold.size:
-            self._bfs_rows(self._csr, cold, self._D, cold)
+            self._bfs_rows(cold, self._D, cold)
         self._lazy = False
         self._hot = None
         self.stats["promotions"] += 1
@@ -232,7 +199,7 @@ class DistanceEngine:
             raise VertexError(bad, self._n)
         cold = src[~self._hot[src]]
         if cold.size:
-            self._bfs_rows(self._csr, cold, self._D, cold)
+            self._bfs_rows(cold, self._D, cold)
             self._hot[cold] = True
             self.stats["lazy_rows"] += int(cold.size)
         if int(self._hot.sum()) >= self.promotion_threshold():
@@ -265,10 +232,9 @@ class DistanceEngine:
     def matrix(self) -> np.ndarray:
         """Read-only ``(n, n)`` distance view (``inf`` for unreachable).
 
-        The view aliases the engine's buffer: it is only valid for the
-        epoch at which it was taken. Guard reuse with
-        :meth:`ensure_epoch`. A lazy engine promotes to full mode first
-        (prefer :meth:`query` / :meth:`row` to stay lazy).
+        The view aliases the engine's buffer. A lazy engine promotes to
+        full mode first (prefer :meth:`query` / :meth:`row` to stay
+        lazy).
         """
         if self._lazy:
             self.promote()
@@ -308,20 +274,11 @@ class DistanceEngine:
             out[out >= self._inf] = sentinel
         return out
 
-    def ensure_epoch(self, epoch: int) -> None:
-        """Raise :class:`StaleDistanceError` unless ``epoch`` is current."""
-        if epoch != self._epoch:
-            raise StaleDistanceError(
-                f"distance view from epoch {epoch} is stale; engine is at "
-                f"epoch {self._epoch}"
-            )
-
     # ------------------------------------------------------------------
     # Batched BFS kernel
     # ------------------------------------------------------------------
     def _bfs_rows(
         self,
-        csr: CSRAdjacency,
         sources: np.ndarray,
         out: np.ndarray,
         out_rows: np.ndarray,
@@ -345,8 +302,8 @@ class DistanceEngine:
         out[out_rows] = inf
         flat = out.reshape(-1)
         _bfs_flat_frontier(
-            csr.indptr,
-            csr.indices,
+            self._csr.indptr,
+            self._csr.indices,
             n,
             inf,
             flat,
@@ -358,7 +315,7 @@ class DistanceEngine:
     def distances_from(
         self, sources: Sequence[int] | np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Batched multi-source BFS on the current substrate.
+        """Batched multi-source BFS on the substrate.
 
         Row ``i`` of the result holds distances from ``sources[i]``
         under the engine's ``inf`` convention. Pass a preallocated
@@ -376,64 +333,21 @@ class DistanceEngine:
                 f"out buffer must be {np.dtype(self._dtype).name} of shape "
                 f"{(src.size, self._n)}"
             )
-        self._bfs_rows(self._csr, src, out, np.arange(src.size, dtype=np.int64))
+        self._bfs_rows(src, out, np.arange(src.size, dtype=np.int64))
         return out
 
-    # ------------------------------------------------------------------
-    # Mutation API
-    # ------------------------------------------------------------------
-    def rebuild(self, new_csr: CSRAdjacency | None = None) -> None:
-        """Full batched all-pairs BFS (optionally onto a new substrate).
+    def rebuild(self) -> None:
+        """Full batched all-pairs BFS into the preallocated matrix.
 
         A lazy engine exits row-on-demand mode here — after a rebuild
         every row is exact, so staying lazy would only re-pay the
         bookkeeping.
         """
-        if new_csr is not None:
-            if new_csr.n != self._n:
-                raise GraphError(
-                    f"substrate size changed ({new_csr.n} != {self._n}); "
-                    f"build a fresh engine instead"
-                )
-            self._csr = new_csr
         self._lazy = False
         self._hot = None
         all_rows = np.arange(self._n, dtype=np.int64)
-        self._bfs_rows(self._csr, all_rows, self._D, all_rows)
-        self._epoch += 1
+        self._bfs_rows(all_rows, self._D, all_rows)
         self.stats["rebuilds"] += 1
-
-    def update(self, new_csr: CSRAdjacency) -> str:
-        """Sync the matrix to ``new_csr``; returns ``"noop"`` or ``"rebuild"``.
-
-        See *Sync rule* in the module docstring. The epoch is bumped
-        unless the edge sets are identical.
-        """
-        if new_csr is self._csr:
-            self.stats["noops"] += 1
-            return "noop"
-        if new_csr.n != self._n:
-            raise GraphError(
-                f"substrate size changed ({new_csr.n} != {self._n}); "
-                f"build a fresh engine instead"
-            )
-        # Rows are sorted and de-duplicated, so equal arrays are equal
-        # edge sets.
-        if np.array_equal(new_csr.indptr, self._csr.indptr) and np.array_equal(
-            new_csr.indices, self._csr.indices
-        ):
-            self._csr = new_csr
-            self.stats["noops"] += 1
-            return "noop"
-        if not self._lazy:
-            self.rebuild(new_csr)
-            return "rebuild"
-        if self._hot.any():
-            self._hot[:] = False
-            self.stats["lazy_invalidations"] += 1
-        self._csr = new_csr
-        self._epoch += 1
-        return "rebuild"
 
 
 class LazyRowGather:

@@ -1,6 +1,6 @@
 """Forward-backward bidirectional point-to-point distance queries.
 
-The engine in :mod:`repro.graphs.engine` answers reads from a maintained
+The engine in :mod:`repro.graphs.engine` answers reads from a materialised
 all-pairs matrix — the right shape for batch best-response sweeps, but
 a single ``(u, v)`` verdict (a swap check, a Lemma 2.2 screen, one PoA
 probe) does not need ``n`` rows of state. This module is the query tier

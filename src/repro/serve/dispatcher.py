@@ -175,8 +175,7 @@ class MicroBatchDispatcher:
             self.stats["batched_requests"] += size
         results: "list[tuple[bool, dict] | None]" = [None] * size
         with inst.cache.lock:
-            self._sweep_distances(lane, batch, results, weighted=False)
-            self._sweep_distances(lane, batch, results, weighted=True)
+            self._sweep_distances(lane, batch, results)
             for i, pending in enumerate(batch):
                 if results[i] is None:
                     results[i] = self._execute_one(lane, inst, pending.request)
@@ -200,16 +199,18 @@ class MicroBatchDispatcher:
         lane: _Lane,
         batch: "list[_Pending]",
         results: "list[tuple[bool, dict] | None]",
-        *,
-        weighted: bool,
     ) -> None:
-        """Answer >=2 same-flavor distance requests with one batched sweep."""
+        """Answer >=2 distance requests with one batched sweep.
+
+        Weighted and unweighted requests share the sweep: vertex weights
+        never enter distances.
+        """
         inst = lane.instance
         n = inst.graph.n
         sweep: "list[tuple[int, int, int]]" = []
         for i, pending in enumerate(batch):
             req = pending.request
-            if req.op != "distance" or bool(req.params.get("weighted")) != weighted:
+            if req.op != "distance":
                 continue
             try:
                 u = _int_param(req.params, "u")
@@ -224,8 +225,7 @@ class MicroBatchDispatcher:
             sweep.append((i, u, v))
         if len(sweep) < 2:
             return
-        cache = inst.weighted()[1] if weighted else inst.cache
-        values = cache.batch_query([(u, v) for _, u, v in sweep])
+        values = inst.cache.batch_query([(u, v) for _, u, v in sweep])
         lane.stats["sweeps"] += 1
         self.stats["sweeps"] += 1
         for (i, _, _), value in zip(sweep, values):
@@ -260,8 +260,7 @@ class MicroBatchDispatcher:
                 raise ProtocolError(
                     "bad-request", f"vertex out of range for n={graph.n}: ({u}, {v})"
                 )
-            cache = inst.weighted()[1] if params.get("weighted") else inst.cache
-            return {"distance": int(cache.query(u, v))}
+            return {"distance": int(inst.cache.query(u, v))}
         if req.op == "social_cost":
             return {"social_cost": int(social_cost(graph, engine=inst.cache.base()))}
         if req.op == "deviation":
@@ -296,13 +295,15 @@ class MicroBatchDispatcher:
                 "exact": bool(result.exact),
             }
         if req.op == "weighted_swap":
-            from ..analysis.weighted import weighted_swap_check
+            from ..analysis.weighted import WeightedSwapEnvironment
 
             u = _int_param(params, "u")
             drop = _int_param(params, "drop")
             add = _int_param(params, "add")
-            wr, wcache = inst.weighted()
-            return {"improves": bool(weighted_swap_check(wr, u, drop, add, cache=wcache))}
+            env = WeightedSwapEnvironment(
+                inst.weighted(), u, engine=inst.cache.player(u)
+            )
+            return {"improves": bool(env.check_swap(drop, add))}
         if req.op == "poa":
             from ..analysis.poa import optimal_diameter_bounds, poa_interval
 

@@ -1,21 +1,29 @@
 """Shared-instance registry.
 
-Each served instance owns one realization graph plus the caches every
-query rides on: a :class:`~repro.core.DistanceCache` over the graph
-(built eagerly) and a unit-weight realization with its own
-:class:`~repro.core.DistanceCache` (built on first weighted query).
-Both caches cold-start in lazy-rows mode and settle rows on demand; a
-query that needs the whole matrix (social cost, PoA) promotes the
-graph cache's base engine to full mode.
+Each served instance owns one realization graph and one
+:class:`~repro.core.DistanceCache` over it, which freezes the graph:
+served instances never change, so every engine the cache builds stays
+exact for the server's life. The cache cold-starts in lazy-rows mode
+and settles rows on demand; a query that needs the whole matrix
+(social cost, PoA) promotes its base engine to full mode. Weighted
+queries run on a unit-weight realization that shares the same frozen
+graph and the same engines, because vertex weights never enter
+distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..core.distance_cache import DistanceCache
 from ..errors import ExperimentError
 from ..graphs.digraph import OwnedDigraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.weighted import WeightedRealization
 
 __all__ = ["InstanceRegistry", "ServedInstance"]
 
@@ -27,20 +35,17 @@ class ServedInstance:
     name: str
     graph: OwnedDigraph
     cache: DistanceCache
-    _weighted: "tuple | None" = field(default=None, repr=False)
+    _weighted: "WeightedRealization | None" = field(default=None, repr=False)
 
     def weighted(self):
-        """The unit-weight realization and its cache, built on first use.
-
-        ``WeightedRealization.unit`` copies the graph, so the weighted
-        cache is keyed to the realization's own copy — weighted answers
-        are still bit-identical to unit ones on unit weights.
-        """
+        """The unit-weight realization over the frozen graph, built on
+        first use."""
         if self._weighted is None:
             from ..analysis.weighted import WeightedRealization
 
-            wr = WeightedRealization.unit(self.graph)
-            self._weighted = (wr, DistanceCache(wr.graph, rows="lazy"))
+            self._weighted = WeightedRealization(
+                graph=self.graph, weights=np.ones(self.graph.n, dtype=np.int64)
+            )
         return self._weighted
 
     def info(self) -> dict:

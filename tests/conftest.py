@@ -180,8 +180,9 @@ def brute_exact_prices(game, version, *, max_profiles: int = 500_000):
 
 def brute_weighted_census(game, weights, *, max_profiles: int = 500_000):
     """``(WeightedCensusReport, sorted equilibrium profile keys)`` of a
-    tiny game: per profile a fresh graph, a fresh distance matrix and the
-    loop path of ``is_weighted_weak_equilibrium`` (no distance cache)."""
+    tiny game: per profile a fresh graph, a fresh distance matrix and
+    ``is_weighted_weak_equilibrium`` (itself checked against the brute
+    swap oracle below)."""
     from repro.analysis.weighted import (
         WeightedRealization,
         is_weighted_weak_equilibrium,
@@ -210,3 +211,82 @@ def brute_weighted_census(game, weights, *, max_profiles: int = 500_000):
         worst_equilibrium_social_cost=max((c for _, c, _ in eq), default=None),
     )
     return report, tuple(sorted(key for _, _, key in eq))
+
+
+# ----------------------------------------------------------------------
+# Section 6 oracles: no engine, no environment, no in-place folding
+# ----------------------------------------------------------------------
+def _weighted_cost_by_bfs(graph: OwnedDigraph, u: int, weights) -> int:
+    """``sum_v w(v) dist(u, v)`` from one fresh BFS, ``n^2`` across
+    components."""
+    from repro.graphs.bfs import UNREACHABLE, bfs_distances
+
+    d = bfs_distances(graph.undirected_csr(), u).astype(np.int64)
+    d[d == UNREACHABLE] = graph.n * graph.n
+    return int(d @ np.asarray(weights, dtype=np.int64))
+
+
+def brute_weighted_sum_cost(wr, u: int) -> int:
+    """Weighted SUM cost of ``u`` read off the scipy distance oracle."""
+    from repro.graphs import UNREACHABLE
+
+    d = scipy_distance_oracle(wr.graph)[u]
+    d[d == UNREACHABLE] = wr.graph.n * wr.graph.n
+    return int(d @ np.asarray(wr.weights, dtype=np.int64))
+
+
+def brute_weighted_swap_improves(wr, u: int) -> bool:
+    """Apply every legal ``(drop, add)`` swap of ``u`` to a copy of the
+    graph and price it with a fresh BFS. Legal targets are every vertex
+    but ``u``, its current targets and weight-0 (folded) ghosts."""
+    g = wr.graph
+    cur = [int(v) for v in g.out_neighbors(u)]
+    base = _weighted_cost_by_bfs(g, u, wr.weights)
+    for drop in cur:
+        for add in range(g.n):
+            if add == u or add in cur or wr.weights[add] == 0:
+                continue
+            h = g.copy()
+            h.remove_arc(u, drop)
+            h.add_arc(u, add)
+            if _weighted_cost_by_bfs(h, u, wr.weights) < base:
+                return True
+    return False
+
+
+def brute_weighted_weak_equilibrium(wr) -> bool:
+    """No active vertex has an improving swap, by the brute oracle."""
+    return not any(brute_weighted_swap_improves(wr, u) for u in wr.active.tolist())
+
+
+def brute_lemma_6_4(wr):
+    """Lemma 6.4 report with pairwise rich-leaf distances read off the
+    scipy distance oracle (``n^2`` across components)."""
+    from repro.analysis.weighted import Lemma64Report, rich_leaves
+    from repro.graphs import UNREACHABLE
+
+    rich = rich_leaves(wr)
+    d = scipy_distance_oracle(wr.graph)
+    d[d == UNREACHABLE] = wr.graph.n * wr.graph.n
+    worst = max(
+        (int(d[a, b]) for i, a in enumerate(rich) for b in rich[i + 1 :]),
+        default=0,
+    )
+    return Lemma64Report(rich=tuple(rich), max_pairwise_distance=worst)
+
+
+def rescan_fold_all(wr, *, max_rounds=None):
+    """Fold-all oracle: a fresh copy per fold and a full poor-leaf
+    rescan per round, always folding the smallest poor leaf."""
+    from repro.analysis.weighted import fold_poor_leaf, poor_leaves
+
+    current = wr
+    rounds = 0
+    while True:
+        leaves = poor_leaves(current)
+        if not leaves:
+            return current
+        current = fold_poor_leaf(current, leaves[0])
+        rounds += 1
+        if max_rounds is not None and rounds >= max_rounds:
+            return current

@@ -139,10 +139,14 @@ def test_lemma_6_4_violated_on_non_equilibrium():
 # weighted_swap_check: the Section 6 point verdict (PR-6)
 # ----------------------------------------------------------------------
 def test_weighted_swap_check_grid_matches_swap_improves():
-    from conftest import random_owned_digraph
+    """Every legal (drop, add) verdict agrees across the cold lazy entry
+    point and environments on shared full and lazy cache engines, and
+    their disjunction is the brute oracle's swap verdict."""
+    from conftest import brute_weighted_swap_improves, random_owned_digraph
 
     from repro.analysis.weighted import (
         WeightedRealization,
+        WeightedSwapEnvironment,
         _weighted_swap_improves,
         weighted_swap_check,
     )
@@ -154,22 +158,22 @@ def test_weighted_swap_check_grid_matches_swap_improves():
         g = random_owned_digraph(rng, n, p=0.35)
         weights = rng.integers(1, 6, n)
         wr = WeightedRealization(graph=g, weights=weights)
-        caches = [None, DistanceCache(g), DistanceCache(g, rows="lazy")]
+        caches = [DistanceCache(g), DistanceCache(g, rows="lazy")]
         for u in range(n):
             cur = tuple(int(v) for v in g.out_neighbors(u))
             if not cur:
                 continue
+            envs = [WeightedSwapEnvironment(wr, u, engine=c.player(u)) for c in caches]
             pool = [v for v in range(n) if v != u and v not in cur]
             found = False
             for drop in cur:
                 for add in pool:
-                    verdicts = {
-                        weighted_swap_check(wr, u, drop, add, cache=c)
-                        for c in caches
-                    }
+                    verdicts = {weighted_swap_check(wr, u, drop, add)}
+                    verdicts |= {env.check_swap(drop, add) for env in envs}
                     assert len(verdicts) == 1, (u, drop, add)
                     found = found or verdicts.pop()
             assert found == _weighted_swap_improves(wr, u)
+            assert found == brute_weighted_swap_improves(wr, u)
 
 
 def test_weighted_swap_check_validates_move_set():
@@ -205,12 +209,12 @@ def test_weighted_swap_check_cold_path_touches_few_rows():
     assert engine.hot_rows().size <= 4  # cur(1) + In(u)(1) + add(1) + slack
 
 
-def test_check_lemma_6_4_lazy_cache_matches_reference():
+def test_check_lemma_6_4_star_matches_oracle():
+    from conftest import brute_lemma_6_4
+
     from repro.analysis.weighted import WeightedRealization, check_lemma_6_4
-    from repro.core.distance_cache import DistanceCache
 
     wr = WeightedRealization.unit(star_realization(6))
-    ref = check_lemma_6_4(wr)
-    for cache in (DistanceCache(wr.graph), DistanceCache(wr.graph, rows="lazy")):
-        got = check_lemma_6_4(wr, cache=cache)
-        assert got == ref
+    report = check_lemma_6_4(wr)
+    assert report == brute_lemma_6_4(wr)
+    assert report.holds

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BoundedBudgetGame,
-    DistanceCache,
     Version,
     census_scan,
     enumerate_equilibria,
@@ -279,7 +278,7 @@ def test_contiguous_shards_edge_cases():
 
 
 # ----------------------------------------------------------------------
-# Cache-synced distances along the walk (hypothesis)
+# Engine distances along the walk (hypothesis)
 # ----------------------------------------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(
@@ -293,12 +292,9 @@ def test_gray_walk_engine_distances_match_fresh_bfs(budgets, start_frac, data):
     total = profile_space_size(game)
     start = int(start_frac * total)
     stop = min(total, start + data.draw(st.integers(min_value=1, max_value=40)))
-    cache = None
     steps = 0
     for rank, graph, swap in _gray_profile_walk(game, start=start, stop=stop):
-        if cache is None:
-            cache = DistanceCache(graph)
-        engine = cache.base()
+        engine = DistanceEngine.from_graph(graph)
         assert np.array_equal(np.asarray(engine.matrix), distance_matrix(graph))
         steps += 1
     assert steps == stop - start

@@ -1,11 +1,11 @@
 """Conformance suite for :class:`~repro.graphs.engine.DistanceEngine`.
 
 The engine's contract, each case checked against an independent
-oracle or a fresh build: scipy/networkx-exact matrices, batched BFS
-rows across source-chunk boundaries, updates indistinguishable from
-recomputation, a noop on rolled-back substrates, an epoch/staleness
-guard, read-only views and the lazy row-on-demand read tiers. ``test_graphs_engine.py`` keeps the
-``from_graph`` construction surface.
+oracle or a fresh build: scipy/networkx-exact matrices (disconnected
+pairs included), batched BFS rows across source-chunk boundaries,
+read-only views and the lazy row-on-demand read tiers.
+``test_graphs_engine.py`` keeps the ``from_graph`` construction
+surface.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import GraphError, StaleDistanceError, VertexError
+from repro.errors import GraphError, VertexError
 from repro.graphs import (
     UNREACHABLE,
     DistanceEngine,
@@ -29,7 +29,6 @@ from repro.graphs.bfs import _BFS_CHUNK
 from conftest import (
     networkx_distance_oracle,
     random_owned_digraph,
-    random_strategy_swap,
     scipy_distance_oracle,
 )
 
@@ -120,100 +119,6 @@ def test_isolated_substrate_matches_bfs_reference(rng):
         assert engine.csr.degree(u) == 0
 
 
-# ----------------------------------------------------------------------
-# update == recompute
-# ----------------------------------------------------------------------
-def test_update_tracks_random_swaps(rng):
-    for _ in range(5):
-        n = int(rng.integers(3, 16))
-        g = random_owned_digraph(rng, n, p=0.25)
-        engine = DistanceEngine(g.undirected_csr())
-        for _ in range(8):
-            random_strategy_swap(rng, g)
-            status = engine.update(g.undirected_csr())
-            assert status in ("noop", "rebuild")
-            assert np.array_equal(engine.distances(), scipy_distance_oracle(g))
-
-
-def test_update_handles_disconnection_and_reconnection():
-    g = OwnedDigraph(6)
-    for i in range(5):
-        g.add_arc(i, i + 1)
-    engine = DistanceEngine(g.undirected_csr())
-    # Cut the path in the middle: everything across the cut unreachable.
-    g.remove_arc(2, 3)
-    engine.update(g.undirected_csr())
-    assert np.array_equal(engine.distances(), scipy_distance_oracle(g))
-    assert engine.distance(0, 5) == UNREACHABLE
-    # Reconnect differently.
-    g.add_arc(0, 5)
-    engine.update(g.undirected_csr())
-    assert np.array_equal(engine.distances(), scipy_distance_oracle(g))
-    assert engine.distance(2, 3) == 5  # rerouted 2-1-0-5-4-3
-
-
-# ----------------------------------------------------------------------
-# Rollback / noop semantics
-# ----------------------------------------------------------------------
-def test_update_noop_on_identical_edge_set():
-    g = OwnedDigraph(4)
-    g.add_arc(0, 1)
-    g.add_arc(1, 2)
-    engine = DistanceEngine(g.undirected_csr())
-    epoch = engine.epoch
-    # A brace collapses onto the existing undirected edge: no edge-set
-    # change, so distances and the epoch stay put.
-    g.add_arc(1, 0)
-    assert engine.update(g.undirected_csr()) == "noop"
-    assert engine.epoch == epoch
-    g.remove_arc(1, 0)
-    assert engine.update(g.undirected_csr()) == "noop"
-    assert engine.epoch == epoch
-
-
-def test_rollback_after_synced_change_restores_distances(rng):
-    g = random_owned_digraph(rng, 9, p=0.3)
-    engine = DistanceEngine(g.undirected_csr())
-    before = engine.distances()
-    u = int(rng.integers(9))
-    old = [int(v) for v in g.out_neighbors(u)]
-    others = [v for v in range(9) if v != u]
-    g.set_strategy(u, [int(v) for v in rng.choice(others, size=3, replace=False)])
-    engine.update(g.undirected_csr())  # sync the change
-    g.set_strategy(u, old)  # and roll it back
-    status = engine.update(g.undirected_csr())
-    assert status in ("noop", "delta", "rebuild")
-    assert np.array_equal(engine.distances(), before)
-
-
-def test_update_rejects_size_change():
-    g = OwnedDigraph(4)
-    g.add_arc(0, 1)
-    engine = DistanceEngine(g.undirected_csr())
-    other = OwnedDigraph(5)
-    other.add_arc(0, 1)
-    with pytest.raises(GraphError):
-        engine.update(other.undirected_csr())
-
-
-# ----------------------------------------------------------------------
-# Epoch / staleness contract
-# ----------------------------------------------------------------------
-def test_epoch_bumps_and_ensure_epoch_raises(rng):
-    g = random_owned_digraph(rng, 8, p=0.3)
-    engine = DistanceEngine(g.undirected_csr())
-    seen = engine.epoch
-    engine.ensure_epoch(seen)
-    random_strategy_swap(rng, g)
-    status = engine.update(g.undirected_csr())
-    if status == "noop":
-        engine.ensure_epoch(seen)
-    else:
-        assert engine.epoch != seen
-        with pytest.raises(StaleDistanceError):
-            engine.ensure_epoch(seen)
-
-
 def test_matrix_view_is_read_only():
     g = OwnedDigraph(3)
     g.add_arc(0, 1)
@@ -282,12 +187,18 @@ def test_lazy_row_reads_materialise_on_demand(rng):
     g = random_owned_digraph(rng, 10, p=0.3)
     full = DistanceEngine(g.undirected_csr())
     lazy = DistanceEngine(g.undirected_csr(), rows="lazy")
+    ref = np.asarray(full.matrix)
     got = lazy.row(3)
-    assert np.array_equal(got, np.asarray(full.matrix)[3])
+    assert np.array_equal(got, ref[3])
     if lazy.lazy:  # a small promotion threshold may already have fired
         assert 3 in lazy.hot_rows().tolist()
     with pytest.raises(ValueError):
         got[0] = 7  # read-only view either way
+    # Every hot row, and point queries that read through one, stay exact.
+    lazy.ensure_rows([0, 9])
+    for s in lazy.hot_rows().tolist():
+        assert np.array_equal(lazy.row(s), ref[s])
+        assert lazy.query(5, s) == int(ref[5, s])
 
 
 def test_lazy_engine_promotes_at_half_the_rows():
@@ -307,58 +218,9 @@ def test_lazy_matrix_read_promotes_to_full(rng):
     g = random_owned_digraph(rng, 9, p=0.3)
     full = DistanceEngine(g.undirected_csr())
     lazy = DistanceEngine(g.undirected_csr(), rows="lazy")
-    epoch = lazy.epoch
     assert np.array_equal(np.asarray(lazy.matrix), np.asarray(full.matrix))
     assert not lazy.lazy
     assert lazy.stats["promotions"] == 1
-    assert lazy.epoch == epoch  # promotion is a read, not a mutation
-
-
-def test_lazy_mutations_keep_hot_rows_exact(rng):
-    """Arbitrary swap sequences on a lazy engine: every read (point
-    query, row, promoted matrix) agrees with a fresh build of the
-    current substrate at every step."""
-    for _ in range(4):
-        n = int(rng.integers(4, 12))
-        g = random_owned_digraph(rng, n, p=0.3)
-        lazy = DistanceEngine(g.undirected_csr(), rows="lazy")
-        # Warm a few rows; a changed substrate must drop them.
-        lazy.ensure_rows([0, n // 2])
-        for _ in range(8):
-            random_strategy_swap(rng, g)
-            lazy.update(g.undirected_csr())
-            fresh = DistanceEngine(g.undirected_csr())
-            ref = np.asarray(fresh.matrix)
-            u = int(rng.integers(n))
-            v = int(rng.integers(n))
-            assert lazy.query(u, v) == int(ref[u, v])
-            assert np.array_equal(lazy.row(u), ref[u])
-            if lazy.lazy:
-                for s in lazy.hot_rows().tolist():
-                    assert np.array_equal(lazy.row(s), ref[s])
-        assert np.array_equal(
-            np.asarray(lazy.matrix),
-            np.asarray(DistanceEngine(g.undirected_csr()).matrix),
-        )
-
-
-def test_lazy_staleness_contract(rng):
-    g = random_owned_digraph(rng, 8, p=0.35)
-    lazy = DistanceEngine(g.undirected_csr(), rows="lazy")
-    seen = lazy.epoch
-    lazy.ensure_epoch(seen)
-    arcs = list(g.arcs())
-    if not arcs:
-        return
-    lazy.ensure_rows([0])
-    for u, v in arcs:
-        g.remove_arc(u, v)
-    # A changed edge set drops the hot rows instead of recomputing them.
-    assert lazy.update(g.undirected_csr()) == "rebuild"
-    assert lazy.lazy and lazy.hot_rows().size == 0
-    assert lazy.epoch != seen
-    with pytest.raises(StaleDistanceError):
-        lazy.ensure_epoch(seen)
 
 
 def test_lazy_rejects_unknown_rows_mode():

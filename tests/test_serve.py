@@ -261,6 +261,21 @@ def test_cold_start_is_lazy():
     assert "source" not in info
 
 
+def test_served_instance_graph_is_frozen():
+    """A served instance never changes: its graph is frozen, and the
+    weighted lane's unit-weight realization shares that graph."""
+    from repro.errors import GraphError
+
+    inst = InstanceRegistry.from_graphs({"fig1": _fig1()}).get("fig1")
+    arcs = list(inst.graph.arcs())
+    with pytest.raises(GraphError, match="frozen"):
+        inst.graph.remove_arc(*arcs[0])
+    assert list(inst.graph.arcs()) == arcs
+    wr = inst.weighted()
+    assert wr.graph is inst.graph
+    assert wr.weights.tolist() == [1] * inst.graph.n
+
+
 def test_full_mode_engine_serves_batched_distances():
     """A social-cost query promotes the lazy instance to a full matrix;
     batched distances answered from it stay bit-identical."""

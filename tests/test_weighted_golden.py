@@ -1,14 +1,14 @@
-"""Golden equivalence: engine-backed Section 6 machinery vs loop path.
+"""Golden equivalence: Section 6 machinery vs test-local oracles.
 
 Every fixture exercised by ``test_analysis_weighted.py`` and
 ``test_section6_checkers.py`` — dynamics-converged equilibria, stars,
-paths, fold cascades, Lemma 6.4 graphs — is re-run here through a
-:class:`~repro.core.distance_cache.DistanceCache`, and every verdict,
-cost, fold sequence and report must be *bit-identical* to the retained
-loop path. The
-weighted census gets the same treatment: the bitset-evaluated Gray walk
-(one worker, sharded, checkpointed) vs the rebuild-per-profile oracle
-of ``conftest.py``.
+paths, fold cascades, Lemma 6.4 graphs — is re-checked here against
+the oracles of ``conftest.py``: a brute-force swap oracle (apply each
+legal swap to a copy, BFS, weighted sum), scipy distances for costs
+and Lemma 6.4, and a copy-and-rescan fold loop. Every verdict, cost,
+fold sequence and report must be *bit-identical*. The weighted census
+gets the same treatment: the bitset-evaluated Gray walk (one worker,
+sharded, checkpointed) vs the rebuild-per-profile oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_weighted_census
+from conftest import (
+    brute_lemma_6_4,
+    brute_weighted_census,
+    brute_weighted_sum_cost,
+    brute_weighted_swap_improves,
+    brute_weighted_weak_equilibrium,
+    rescan_fold_all,
+)
 
 from repro.analysis.weighted import (
     WeightedRealization,
@@ -33,34 +40,25 @@ from repro.analysis.weighted import (
     poor_leaves,
     rich_leaves,
     weighted_sum_cost,
+    weighted_swap_sweep,
 )
 from repro.core import (
     BoundedBudgetGame,
-    DistanceCache,
     best_response_dynamics,
     weighted_census_scan,
 )
-from repro.errors import GraphError
 from repro.graphs import OwnedDigraph, path_realization, star_realization
 
 
-def both_paths(wr: WeightedRealization):
-    """A fresh cache bound to ``wr.graph`` for the engine path."""
-    return DistanceCache(wr.graph)
-
-
-def assert_checkers_identical(wr: WeightedRealization) -> None:
-    """Every public checker answers the same with and without engines."""
-    cache = both_paths(wr)
+def assert_checkers_match_oracles(wr: WeightedRealization) -> None:
+    """Every public checker answers exactly like the oracles."""
+    truth = [brute_weighted_swap_improves(wr, u) for u in range(wr.graph.n)]
     for u in range(wr.graph.n):
-        assert weighted_sum_cost(wr, u) == weighted_sum_cost(wr, u, cache=cache)
-        assert _weighted_swap_improves(wr, u) == _weighted_swap_improves(
-            wr, u, cache=cache
-        ), u
-    assert is_weighted_weak_equilibrium(wr) == is_weighted_weak_equilibrium(
-        wr, cache=cache
-    )
-    assert check_lemma_6_4(wr) == check_lemma_6_4(wr, cache=cache)
+        assert weighted_sum_cost(wr, u) == brute_weighted_sum_cost(wr, u)
+        assert _weighted_swap_improves(wr, u) == truth[u], u
+    assert weighted_swap_sweep(wr) == [truth[u] for u in wr.active.tolist()]
+    assert is_weighted_weak_equilibrium(wr) == brute_weighted_weak_equilibrium(wr)
+    assert check_lemma_6_4(wr) == brute_lemma_6_4(wr)
 
 
 # ----------------------------------------------------------------------
@@ -68,15 +66,14 @@ def assert_checkers_identical(wr: WeightedRealization) -> None:
 # ----------------------------------------------------------------------
 def test_path_fixture_bit_identical():
     for n in (3, 6):
-        assert_checkers_identical(WeightedRealization.unit(path_realization(n)))
+        assert_checkers_match_oracles(WeightedRealization.unit(path_realization(n)))
 
 
 def test_scaled_weights_fixture_bit_identical():
     g = path_realization(3)
     wr = WeightedRealization(graph=g.copy(), weights=np.array([1, 1, 10]))
-    assert_checkers_identical(wr)
-    cache = both_paths(wr)
-    assert weighted_sum_cost(wr, 0, cache=cache) == 21
+    assert_checkers_match_oracles(wr)
+    assert weighted_sum_cost(wr, 0) == 21
 
 
 def test_leaf_classification_fixture_bit_identical():
@@ -86,7 +83,7 @@ def test_leaf_classification_fixture_bit_identical():
     wr = WeightedRealization.unit(g)
     assert poor_leaves(wr) == [1]
     assert rich_leaves(wr) == [2]
-    assert_checkers_identical(wr)
+    assert_checkers_match_oracles(wr)
 
 
 def test_fold_poor_leaf_engine_path_matches_reference():
@@ -95,65 +92,49 @@ def test_fold_poor_leaf_engine_path_matches_reference():
     g.add_arc(0, 2)
     g.add_arc(3, 0)
     wr = WeightedRealization.unit(g)
-    cache = both_paths(wr)
-    ref = fold_poor_leaf(wr, 1)
-    eng = fold_poor_leaf(wr, 1, cache=cache)
-    assert ref.graph == eng.graph
-    assert ref.weights.tolist() == eng.weights.tolist() == [2, 0, 1, 1]
-    # The cache now tracks the folded working copy.
-    assert cache.graph is eng.graph
-    assert is_weighted_weak_equilibrium(eng, cache=cache) == is_weighted_weak_equilibrium(ref)
-    # Originals untouched on both paths.
+    folded = fold_poor_leaf(wr, 1)
+    expected = g.copy()
+    expected.remove_arc(0, 1)
+    assert folded.graph == expected
+    assert folded.weights.tolist() == [2, 0, 1, 1]
+    assert_checkers_match_oracles(folded)
+    # The original is untouched.
     assert wr.weights.tolist() == [1, 1, 1, 1]
     assert wr.graph.has_arc(0, 1)
-
-
-def test_fold_rejects_non_poor_vertices_both_paths():
-    g = path_realization(4)
-    wr = WeightedRealization.unit(g)
-    cache = both_paths(wr)
-    with pytest.raises(GraphError):
-        fold_poor_leaf(wr, 1)
-    with pytest.raises(GraphError):
-        fold_poor_leaf(wr, 1, cache=cache)
 
 
 def test_star_fold_all_engine_path_matches_reference():
     g = star_realization(6, 0, center_owns=True)
     wr = WeightedRealization.unit(g)
-    cache = both_paths(wr)
-    ref = fold_all_poor_leaves(wr)
-    eng = fold_all_poor_leaves(wr, cache=cache)
-    assert ref.graph == eng.graph
-    assert ref.weights.tolist() == eng.weights.tolist()
-    assert eng.weights[0] == 6
-    assert poor_leaves(eng) == []
+    ref = rescan_fold_all(wr)
+    got = fold_all_poor_leaves(wr)
+    assert ref.graph == got.graph
+    assert ref.weights.tolist() == got.weights.tolist()
+    assert got.weights[0] == 6
+    assert poor_leaves(got) == []
+    assert wr.weights.tolist() == [1] * 6  # folded on a working copy
 
 
 def test_folding_preserves_weak_equilibrium_engine_path():
     # The dynamics-converged fixture of test_analysis_weighted, folded
-    # step by step with cached verification after every fold; fold
-    # sequence and verdicts must match the loop path exactly.
+    # step by step with a verification after every fold; the cascade
+    # and every verdict must match the oracles exactly.
     game = BoundedBudgetGame([1, 1, 1, 1, 2, 0, 0])
     res = best_response_dynamics(
         game, game.random_realization(seed=2, connected=True), "sum", max_rounds=100
     )
     assert res.converged
-    wr_ref = WeightedRealization.unit(res.graph)
-    wr_eng = WeightedRealization.unit(res.graph)
-    cache = both_paths(wr_eng)
-    assert is_weighted_weak_equilibrium(wr_eng, cache=cache)
-    while poor_leaves(wr_ref):
-        leaf_ref = poor_leaves(wr_ref)[0]
-        leaf_eng = poor_leaves(wr_eng)[0]
-        assert leaf_ref == leaf_eng
-        wr_ref = fold_poor_leaf(wr_ref, leaf_ref)
-        wr_eng = fold_poor_leaf(wr_eng, leaf_eng, cache=cache)
-        assert wr_ref.graph == wr_eng.graph
-        assert wr_ref.weights.tolist() == wr_eng.weights.tolist()
-        ref_verdict = is_weighted_weak_equilibrium(wr_ref)
-        assert is_weighted_weak_equilibrium(wr_eng, cache=cache) == ref_verdict
-        assert ref_verdict, "folding broke weak equilibrium"
+    wr = WeightedRealization.unit(res.graph)
+    assert is_weighted_weak_equilibrium(wr)
+    assert brute_weighted_weak_equilibrium(wr)
+    current = wr
+    while poor_leaves(current):
+        current = fold_poor_leaf(current, poor_leaves(current)[0])
+        assert_checkers_match_oracles(current)
+        assert is_weighted_weak_equilibrium(current), "folding broke weak equilibrium"
+    folded = fold_all_poor_leaves(wr)
+    assert folded.graph == current.graph
+    assert folded.weights.tolist() == current.weights.tolist()
 
 
 def test_lemma_6_4_on_equilibria_engine_path():
@@ -164,11 +145,9 @@ def test_lemma_6_4_on_equilibria_engine_path():
         )
         assert res.converged
         wr = WeightedRealization.unit(res.graph)
-        cache = both_paths(wr)
-        ref = check_lemma_6_4(wr)
-        eng = check_lemma_6_4(wr, cache=cache)
-        assert ref == eng
-        assert eng.holds, (seed, eng)
+        report = check_lemma_6_4(wr)
+        assert report == brute_lemma_6_4(wr)
+        assert report.holds, (seed, report)
 
 
 def test_lemma_6_4_violated_on_non_equilibrium_engine_path():
@@ -178,29 +157,27 @@ def test_lemma_6_4_violated_on_non_equilibrium_engine_path():
     for i in range(1, 4):
         g_rev.add_arc(i, i + 1)
     wr = WeightedRealization.unit(g_rev)
-    cache = both_paths(wr)
-    ref = check_lemma_6_4(wr)
-    eng = check_lemma_6_4(wr, cache=cache)
-    assert ref == eng
-    assert not eng.holds
-    assert not is_weighted_weak_equilibrium(wr, cache=cache)
+    report = check_lemma_6_4(wr)
+    assert report == brute_lemma_6_4(wr)
+    assert not report.holds
+    assert_checkers_match_oracles(wr)
+    assert not is_weighted_weak_equilibrium(wr)
 
 
 def test_disconnected_fixture_bit_identical():
-    # Cross-component terms must hit the same Cinf on both paths.
+    # Cross-component terms must hit the same Cinf as the oracles.
     g = OwnedDigraph(5)
     g.add_arc(0, 1)
     g.add_arc(2, 3)
     wr = WeightedRealization(graph=g, weights=np.array([1, 2, 3, 4, 5]))
-    assert_checkers_identical(wr)
-    cache = both_paths(wr)
-    assert weighted_sum_cost(wr, 0, cache=cache) == weighted_sum_cost(wr, 0)
+    assert_checkers_match_oracles(wr)
+    assert weighted_sum_cost(wr, 0) == 2 * 1 + (3 + 4 + 5) * 25
 
 
 def test_weight_zero_ghosts_bit_identical():
     g = path_realization(5)
     wr = WeightedRealization(graph=g.copy(), weights=np.array([1, 0, 2, 0, 3]))
-    assert_checkers_identical(wr)
+    assert_checkers_match_oracles(wr)
 
 
 # ----------------------------------------------------------------------
